@@ -23,6 +23,7 @@ from .errors import (
     ScaleLimitError,
     ScaleLimitExceededError,
     SearchSpaceTooLargeError,
+    TooManyEpochsError,
     TooManyPackagesError,
     TooManyTrialsError,
     UnboundedSimulationError,
@@ -37,7 +38,7 @@ from .expectation import (
     evaluate_epoch,
     evaluate_mission,
 )
-from .finite_solver import SolveReport, solve_finite, solve_finite_heterogeneous
+from .finite_solver import MAX_EPOCHS, SolveReport, solve_finite, solve_finite_heterogeneous
 from .infinite_solver import InfiniteSolveReport, solve_infinite
 from .mdp import MdpModel, best_stationary_policy, build_model, evaluate_policy
 from .model import (

@@ -37,7 +37,8 @@ from .model import (
     UNBOUNDED,
     Horizon,
     Instance,
-    PackageSpec,
+    PackageRecords,
+    PackageTable,
     distance_to_probability,
     ensure_valid,
     instance_from_dict,
@@ -84,10 +85,7 @@ def generate_instance(spec: GeneratorSpec) -> Instance:
     theta = float(rng.uniform(*spec.theta_range))
     rewards = rng.uniform(*spec.reward_range, size=spec.n)
     rhos = rng.uniform(*spec.rho_range, size=spec.n)
-    packages = tuple(
-        PackageSpec(id=i, reward=float(rewards[i]), leg_success=float(rhos[i]))
-        for i in range(spec.n)
-    )
+    packages = PackageTable(np.arange(spec.n, dtype=np.int64), rewards, rhos)
     horizon = Horizon.infinite() if spec.epochs is None else Horizon.finite(spec.epochs)
     return ensure_valid(Instance(theta=theta, horizon=horizon, packages=packages))
 
@@ -120,6 +118,8 @@ def dump_json(obj, indent: int = 0) -> str:
         return _fmt_float(float(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
+    if isinstance(obj, PackageRecords):
+        return _dump_packages(obj.table, indent)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -137,6 +137,22 @@ def dump_json(obj, indent: int = 0) -> str:
         items = ",\n".join(f"{pad}  {dump_json(v, indent + 2)}" for v in seq)
         return "[\n" + items + "\n" + pad + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _dump_packages(table: PackageTable, indent: int) -> str:
+    """An instance's ``packages`` list, as :func:`dump_json` lays out a list
+    of ``{"id", "reward", "rho"}`` dicts, written from the columns."""
+    if not len(table):
+        return "[]"
+    pad = " " * (indent + 2)
+    template = f'{pad}{{\n{pad}  "id": %d,\n{pad}  "reward": %s,\n{pad}  "rho": %s\n{pad}}}'
+    rewards, rhos = table.rewards.tolist(), table.rhos.tolist()
+    if np.isfinite(table.rewards).all() and np.isfinite(table.rhos).all():
+        template = template.replace("%s", "%.17g")  # what _fmt_float does for finite values
+    else:
+        rewards, rhos = map(_fmt_float, rewards), map(_fmt_float, rhos)
+    body = ",\n".join(map(template.__mod__, zip(table.ids.tolist(), rewards, rhos)))
+    return "[\n" + body + "\n" + " " * indent + "]"
 
 
 # --- plumbing ------------------------------------------------------------------

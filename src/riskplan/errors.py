@@ -98,6 +98,10 @@ class TooManyTrialsError(ScaleLimitError):
     """Trial count exceeds the exact subset-enumeration limit."""
 
 
+class TooManyEpochsError(ScaleLimitError):
+    """Finite horizon exceeds the solvers' epoch limit."""
+
+
 class SearchSpaceTooLargeError(ScaleLimitError):
     """Brute-force search space exceeds the enumeration budget."""
 

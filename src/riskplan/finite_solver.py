@@ -28,6 +28,7 @@ import numpy as np
 from .errors import (
     InfiniteHorizonError,
     MissingPerEpochCatalogError,
+    TooManyEpochsError,
 )
 from .model import (
     Instance,
@@ -38,7 +39,12 @@ from .model import (
     reward_to_risk,
 )
 
-__all__ = ["SolveReport", "solve_finite", "solve_finite_heterogeneous"]
+__all__ = ["SolveReport", "solve_finite", "solve_finite_heterogeneous", "MAX_EPOCHS"]
+
+#: Longest horizon either solver accepts.  Both keep O(K) state (values,
+#: thresholds and one plan per epoch), so a larger K is refused before any
+#: of it is allocated.
+MAX_EPOCHS = 1_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,11 +93,19 @@ def _prefix_tables(rewards: np.ndarray, rhos: np.ndarray):
     return survival, reward_sum
 
 
+def _check_horizon(instance: Instance) -> None:
+    if not instance.horizon.is_finite:
+        raise InfiniteHorizonError("use solve_infinite for infinite horizons")
+    if instance.horizon.epochs > MAX_EPOCHS:
+        raise TooManyEpochsError(
+            f"horizon of {instance.horizon.epochs:,} epochs exceeds the finite solver's "
+            f"limit of {MAX_EPOCHS:,} epochs")
+
+
 def solve_finite(instance: Instance) -> SolveReport:
     """Optimal plan and values for a homogeneous finite-horizon instance."""
     ensure_valid(instance)
-    if not instance.horizon.is_finite:
-        raise InfiniteHorizonError("use solve_infinite for infinite horizons")
+    _check_horizon(instance)
     if instance.per_epoch_packages is not None:
         return solve_finite_heterogeneous(instance)
 
@@ -134,8 +148,7 @@ def solve_finite_heterogeneous(instance: Instance) -> SolveReport:
     the global canonical order: O(K n) after one O(n log n) sort.
     """
     ensure_valid(instance)
-    if not instance.horizon.is_finite:
-        raise InfiniteHorizonError("use solve_infinite for infinite horizons")
+    _check_horizon(instance)
     if instance.per_epoch_packages is None:
         raise MissingPerEpochCatalogError("instance has no per-epoch catalogs")
 

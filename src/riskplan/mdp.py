@@ -90,7 +90,7 @@ class MdpModel:
         if not (0 <= action < (1 << self.n)):
             raise ValueError(f"action {action!r} out of range for n={self.n}")
         selected = [
-            self.instance.packages[i] for i in range(self.n) if action >> i & 1
+            p for i, p in enumerate(self.instance.packages) if action >> i & 1
         ]
         return _outcomes_for(selected, self.instance.theta)
 

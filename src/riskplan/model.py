@@ -15,6 +15,11 @@ This module owns:
 * the canonical execution order used by every planner,
 * the JSON dict schema for instances and plans.
 
+An instance stores its catalog as three columns (``ids`` int64, ``rewards``
+and ``rhos`` float64) in a :class:`PackageTable`; :class:`PackageSpec`
+objects are made from the columns only where code asks for one package at
+a time.
+
 All types are immutable after construction and safe to share across
 threads.
 """
@@ -23,7 +28,10 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -37,6 +45,8 @@ from .errors import (
 
 __all__ = [
     "PackageSpec",
+    "PackageTable",
+    "PackageRecords",
     "Horizon",
     "Instance",
     "EpochPlan",
@@ -104,7 +114,18 @@ class Horizon:
 
     @classmethod
     def finite(cls, k: int) -> "Horizon":
-        return cls(epochs=int(k))
+        """A ``k``-epoch horizon.
+
+        Integral numbers become ``int`` (``2.0`` is 2 epochs); anything
+        else, such as ``2.7`` or ``True``, is kept as given so that
+        :func:`validate_instance` rejects it instead of truncating it.
+        """
+        if k is None:
+            raise TypeError("a finite horizon needs an epoch count")
+        if (isinstance(k, (int, np.integer)) and not isinstance(k, bool)
+                or isinstance(k, float) and k.is_integer()):
+            k = int(k)
+        return cls(epochs=k)
 
     @classmethod
     def infinite(cls) -> "Horizon":
@@ -115,57 +136,184 @@ class Horizon:
         return self.epochs is not None
 
 
-@dataclass(frozen=True)
+#: Largest package id; ids are stored as int64.
+MAX_PACKAGE_ID = 2**63 - 1
+
+
+def _is_int64(x) -> bool:
+    return (isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+            and -MAX_PACKAGE_ID - 1 <= x <= MAX_PACKAGE_ID)
+
+
+def _is_real(x) -> bool:
+    if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
+        return False
+    try:
+        float(x)
+    except OverflowError:  # an int beyond the float range
+        return False
+    return True
+
+
+def _column(raw: Sequence, dtype, fast_types: set, accepts) -> tuple[Optional[np.ndarray], list[int]]:
+    """``raw`` as an array of ``dtype``, or None and the rejected positions."""
+    # Parsed JSON holds exact ints and floats: one C-speed type scan lets
+    # numpy convert the whole column at once.
+    if set(map(type, raw)) <= fast_types:
+        try:
+            return np.array(raw, dtype=dtype), []
+        except OverflowError:
+            pass
+    rejected = [i for i, x in enumerate(raw) if not accepts(x)]
+    if rejected:
+        return None, rejected
+    return np.array(raw, dtype=dtype), []
+
+
+class PackageTable(SequenceABC):
+    """A package catalog stored as three columns, read as a sequence.
+
+    ``ids`` (int64), ``rewards`` and ``rhos`` (float64, the per-leg success
+    probabilities) are parallel, read-only arrays.  Indexing and iteration
+    yield :class:`PackageSpec` objects, made once from the columns on the
+    first such access; ``len`` and the columns never make them.
+
+    The constructor takes arrays as they are (the generator's, say) and
+    marks them read-only; :meth:`from_columns` checks raw values first.
+    """
+
+    def __init__(self, ids, rewards, rhos):
+        columns = (np.asarray(ids, dtype=np.int64), np.asarray(rewards, dtype=np.float64),
+                   np.asarray(rhos, dtype=np.float64))
+        if not all(c.ndim == 1 and c.size == columns[0].size for c in columns):
+            raise ValueError("package columns must be one-dimensional and of equal length")
+        for c in columns:
+            c.flags.writeable = False
+        self.ids, self.rewards, self.rhos = columns
+
+    @classmethod
+    def from_columns(cls, ids: Sequence, rewards: Sequence, rhos: Sequence) -> "PackageTable":
+        """A table from parallel sequences of scalars, such as parsed JSON.
+
+        Raises :class:`InvalidInstanceError` naming every value the columns
+        cannot hold exactly: an id that is not an integer in int64 range
+        (booleans are not integers here), or a reward or probability that
+        is not a real number.  Range checks within the columns, such as
+        negative ids, are left to :func:`validate_instance`.
+        """
+        id_col, bad_ids = _column(ids, np.int64, {int}, _is_int64)
+        reward_col, bad_rewards = _column(rewards, np.float64, {int, float}, _is_real)
+        rho_col, bad_rhos = _column(rhos, np.float64, {int, float}, _is_real)
+        if bad_ids or bad_rewards or bad_rhos:
+            bad_ids, bad_rewards, bad_rhos = set(bad_ids), set(bad_rewards), set(bad_rhos)
+            out = []
+            for i in sorted(bad_ids | bad_rewards | bad_rhos):
+                if i in bad_ids:
+                    out.append(Violation(
+                        ViolationCode.INVALID_ID,
+                        f"package id must be an integer in 0..{MAX_PACKAGE_ID}, got {ids[i]!r}"))
+                    continue
+                if i in bad_rewards:
+                    out.append(_bad_reward(ids[i], rewards[i]))
+                if i in bad_rhos:
+                    out.append(_bad_rho(ids[i], rhos[i]))
+            raise InvalidInstanceError(out)
+        return cls(id_col, reward_col, rho_col)
+
+    @cached_property
+    def _specs(self) -> tuple[PackageSpec, ...]:
+        return tuple(map(PackageSpec, self.ids.tolist(), self.rewards.tolist(), self.rhos.tolist()))
+
+    def __len__(self) -> int:
+        return self.ids.size
+
+    def __getitem__(self, index):
+        return self._specs[index]
+
+    def __iter__(self):
+        return iter(self._specs)
+
+    def __eq__(self, other):
+        if isinstance(other, PackageTable):
+            return (np.array_equal(self.ids, other.ids) and np.array_equal(self.rewards, other.rewards)
+                    and np.array_equal(self.rhos, other.rhos))
+        if isinstance(other, (tuple, list)):
+            return self._specs == tuple(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"PackageTable(ids={self.ids!r}, rewards={self.rewards!r}, rhos={self.rhos!r})"
+
+
+@dataclass(frozen=True, eq=False)
 class Instance:
     """A full planning problem.
 
+    ``packages`` may be given as any sequence of :class:`PackageSpec`; it
+    is stored as a :class:`PackageTable`, whose columns are the source of
+    truth for every solver.  Passing another instance's table shares its
+    columns without a copy.
+
     ``per_epoch_packages`` (optional) restricts each epoch to a subset of
     the catalog; when present its length must equal the finite horizon.
+
+    Instances compare by content.
     """
 
     theta: float
     horizon: Horizon
-    packages: tuple[PackageSpec, ...]
+    packages: PackageTable
     per_epoch_packages: Optional[tuple[frozenset[int], ...]] = None
+
+    def __post_init__(self):
+        if not isinstance(self.packages, PackageTable):
+            specs = tuple(self.packages)
+            table = PackageTable.from_columns([p.id for p in specs], [p.reward for p in specs],
+                                              [p.leg_success for p in specs])
+            object.__setattr__(self, "packages", table)
+
+    def __eq__(self, other):
+        if not isinstance(other, Instance):
+            return NotImplemented
+        return (self.theta == other.theta and self.horizon == other.horizon
+                and self.per_epoch_packages == other.per_epoch_packages
+                and self.packages == other.packages)
+
+    def __hash__(self):
+        return hash((self.theta, self.horizon, len(self.packages)))
 
     def package_by_id(self, pkg_id: int) -> PackageSpec:
         try:
-            return self._id_map()[int(pkg_id)]
+            return self._by_id[int(pkg_id)]
         except KeyError:
             raise UnknownPackageIdError(f"unknown package id {pkg_id}") from None
 
     def has_package(self, pkg_id: int) -> bool:
-        return int(pkg_id) in self._id_map()
+        return int(pkg_id) in self._by_id
 
     def allowed_ids(self, epoch: int) -> frozenset[int]:
         """Ids deliverable in 1-based ``epoch``."""
         if self.per_epoch_packages is not None:
             return self.per_epoch_packages[epoch - 1]
-        cached = getattr(self, "_all_ids_cache", None)
-        if cached is None:
-            cached = frozenset(self._id_map())
-            object.__setattr__(self, "_all_ids_cache", cached)
-        return cached
+        return self._all_ids
 
-    # Caches live on the frozen instance via object.__setattr__; they are
-    # derived data only, never part of equality.
-    def _id_map(self) -> dict[int, PackageSpec]:
-        cached = getattr(self, "_id_map_cache", None)
-        if cached is None:
-            cached = {p.id: p for p in self.packages}
-            object.__setattr__(self, "_id_map_cache", cached)
-        return cached
+    @cached_property
+    def _by_id(self) -> dict[int, PackageSpec]:
+        return dict(zip(self.packages.ids.tolist(), self.packages))
+
+    @cached_property
+    def _all_ids(self) -> frozenset[int]:
+        return frozenset(self._by_id)
+
+    @cached_property
+    def _violations(self) -> tuple["Violation", ...]:
+        return tuple(_find_violations(self))
 
     def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(ids, rewards, leg_success) as numpy arrays, cached."""
-        cached = getattr(self, "_array_cache", None)
-        if cached is None:
-            ids = np.fromiter((p.id for p in self.packages), dtype=np.int64, count=len(self.packages))
-            rewards = np.fromiter((p.reward for p in self.packages), dtype=np.float64, count=len(self.packages))
-            rhos = np.fromiter((p.leg_success for p in self.packages), dtype=np.float64, count=len(self.packages))
-            cached = (ids, rewards, rhos)
-            object.__setattr__(self, "_array_cache", cached)
-        return cached
+        """(ids, rewards, leg_success) columns of the catalog."""
+        return self.packages.ids, self.packages.rewards, self.packages.rhos
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,36 +370,56 @@ class Violation:
         return f"{self.code.value}: {self.message}"
 
 
-def _packages_pass_vector_checks(instance: Instance) -> bool:
-    """Coarse all-or-nothing package checks via the cached arrays."""
-    try:
-        ids, rewards, rhos = instance._arrays()
-    except (TypeError, ValueError, OverflowError):
-        return False
-    if ids.size != len(instance.packages):
-        return False
-    return bool(
-        (ids >= 0).all()
-        and np.unique(ids).size == ids.size
-        and np.isfinite(rewards).all()
-        and (rewards >= 0).all()
-        and np.isfinite(rhos).all()
-        and (rhos >= 0).all()
-        and (rhos <= 1).all()
-    )
+def _bad_reward(pkg_id, reward) -> Violation:
+    return Violation(ViolationCode.NEGATIVE_REWARD,
+                     f"package {pkg_id}: reward must be a finite non-negative real, got {reward!r}")
+
+
+def _bad_rho(pkg_id, rho) -> Violation:
+    return Violation(ViolationCode.PROBABILITY_OUT_OF_RANGE,
+                     f"package {pkg_id}: leg_success must lie in [0, 1], got {rho!r}")
+
+
+def _package_violations(ids: np.ndarray, rewards: np.ndarray, rhos: np.ndarray) -> list[Violation]:
+    """Per-package violations in catalog order, one vectorized pass.
+
+    Per package the checks run in this order: a negative id (which skips
+    the rest), an id seen earlier in the catalog, the reward, the
+    probability.
+    """
+    valid_id = ids >= 0
+    bad_reward = valid_id & ~(np.isfinite(rewards) & (rewards >= 0))
+    bad_rho = valid_id & ~((rhos >= 0) & (rhos <= 1))  # False for nan
+    # Later occurrences of a valid id: a stable sort keeps catalog order
+    # within each run of equal ids, so all but a run's first are repeats.
+    valid_pos = np.flatnonzero(valid_id)
+    by_id = valid_pos[np.argsort(ids[valid_pos], kind="stable")]
+    repeats = by_id[1:][ids[by_id[1:]] == ids[by_id[:-1]]]
+
+    # (position, rank of the check, violation), sorted into catalog order
+    found = [(i, 0, Violation(ViolationCode.INVALID_ID, f"package id must be a non-negative integer, got {int(ids[i])!r}"))
+             for i in np.flatnonzero(~valid_id).tolist()]
+    found += [(i, 1, Violation(ViolationCode.DUPLICATE_ID, f"package id {int(ids[i])} appears more than once"))
+              for i in repeats.tolist()]
+    found += [(i, 2, _bad_reward(int(ids[i]), float(rewards[i]))) for i in np.flatnonzero(bad_reward).tolist()]
+    found += [(i, 3, _bad_rho(int(ids[i]), float(rhos[i]))) for i in np.flatnonzero(bad_rho).tolist()]
+    found.sort(key=operator.itemgetter(0, 1))
+    return [violation for _, _, violation in found]
 
 
 def validate_instance(instance: Instance) -> list[Violation]:
     """Check every type invariant; return the complete violation list.
 
     An empty list means the instance is valid.  Use :func:`ensure_valid`
-    to raise instead.  The result is cached on the (immutable) instance so
-    solvers can re-validate for free.
+    to raise instead.  The result is cached on the (immutable) instance,
+    so the CLI, solvers and evaluators can each validate for free.  Values
+    the package columns cannot hold at all are rejected earlier, when the
+    instance is built (see :meth:`PackageTable.from_columns`).
     """
-    cached = getattr(instance, "_violations_cache", None)
-    if cached is not None:
-        return list(cached)
+    return list(instance._violations)
 
+
+def _find_violations(instance: Instance) -> list[Violation]:
     out: list[Violation] = []
 
     theta = instance.theta
@@ -259,45 +427,26 @@ def validate_instance(instance: Instance) -> list[Violation]:
         out.append(Violation(ViolationCode.NEGATIVE_THETA, f"theta must be a finite non-negative real, got {theta!r}"))
 
     horizon = instance.horizon
-    if horizon.is_finite and (not isinstance(horizon.epochs, int) or horizon.epochs < 1):
-        out.append(Violation(ViolationCode.HORIZON_MISMATCH, f"finite horizon must be a positive integer, got {horizon.epochs!r}"))
+    epochs = horizon.epochs
+    if horizon.is_finite and (not isinstance(epochs, int) or isinstance(epochs, bool) or epochs < 1):
+        out.append(Violation(ViolationCode.HORIZON_MISMATCH, f"finite horizon must be a positive integer, got {epochs!r}"))
 
-    # Large catalogs take the vectorized path; the per-package walk (which
-    # produces precise messages) runs only when it may find something.
-    walk_packages = len(instance.packages) <= 50_000 or not _packages_pass_vector_checks(instance)
-
-    seen: set[int] = set()
-    if walk_packages:
-        for pkg in instance.packages:
-            if not isinstance(pkg.id, int) or isinstance(pkg.id, bool) or pkg.id < 0:
-                out.append(Violation(ViolationCode.INVALID_ID, f"package id must be a non-negative integer, got {pkg.id!r}"))
-                continue
-            if pkg.id in seen:
-                out.append(Violation(ViolationCode.DUPLICATE_ID, f"package id {pkg.id} appears more than once"))
-            seen.add(pkg.id)
-            r = pkg.reward
-            if not (isinstance(r, (int, float)) and math.isfinite(r) and r >= 0):
-                out.append(Violation(ViolationCode.NEGATIVE_REWARD, f"package {pkg.id}: reward must be a finite non-negative real, got {r!r}"))
-            rho = pkg.leg_success
-            if not (isinstance(rho, (int, float)) and math.isfinite(rho) and 0.0 <= rho <= 1.0):
-                out.append(Violation(ViolationCode.PROBABILITY_OUT_OF_RANGE, f"package {pkg.id}: leg_success must lie in [0, 1], got {rho!r}"))
+    ids, rewards, rhos = instance._arrays()
+    out.extend(_package_violations(ids, rewards, rhos))
 
     pep = instance.per_epoch_packages
     if pep is not None:
         if not horizon.is_finite:
             out.append(Violation(ViolationCode.HORIZON_MISMATCH, "per_epoch_packages requires a finite horizon"))
-        elif len(pep) != horizon.epochs:
+        elif len(pep) != epochs:
             out.append(Violation(
                 ViolationCode.HORIZON_MISMATCH,
-                f"per_epoch_packages has {len(pep)} entries but horizon is {horizon.epochs}"))
-        if not walk_packages:
-            seen = set(instance._id_map())
+                f"per_epoch_packages has {len(pep)} entries but horizon is {epochs}"))
+        known = set(ids[ids >= 0].tolist())
         for h, id_set in enumerate(pep, start=1):
-            for pkg_id in sorted(id_set):
-                if pkg_id not in seen:
-                    out.append(Violation(ViolationCode.UNKNOWN_PACKAGE_ID, f"epoch {h} references unknown package id {pkg_id}"))
+            for pkg_id in sorted(frozenset(id_set) - known):
+                out.append(Violation(ViolationCode.UNKNOWN_PACKAGE_ID, f"epoch {h} references unknown package id {pkg_id}"))
 
-    object.__setattr__(instance, "_violations_cache", tuple(out))
     return out
 
 
@@ -384,14 +533,49 @@ def distance_to_probability(distance: float, phi: float) -> float:
 # Plan:     {"plans": [[id, ...], ...]} | {"stationary": [id, ...]}
 
 
+class PackageRecords(SequenceABC):
+    """The ``packages`` list of an instance document, over a table's columns.
+
+    Items are ``{"id", "reward", "rho"}`` dicts made on access, so building
+    a document makes no object per package.  ``cli.dump_json`` writes the
+    list straight from the columns, and :func:`instance_from_dict` takes
+    the columns back without a copy.
+    """
+
+    __slots__ = ("table",)
+
+    def __init__(self, table: PackageTable):
+        self.table = table
+
+    def __len__(self) -> int:
+        return len(self.table)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        t = self.table
+        return {"id": int(t.ids[index]), "reward": float(t.rewards[index]), "rho": float(t.rhos[index])}
+
+    def __iter__(self):
+        t = self.table
+        for pkg_id, reward, rho in zip(t.ids.tolist(), t.rewards.tolist(), t.rhos.tolist()):
+            yield {"id": pkg_id, "reward": reward, "rho": rho}
+
+    def __eq__(self, other):
+        if isinstance(other, (PackageRecords, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+
 def instance_to_dict(instance: Instance) -> dict:
+    """The instance document; ``packages`` is a read-only
+    :class:`PackageRecords` sequence (``list(...)`` of it gives plain dicts)."""
     doc: dict = {
         "theta": instance.theta,
         "horizon": {"finite": instance.horizon.epochs} if instance.horizon.is_finite else "infinite",
-        "packages": [
-            {"id": p.id, "reward": p.reward, "rho": p.leg_success}
-            for p in instance.packages
-        ],
+        "packages": PackageRecords(instance.packages),
     }
     if instance.per_epoch_packages is not None:
         doc["per_epoch_packages"] = [sorted(ids) for ids in instance.per_epoch_packages]
@@ -405,10 +589,13 @@ def instance_from_dict(doc: dict) -> Instance:
             horizon = Horizon.infinite()
         else:
             horizon = Horizon.finite(raw_horizon["finite"])
-        packages = tuple(
-            PackageSpec(id=int(p["id"]), reward=float(p["reward"]), leg_success=float(p["rho"]))
-            for p in doc["packages"]
-        )
+        raw_packages = doc["packages"]
+        if isinstance(raw_packages, PackageRecords):
+            packages = raw_packages.table
+        else:
+            packages = PackageTable.from_columns([p["id"] for p in raw_packages],
+                                                 [p["reward"] for p in raw_packages],
+                                                 [p["rho"] for p in raw_packages])
         pep = doc.get("per_epoch_packages")
         per_epoch = tuple(frozenset(int(i) for i in ids) for ids in pep) if pep is not None else None
         theta = float(doc["theta"])

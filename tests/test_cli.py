@@ -1,16 +1,22 @@
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from riskplan import (
+    Horizon,
+    Instance,
     evaluate_mission,
+    finite_solver,
     instance_from_dict,
     plan_from_dict,
 )
 from riskplan.cli import GeneratorSpec, dump_json, generate_instance, run_cli
 from riskplan.errors import InvalidRangeError
-from riskplan.model import UNBOUNDED, instance_to_dict
+from riskplan.model import UNBOUNDED, PackageTable, instance_to_dict
 
 
 def write_instance(tmp_path, doc, name="instance.json"):
@@ -237,6 +243,59 @@ class TestErrorPaths:
         assert code == 1
         assert "theta" in err
 
+    @pytest.mark.parametrize("bad_id", [2**64, 2**63, True, -(2**63) - 1])
+    def test_unrepresentable_id_is_a_violation(self, tmp_path, capsys, bad_id):
+        doc = {"theta": 1.0, "horizon": {"finite": 1},
+               "packages": [{"id": 0, "reward": 1.0, "rho": 0.5},
+                            {"id": bad_id, "reward": 1.0, "rho": 0.5}]}
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "solve", "finite", "-i", str(path))
+        assert code == 1
+        assert out == ""
+        assert "invalid_id" in err and str(bad_id) in err
+        assert "Traceback" not in err
+
+    def test_largest_id_is_accepted(self, tmp_path, capsys):
+        doc = {"theta": 0.0, "horizon": {"finite": 1},
+               "packages": [{"id": 2**63 - 1, "reward": 1.0, "rho": 0.5}]}
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "solve", "finite", "-i", str(path))
+        assert code == 0
+        assert json.loads(out)["plans"] == [[2**63 - 1]]
+
+    @pytest.mark.parametrize("epochs", [2.7, True, "2", 0, -1.0, float("nan")])
+    def test_bad_horizon_is_rejected(self, tmp_path, capsys, epochs):
+        doc = dict(FINITE2, horizon={"finite": epochs})
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "solve", "finite", "-i", str(path))
+        assert code == 1
+        assert out == ""
+        assert "horizon" in err
+
+    def test_integral_float_horizon_is_accepted(self, tmp_path, capsys):
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(dict(FINITE2, horizon={"finite": 2.0})))
+        code, out, _ = run(capsys, "solve", "finite", "-i", str(path))
+        assert code == 0
+        assert json.loads(out)["plans"] == [[0], [0, 1]]
+
+    def test_huge_horizon_is_a_scale_limit(self, tmp_path, capsys, monkeypatch):
+        # Stand-in for the first step after the check, so that a missing
+        # check fails here instead of allocating 10^9-entry lists.
+        def past_the_check(instance):
+            raise AssertionError("solve finite went past the epoch limit")
+
+        monkeypatch.setattr(finite_solver, "_sorted_package_arrays", past_the_check)
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(dict(FINITE2, horizon={"finite": 1e9})))
+        code, out, err = run(capsys, "solve", "finite", "-i", str(path))
+        assert code == 2
+        assert out == ""
+        assert "scale limit" in err and f"{finite_solver.MAX_EPOCHS:,}" in err
+
     def test_unknown_flag_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "solve", "finite", "--bogus")
         assert code == 64
@@ -262,3 +321,61 @@ class TestDumpJson:
         inst = generate_instance(GeneratorSpec(n=4, epochs=2, seed=9))
         doc = instance_to_dict(inst)
         assert instance_from_dict(json.loads(dump_json(doc))) == inst
+
+
+# Edge values for the instance writer: integral floats (3.0 is written "3"),
+# the smallest subnormal, a huge value, signed zero and the non-finite
+# markers, which only invalid instances carry.
+EDGE_FLOATS = [3.0, 0.0, -0.0, 1.0, 5e-324, 1e300, 2.5, float("nan"), float("inf"), float("-inf")]
+EDGE_IDS = [0, 1, 2**63 - 2, 2**63 - 1]
+
+
+def generic_dump(doc):
+    """``dump_json`` of the document with ``packages`` as a plain list of dicts."""
+    return dump_json(dict(doc, packages=list(doc["packages"])))
+
+
+@st.composite
+def edge_instances(draw):
+    rows = draw(st.lists(st.tuples(
+        st.one_of(st.sampled_from(EDGE_IDS), st.integers(0, 2**63 - 1)),
+        st.one_of(st.sampled_from(EDGE_FLOATS), st.floats()),
+        st.one_of(st.sampled_from([0.0, 1.0, 5e-324, 0.5]), st.floats(0, 1)),
+    ), max_size=12))
+    ids, rewards, rhos = zip(*rows) if rows else ((), (), ())
+    k = draw(st.one_of(st.none(), st.integers(1, 3)))
+    per_epoch = None
+    if k is not None and draw(st.booleans()):
+        per_epoch = tuple(frozenset(draw(st.sets(st.sampled_from(ids)))) if ids else frozenset()
+                          for _ in range(k))
+    return Instance(theta=draw(st.sampled_from(EDGE_FLOATS)),
+                    horizon=Horizon.infinite() if k is None else Horizon.finite(k),
+                    packages=PackageTable(ids, rewards, rhos), per_epoch_packages=per_epoch)
+
+
+class TestInstanceWriter:
+    def test_edge_values(self):
+        ids = EDGE_IDS + list(range(10, 10 + len(EDGE_FLOATS) - len(EDGE_IDS)))
+        rhos = [0.0, 1.0] * (len(EDGE_FLOATS) // 2)
+        inst = Instance(theta=3.0, horizon=Horizon.finite(2),
+                        packages=PackageTable(ids, EDGE_FLOATS, rhos))
+        doc = instance_to_dict(inst)
+        text = dump_json(doc)
+        assert text == generic_dump(doc)
+        assert '"reward": 3,' in text and '"rho": 0\n' in text and '"rho": 1\n' in text
+        assert '"reward": "nan",' in text and f'"id": {2**63 - 1},' in text
+
+    @settings(deadline=None, max_examples=200)
+    @given(inst=edge_instances())
+    def test_bytes_equal_generic_dump(self, inst):
+        doc = instance_to_dict(inst)
+        assert dump_json(doc) == generic_dump(doc)
+        # deeper indentation, as inside another document
+        assert dump_json({"instances": [doc]}) == dump_json({"instances": [dict(doc, packages=list(doc["packages"]))]})
+
+    @settings(deadline=None, max_examples=50)
+    @given(inst=edge_instances())
+    def test_finite_documents_read_back_equal(self, inst):
+        ids, rewards, rhos = inst._arrays()
+        assume(np.isfinite(rewards).all() and math.isfinite(inst.theta))
+        assert instance_from_dict(json.loads(dump_json(instance_to_dict(inst)))) == inst

@@ -1,9 +1,11 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
 from riskplan import (
+    MAX_EPOCHS,
     Horizon,
     InfiniteHorizonError,
     Instance,
@@ -16,6 +18,8 @@ from riskplan import (
     solve_finite,
     solve_finite_heterogeneous,
 )
+from riskplan import finite_solver
+from riskplan.errors import TooManyEpochsError
 
 from conftest import make_instance
 
@@ -83,6 +87,31 @@ class TestExamples:
         bad = inst_of(0.0, 1, PackageSpec(0, -1, 0.5))
         with pytest.raises(InvalidInstanceError):
             solve_finite(bad)
+
+    def test_epoch_limit_is_checked_before_allocating(self, monkeypatch):
+        # Stand-in for the first step after the check, so that a missing
+        # check fails here instead of allocating 10^9-entry lists.
+        def past_the_check(instance):
+            raise AssertionError("solve_finite went past the epoch limit")
+
+        monkeypatch.setattr(finite_solver, "_sorted_package_arrays", past_the_check)
+        inst = inst_of(1.0, 10**9, PackageSpec(0, 1, 0.5))
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooManyEpochsError, match=f"limit of {MAX_EPOCHS:,} epochs"):
+                solve_finite(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_epoch_limit_heterogeneous(self, monkeypatch):
+        monkeypatch.setattr(finite_solver, "MAX_EPOCHS", 2)
+        inst = inst_of(1.0, 3, PackageSpec(0, 1, 0.5), per_epoch=(frozenset({0}),) * 3)
+        with pytest.raises(TooManyEpochsError):
+            solve_finite_heterogeneous(inst)
+        assert len(solve_finite_heterogeneous(inst_of(1.0, 2, PackageSpec(0, 1, 0.5),
+                                                      per_epoch=(frozenset({0}),) * 2)).plan.plans) == 2
 
     def test_empty_catalog(self):
         report = solve_finite(inst_of(2.0, 3))

@@ -24,7 +24,7 @@ from riskplan import (
     reward_to_risk,
     validate_instance,
 )
-from riskplan.model import gamma_values
+from riskplan.model import PackageTable, gamma_values
 
 
 def one_package_instance(r=1.0, rho=0.5, theta=1.0, k=1):
@@ -110,6 +110,124 @@ class TestValidation:
         codes = [v.code for v in validate_instance(inst)]
         assert ViolationCode.NEGATIVE_REWARD in codes
         assert ViolationCode.PROBABILITY_OUT_OF_RANGE in codes
+
+
+def reference_package_violations(instance):
+    """The per-package walk that validate_instance vectorized, kept as its reference."""
+    out, seen = [], set()
+    for pkg in instance.packages:
+        if pkg.id < 0:
+            out.append((ViolationCode.INVALID_ID, f"package id must be a non-negative integer, got {pkg.id!r}"))
+            continue
+        if pkg.id in seen:
+            out.append((ViolationCode.DUPLICATE_ID, f"package id {pkg.id} appears more than once"))
+        seen.add(pkg.id)
+        r = pkg.reward
+        if not (math.isfinite(r) and r >= 0):
+            out.append((ViolationCode.NEGATIVE_REWARD,
+                        f"package {pkg.id}: reward must be a finite non-negative real, got {r!r}"))
+        rho = pkg.leg_success
+        if not (math.isfinite(rho) and 0.0 <= rho <= 1.0):
+            out.append((ViolationCode.PROBABILITY_OUT_OF_RANGE,
+                        f"package {pkg.id}: leg_success must lie in [0, 1], got {rho!r}"))
+    return out
+
+
+class TestVectorizedValidation:
+    @settings(deadline=None, max_examples=200)
+    @given(rows=st.lists(st.tuples(
+        st.integers(-3, 6),
+        st.one_of(st.floats(-2, 10), st.sampled_from([float("nan"), float("inf"), -0.0])),
+        st.one_of(st.floats(-0.5, 1.5), st.sampled_from([float("nan"), float("-inf"), 0.0, 1.0])),
+    ), max_size=12))
+    def test_matches_per_package_walk(self, rows):
+        inst = Instance(theta=1.0, horizon=Horizon.finite(1),
+                        packages=tuple(PackageSpec(*row) for row in rows))
+        got = [(v.code, v.message) for v in validate_instance(inst)]
+        assert got == reference_package_violations(inst)
+
+    def test_large_catalog_reports_each_package(self):
+        n = 60_000
+        rewards = np.ones(n)
+        rewards[[7, 59_999]] = -1.0
+        ids = np.arange(n)
+        ids[30_000] = 5
+        inst = Instance(theta=1.0, horizon=Horizon.finite(1),
+                        packages=PackageTable(ids, rewards, np.full(n, 0.5)))
+        assert [str(v) for v in validate_instance(inst)] == [
+            "negative_reward: package 7: reward must be a finite non-negative real, got -1.0",
+            "duplicate_id: package id 5 appears more than once",
+            "negative_reward: package 59999: reward must be a finite non-negative real, got -1.0",
+        ]
+
+    def test_unknown_ids_per_epoch_in_order(self):
+        inst = Instance(
+            theta=0.0,
+            horizon=Horizon.finite(2),
+            packages=(PackageSpec(0, 1, 0.5), PackageSpec(-1, 1, 0.5)),
+            per_epoch_packages=(frozenset({9, 0, 4}), frozenset({-1})),
+        )
+        assert [str(v) for v in validate_instance(inst)] == [
+            "invalid_id: package id must be a non-negative integer, got -1",
+            "unknown_package_id: epoch 1 references unknown package id 4",
+            "unknown_package_id: epoch 1 references unknown package id 9",
+            "unknown_package_id: epoch 2 references unknown package id -1",
+        ]
+
+
+class TestColumns:
+    def test_instance_owns_read_only_columns(self):
+        inst = Instance(theta=1.0, horizon=Horizon.finite(1),
+                        packages=(PackageSpec(4, 1.5, 0.5), PackageSpec(2, 3, 0.25)))
+        ids, rewards, rhos = inst._arrays()
+        assert ids.dtype == np.int64 and rewards.dtype == rhos.dtype == np.float64
+        assert ids.tolist() == [4, 2] and rewards.tolist() == [1.5, 3.0] and rhos.tolist() == [0.5, 0.25]
+        assert inst._arrays()[0] is ids
+        with pytest.raises(ValueError):
+            rewards[0] = 2.0
+        assert inst.packages[1] == PackageSpec(2, 3.0, 0.25)
+        assert inst.package_by_id(2) is inst.package_by_id(2)
+        assert len(inst.packages) == 2 and list(inst.packages[1:]) == [PackageSpec(2, 3.0, 0.25)]
+
+    def test_sharing_a_table_shares_the_columns(self):
+        inst = one_package_instance()
+        other = Instance(theta=2.0, horizon=Horizon.infinite(), packages=inst.packages)
+        assert other._arrays()[1] is inst._arrays()[1]
+
+    def test_content_equality(self):
+        a = one_package_instance(r=3.0)
+        b = Instance(theta=1.0, horizon=Horizon.finite(1), packages=[PackageSpec(0, 3, 0.5)])
+        assert a == b and hash(a) == hash(b)
+        assert a != one_package_instance(r=3.5)
+        assert a.packages == (PackageSpec(0, 3.0, 0.5),)
+
+    @pytest.mark.parametrize("spec, code", [
+        (PackageSpec(2**63, 1.0, 0.5), ViolationCode.INVALID_ID),
+        (PackageSpec(True, 1.0, 0.5), ViolationCode.INVALID_ID),
+        (PackageSpec(1.0, 1.0, 0.5), ViolationCode.INVALID_ID),
+        (PackageSpec("7", 1.0, 0.5), ViolationCode.INVALID_ID),
+        (PackageSpec(0, "x", 0.5), ViolationCode.NEGATIVE_REWARD),
+        (PackageSpec(0, 10**400, 0.5), ViolationCode.NEGATIVE_REWARD),
+        (PackageSpec(0, 1.0, None), ViolationCode.PROBABILITY_OUT_OF_RANGE),
+        (PackageSpec(0, 1.0, False), ViolationCode.PROBABILITY_OUT_OF_RANGE),
+    ])
+    def test_values_the_columns_cannot_hold_are_rejected(self, spec, code):
+        with pytest.raises(InvalidInstanceError) as err:
+            Instance(theta=1.0, horizon=Horizon.finite(1), packages=(PackageSpec(5, 1.0, 0.5), spec))
+        assert [v.code for v in err.value.violations] == [code]
+
+    def test_numpy_scalars_are_accepted(self):
+        inst = Instance(theta=1.0, horizon=Horizon.finite(1),
+                        packages=(PackageSpec(np.int64(3), np.float32(0.5), np.float64(0.25)),))
+        assert inst.packages[0] == PackageSpec(3, 0.5, 0.25)
+
+    @pytest.mark.parametrize("k, epochs", [(2.0, 2), (np.int64(3), 3), (2.7, 2.7), (True, True)])
+    def test_horizon_keeps_non_integral_values_for_validation(self, k, epochs):
+        horizon = Horizon.finite(k)
+        assert horizon.epochs == epochs and type(horizon.epochs) is type(epochs)
+        codes = [v.code for v in validate_instance(Instance(theta=1.0, horizon=horizon, packages=()))]
+        assert codes == ([] if isinstance(epochs, int) and not isinstance(epochs, bool)
+                         else [ViolationCode.HORIZON_MISMATCH])
 
 
 class TestRewardToRisk:
