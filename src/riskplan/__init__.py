@@ -17,7 +17,6 @@ from .errors import (
     InvalidInstanceError,
     InvalidPlanError,
     InvalidRangeError,
-    MissingPerEpochCatalogError,
     OverlappingToursError,
     RiskPlanError,
     ScaleLimitError,
@@ -38,10 +37,11 @@ from .expectation import (
     evaluate_epoch,
     evaluate_mission,
 )
-from .finite_solver import MAX_EPOCHS, SolveReport, solve_finite, solve_finite_heterogeneous
+from .finite_solver import SolveReport, solve_finite
 from .infinite_solver import InfiniteSolveReport, solve_infinite
 from .mdp import MdpModel, best_stationary_policy, build_model, evaluate_policy
 from .model import (
+    MAX_EPOCHS,
     UNBOUNDED,
     Horizon,
     Instance,

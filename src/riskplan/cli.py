@@ -27,7 +27,6 @@ import numpy as np
 
 from . import expectation, finite_solver, infinite_solver, mdp, multiagent, oracle_sim
 from .errors import (
-    InfiniteHorizonError,
     InvalidRangeError,
     RiskPlanError,
     ScaleLimitError,
@@ -210,12 +209,7 @@ def _parse_range(text: str) -> tuple[float, float]:
 
 def _cmd_solve_finite(args) -> int:
     instance = _load_instance(args.input)
-    if not instance.horizon.is_finite:
-        raise InfiniteHorizonError("instance has an infinite horizon; use `solve infinite`")
-    if instance.per_epoch_packages is not None:
-        report = finite_solver.solve_finite_heterogeneous(instance)
-    else:
-        report = finite_solver.solve_finite(instance)
+    report = finite_solver.solve_finite(instance)
     log.info("solved finite horizon K=%d, n=%d, total=%g",
              instance.horizon.epochs, len(instance.packages), report.total)
     doc = {

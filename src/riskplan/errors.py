@@ -62,10 +62,6 @@ class FiniteHorizonError(ValidationError):
     """Infinite-horizon operation invoked on a finite-horizon instance."""
 
 
-class MissingPerEpochCatalogError(ValidationError):
-    """Heterogeneous solve requires per-epoch package catalogs."""
-
-
 class InvalidRangeError(ValidationError):
     """Generator range is empty or outside the type bounds."""
 
@@ -99,7 +95,7 @@ class TooManyTrialsError(ScaleLimitError):
 
 
 class TooManyEpochsError(ScaleLimitError):
-    """Finite horizon exceeds the solvers' epoch limit."""
+    """Finite horizon exceeds the epoch limit, ``model.MAX_EPOCHS``."""
 
 
 class SearchSpaceTooLargeError(ScaleLimitError):

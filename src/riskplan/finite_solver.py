@@ -5,18 +5,23 @@ The backward value recursion is
     V_{K+1} = 0
     V_h     = max over epoch plans of  E(plan) + rho_bar(plan) * V_{h+1}
 
-and the maximizing plan for epoch ``h`` is exactly the set of packages with
-reward-to-risk ratio strictly above the threshold ``theta + V_{h+1}``,
-executed in canonical (non-increasing gamma) order.  Packages whose ratio
-equals the threshold leave the value unchanged; they are excluded so the
-returned plan is canonical.
+and the maximizing plan for epoch ``h`` is exactly the set of packages in
+that epoch's catalog with reward-to-risk ratio strictly above the threshold
+``theta + V_{h+1}``, executed in canonical (non-increasing gamma) order.
+Packages whose ratio equals the threshold leave the value unchanged; they
+are excluded so the returned plan is canonical.
 
-Homogeneous catalogs are solved with one O(n log n) sort plus an O(n + K)
-backward sweep: thresholds are non-decreasing going backwards in time, so
-each epoch's plan is a prefix of the sorted package array and the prefix
-pointer only ever moves one way.  Epoch plans in the report are numpy views
-into that single sorted array, which keeps memory at O(n + K) even for
-million-package, thousand-epoch problems.
+One O(n log n) sort puts the whole catalog in canonical order.  An epoch's
+catalog, taken in that order, has prefix tables of survival and reward, and
+its plan is the prefix of packages above the threshold, found by binary
+search.  Thresholds are non-decreasing going backwards in time, so within
+one catalog the prefix only ever shrinks.  A homogeneous instance has one
+catalog, the whole sorted array, and each epoch plan is a numpy view into
+it: O(n log n + K log n) time and O(n + K) memory, even for
+million-package, thousand-epoch problems.  With per-epoch catalogs a new
+table is built only where an epoch's catalog differs from the next
+epoch's, for O(n log n + C n + K log n) time over C distinct consecutive
+catalogs; such plans are copies of just the chosen ids.
 """
 
 from __future__ import annotations
@@ -25,26 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InfiniteHorizonError,
-    MissingPerEpochCatalogError,
-    TooManyEpochsError,
-)
-from .model import (
-    Instance,
-    MissionPlan,
-    canonical_delivery_order,
-    ensure_valid,
-    gamma_values,
-    reward_to_risk,
-)
+from .errors import InfiniteHorizonError
+from .model import Instance, MissionPlan, check_epoch_limit, ensure_valid, gamma_values
 
-__all__ = ["SolveReport", "solve_finite", "solve_finite_heterogeneous", "MAX_EPOCHS"]
-
-#: Longest horizon either solver accepts.  Both keep O(K) state (values,
-#: thresholds and one plan per epoch), so a larger K is refused before any
-#: of it is allocated.
-MAX_EPOCHS = 1_000_000
+__all__ = ["SolveReport", "solve_finite"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,89 +82,50 @@ def _prefix_tables(rewards: np.ndarray, rhos: np.ndarray):
     return survival, reward_sum
 
 
-def _check_horizon(instance: Instance) -> None:
-    if not instance.horizon.is_finite:
-        raise InfiniteHorizonError("use solve_infinite for infinite horizons")
-    if instance.horizon.epochs > MAX_EPOCHS:
-        raise TooManyEpochsError(
-            f"horizon of {instance.horizon.epochs:,} epochs exceeds the finite solver's "
-            f"limit of {MAX_EPOCHS:,} epochs")
-
-
 def solve_finite(instance: Instance) -> SolveReport:
-    """Optimal plan and values for a homogeneous finite-horizon instance."""
+    """Optimal plan and values of a finite-horizon instance, with or
+    without per-epoch catalogs."""
     ensure_valid(instance)
-    _check_horizon(instance)
-    if instance.per_epoch_packages is not None:
-        return solve_finite_heterogeneous(instance)
+    if not instance.horizon.is_finite:
+        raise InfiniteHorizonError(
+            "instance has an infinite horizon; use `solve infinite` (solve_infinite)")
+    check_epoch_limit(instance)
 
     k = instance.horizon.epochs
     theta = instance.theta
     ids, rewards, rhos, gammas = _sorted_package_arrays(instance)
-    survival, reward_sum = _prefix_tables(rewards, rhos)
-    # Ascending keys for prefix search; -inf entries (riskless packages)
-    # sort first and are included at any finite threshold.
-    neg_gammas = -gammas
+    catalogs = instance.per_epoch_packages
+    if catalogs is None:
+        catalogs = (None,) * k  # None: the whole catalog
+    else:
+        by_id = np.argsort(ids)  # canonical positions in ascending id order
+        ids_by_id = ids[by_id]
 
     values = [0.0] * (k + 1)
     thresholds = [0.0] * k
-    sizes = [0] * k
+    plans = [None] * k
     v_next = 0.0
-    q = ids.size  # prefix pointer; thresholds only grow going backwards
     for h in range(k - 1, -1, -1):
+        if h == k - 1 or catalogs[h] != catalogs[h + 1]:
+            # Ids are unique and every catalog id is known, so a catalog as
+            # large as the instance is the whole sorted array.
+            whole = catalogs[h] is None or len(catalogs[h]) == ids.size
+            if whole:
+                at = slice(None)
+            else:
+                wanted = np.fromiter(catalogs[h], dtype=np.int64, count=len(catalogs[h]))
+                at = np.sort(by_id[np.searchsorted(ids_by_id, wanted)])
+            table_ids, neg_gammas = ids[at], -gammas[at]
+            survival, reward_sum = _prefix_tables(rewards[at], rhos[at])
+            q = table_ids.size  # prefix pointer; thresholds only grow going backwards
         threshold = theta + v_next
         thresholds[h] = threshold
+        # Ascending keys; -inf entries (riskless packages) sort first and
+        # are included at any finite threshold.
         q = int(np.searchsorted(neg_gammas[:q], -threshold, side="left"))
-        sizes[h] = q
+        plans[h] = table_ids[:q] if whole else table_ids[:q].copy()
         rho_bar = survival[q]
         values[h] = float(reward_sum[q] - theta * (1.0 - rho_bar) + rho_bar * v_next)
-        v_next = values[h]
-
-    plan = MissionPlan.finite(ids[:size] for size in sizes)
-    return SolveReport(
-        values=tuple(values),
-        thresholds=tuple(thresholds),
-        plan=plan,
-        total=values[0],
-    )
-
-
-def solve_finite_heterogeneous(instance: Instance) -> SolveReport:
-    """Optimal plan when each epoch has its own package catalog.
-
-    Thresholds and ordering work per epoch exactly as in the homogeneous
-    case, but plans are not nested across epochs, so each epoch filters
-    the global canonical order: O(K n) after one O(n log n) sort.
-    """
-    ensure_valid(instance)
-    _check_horizon(instance)
-    if instance.per_epoch_packages is None:
-        raise MissingPerEpochCatalogError("instance has no per-epoch catalogs")
-
-    k = instance.horizon.epochs
-    theta = instance.theta
-    ordered = canonical_delivery_order(instance.packages)
-    ordered_gammas = [reward_to_risk(p) for p in ordered]
-
-    values = [0.0] * (k + 1)
-    thresholds = [0.0] * k
-    plans: list[tuple[int, ...]] = [()] * k
-    v_next = 0.0
-    for h in range(k - 1, -1, -1):
-        threshold = theta + v_next
-        thresholds[h] = threshold
-        allowed = instance.per_epoch_packages[h]
-        chosen = [
-            p for p, g in zip(ordered, ordered_gammas)
-            if p.id in allowed and g > threshold
-        ]
-        rho_bar = 1.0
-        reward_sum = 0.0
-        for p in chosen:
-            reward_sum += p.reward * rho_bar * p.leg_success
-            rho_bar *= p.leg_success * p.leg_success
-        values[h] = reward_sum - theta * (1.0 - rho_bar) + rho_bar * v_next
-        plans[h] = tuple(p.id for p in chosen)
         v_next = values[h]
 
     return SolveReport(
@@ -184,3 +134,8 @@ def solve_finite_heterogeneous(instance: Instance) -> SolveReport:
         plan=MissionPlan.finite(plans),
         total=values[0],
     )
+
+
+# ``perfbench/tracing.py`` wraps this module attribute by name; it is the
+# same solver, kept so that name still resolves.
+solve_finite_heterogeneous = solve_finite

@@ -40,6 +40,8 @@ from .errors import (
     DomainError,
     HorizonMismatchError,
     InvalidInstanceError,
+    InvalidPlanError,
+    TooManyEpochsError,
     UnknownPackageIdError,
 )
 
@@ -48,6 +50,7 @@ __all__ = [
     "PackageTable",
     "PackageRecords",
     "Horizon",
+    "MAX_EPOCHS",
     "Instance",
     "EpochPlan",
     "MissionPlan",
@@ -56,6 +59,7 @@ __all__ = [
     "Violation",
     "validate_instance",
     "ensure_valid",
+    "check_epoch_limit",
     "reward_to_risk",
     "gamma_values",
     "canonical_delivery_order",
@@ -69,8 +73,9 @@ __all__ = [
 ]
 
 #: An epoch plan is an ordered sequence of package ids.  Hand-built plans
-#: are plain tuples; the finite solver may hand back numpy views into one
-#: shared sorted-id array (cheap prefixes), which iterate identically.
+#: are plain tuples; the finite solver hands back int64 arrays, which
+#: iterate identically: prefix views into one shared sorted-id array when
+#: every epoch has the whole catalog.
 EpochPlan = Sequence[int]
 
 
@@ -143,6 +148,16 @@ MAX_PACKAGE_ID = 2**63 - 1
 def _is_int64(x) -> bool:
     return (isinstance(x, (int, np.integer)) and not isinstance(x, bool)
             and -MAX_PACKAGE_ID - 1 <= x <= MAX_PACKAGE_ID)
+
+
+def _listed_ids(raw: Sequence) -> tuple[Sequence[int], list]:
+    """The ids a catalog or plan lists, as Python ints, and the items of
+    ``raw`` that fail :func:`_is_int64` (the ids are empty if any do)."""
+    # Parsed JSON holds exact ints: a C-speed type scan and range check.
+    if set(map(type, raw)) <= {int} and (not raw or -MAX_PACKAGE_ID - 1 <= min(raw) and max(raw) <= MAX_PACKAGE_ID):
+        return raw, []
+    bad = [x for x in raw if not _is_int64(x)]
+    return ([] if bad else [int(x) for x in raw]), bad
 
 
 def _is_real(x) -> bool:
@@ -458,6 +473,21 @@ def ensure_valid(instance: Instance) -> Instance:
     return instance
 
 
+#: Longest finite horizon accepted by the solver and by the oracles that
+#: keep per-epoch state (brute force, team greedy).  Each keeps O(K) state,
+#: so a larger K is refused before any of it is allocated.
+MAX_EPOCHS = 1_000_000
+
+
+def check_epoch_limit(instance: Instance) -> None:
+    """Raise :class:`TooManyEpochsError` if the finite horizon of a valid
+    ``instance`` is longer than :data:`MAX_EPOCHS`."""
+    epochs = instance.horizon.epochs
+    if epochs is not None and epochs > MAX_EPOCHS:
+        raise TooManyEpochsError(
+            f"horizon of {epochs:,} epochs exceeds the limit of {MAX_EPOCHS:,} epochs")
+
+
 def reward_to_risk(package: PackageSpec) -> float:
     """Reward-to-risk ratio ``gamma = r*rho / (1 - rho**2)``.
 
@@ -597,7 +627,15 @@ def instance_from_dict(doc: dict) -> Instance:
                                                  [p["reward"] for p in raw_packages],
                                                  [p["rho"] for p in raw_packages])
         pep = doc.get("per_epoch_packages")
-        per_epoch = tuple(frozenset(int(i) for i in ids) for ids in pep) if pep is not None else None
+        per_epoch = None
+        if pep is not None:
+            listed = [_listed_ids(ids) for ids in pep]
+            bad = [Violation(ViolationCode.INVALID_ID,
+                             f"epoch {h} catalog id must be an integer in 0..{MAX_PACKAGE_ID}, got {x!r}")
+                   for h, (_, rejected) in enumerate(listed, start=1) for x in rejected]
+            if bad:
+                raise InvalidInstanceError(bad)
+            per_epoch = tuple(frozenset(ids) for ids, _ in listed)
         theta = float(doc["theta"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInstanceError([Violation(ViolationCode.HORIZON_MISMATCH, f"malformed instance document: {exc}")]) from exc
@@ -611,8 +649,20 @@ def plan_to_dict(plan: MissionPlan) -> dict:
 
 
 def plan_from_dict(doc: dict) -> MissionPlan:
-    if "stationary" in doc:
-        return MissionPlan.from_stationary(tuple(int(i) for i in doc["stationary"]))
-    if "plans" in doc:
-        return MissionPlan.finite(tuple(int(i) for i in epoch) for epoch in doc["plans"])
+    """A plan from its document; ids follow the package-id rule."""
+    try:
+        if "stationary" in doc:
+            return MissionPlan.from_stationary(_plan_ids(doc["stationary"], "stationary plan"))
+        if "plans" in doc:
+            return MissionPlan.finite(_plan_ids(epoch, f"epoch {h} plan")
+                                      for h, epoch in enumerate(doc["plans"], start=1))
+    except TypeError as exc:
+        raise InvalidPlanError(f"malformed plan document: {exc}") from exc
     raise HorizonMismatchError("plan document needs a 'plans' or 'stationary' key")
+
+
+def _plan_ids(raw: Sequence, where: str) -> tuple[int, ...]:
+    ids, bad = _listed_ids(raw)
+    if bad:
+        raise InvalidPlanError(f"{where} id must be an integer in 0..{MAX_PACKAGE_ID}, got {bad[0]!r}")
+    return tuple(ids)

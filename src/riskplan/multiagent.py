@@ -38,6 +38,7 @@ from .model import (
     Instance,
     PackageSpec,
     canonical_sort_key,
+    check_epoch_limit,
     ensure_valid,
 )
 from .oracle_sim import SimConfig, SimResult, leg_uniforms, trial_keys
@@ -340,6 +341,7 @@ def greedy_rtpd(
     if len(instance.packages) > _MAX_TEAM_PACKAGES:
         raise ScaleLimitExceededError(
             f"team solver is limited to {_MAX_TEAM_PACKAGES} packages, got {len(instance.packages)}")
+    check_epoch_limit(instance)
 
     k = instance.horizon.epochs
     plans: dict[tuple[int, int], TeamEpochPlan] = {}

@@ -30,7 +30,7 @@ from .errors import (
     UnboundedSimulationError,
 )
 from .expectation import evaluate_epoch, evaluate_mission
-from .model import Instance, MissionPlan, ensure_valid
+from .model import Instance, MissionPlan, check_epoch_limit, ensure_valid
 
 __all__ = [
     "SimConfig",
@@ -99,6 +99,7 @@ def brute_force_finite(instance: Instance) -> tuple[float, MissionPlan]:
     ensure_valid(instance)
     if not instance.horizon.is_finite:
         raise InfiniteHorizonError("brute force requires a finite horizon")
+    check_epoch_limit(instance)
     k = instance.horizon.epochs
 
     space = 1

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import builtins
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -91,16 +92,25 @@ def test_gen_routes_through_wrapped_names(calls, tmp_path):
 def test_solve_finite_routes_through_wrapped_names(calls, tmp_path):
     path = tmp_path / "instance.json"
     assert cli.run_cli(["gen", "-n", "7", "-K", "3", "--seed", "1", "-o", str(path)]) == 0
-    calls.clear()
-    csv_path = tmp_path / "report.csv"
-    assert cli.run_cli(["solve", "finite", "-i", str(path), "-o", str(tmp_path / "out.json"),
-                        "--csv", str(csv_path)]) == 0
-    names = [name for name, _, _ in calls]
-    for expected in ("cli._load_json", "cli.instance_from_dict", "cli.ensure_valid", "finite_solver.solve_finite",
-                     "cli.plan_to_dict", "cli._emit", "expectation.evaluate_mission"):
-        assert expected in names
-    assert [args for name, args, _ in calls if name == "cli.open"] == [(str(csv_path), "w")]
-    instance = next(result for name, _, result in calls if name == "cli.instance_from_dict")
-    assert len(instance.packages) == 7
-    report = next(result for name, _, result in calls if name == "finite_solver.solve_finite")
-    assert len(report.plan.plans) == 3
+    # A homogeneous instance and one with per-epoch catalogs take the same
+    # path: one call of the one solver.  The tracer still wraps the old
+    # per-epoch name, which must resolve.
+    per_epoch = Path(__file__).parent / "golden" / "per_epoch_instance.json"
+    assert (finite_solver, "solve_finite_heterogeneous") in WRAPPED
+    for instance_path, n in ((path, 7), (per_epoch, 6)):
+        calls.clear()
+        csv_path = tmp_path / "report.csv"
+        assert cli.run_cli(["solve", "finite", "-i", str(instance_path), "-o", str(tmp_path / "out.json"),
+                            "--csv", str(csv_path)]) == 0
+        names = [name for name, _, _ in calls]
+        for expected in ("cli._load_json", "cli.instance_from_dict", "cli.ensure_valid",
+                         "cli.plan_to_dict", "cli._emit", "expectation.evaluate_mission"):
+            assert expected in names
+        assert names.count("finite_solver.solve_finite") == 1
+        assert "finite_solver.solve_finite_heterogeneous" not in names
+        assert [args for name, args, _ in calls if name == "cli.open"] == [(str(csv_path), "w")]
+        instance = next(result for name, _, result in calls if name == "cli.instance_from_dict")
+        assert len(instance.packages) == n
+        report = next(result for name, _, result in calls if name == "finite_solver.solve_finite")
+        assert len(report.plan.plans) == 3
+    assert callable(finite_solver.solve_finite_heterogeneous)

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from riskplan import (
+    MAX_EPOCHS,
     Horizon,
     Instance,
     evaluate_mission,
@@ -294,7 +295,54 @@ class TestErrorPaths:
         code, out, err = run(capsys, "solve", "finite", "-i", str(path))
         assert code == 2
         assert out == ""
-        assert "scale limit" in err and f"{finite_solver.MAX_EPOCHS:,}" in err
+        assert "scale limit" in err and f"{MAX_EPOCHS:,}" in err
+
+    # Catalog and plan ids follow the package-id rule: an integer in int64
+    # range, never a boolean, never a float or string read through int().
+    BAD_LISTED_IDS = [True, 1.9, 1.0, "1", 2**63, -(2**63) - 1, None]
+
+    @pytest.mark.parametrize("bad_id", BAD_LISTED_IDS)
+    def test_bad_catalog_id_is_a_violation(self, tmp_path, capsys, bad_id):
+        doc = dict(FINITE2, per_epoch_packages=[[0, bad_id], [1]])
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "solve", "finite", "-i", str(path))
+        assert code == 1
+        assert out == ""
+        assert "invalid_id" in err and "epoch 1 catalog id" in err and f"got {bad_id!r}" in err
+        assert "Traceback" not in err
+
+    def test_good_catalog_ids_solve(self, tmp_path, capsys):
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(dict(FINITE2, per_epoch_packages=[[1], [0, 1]])))
+        code, out, _ = run(capsys, "solve", "finite", "-i", str(path))
+        assert code == 0
+        assert json.loads(out)["plans"] == [[], [0, 1]]
+
+    @pytest.mark.parametrize("bad_id", BAD_LISTED_IDS)
+    @pytest.mark.parametrize("key", ["plans", "stationary"])
+    def test_bad_plan_id_is_rejected(self, tmp_path, capsys, bad_id, key):
+        ipath = write_instance(tmp_path, FINITE2)
+        plan = {"plans": [[0], [bad_id]]} if key == "plans" else {"stationary": [bad_id]}
+        ppath = tmp_path / "plan.json"
+        ppath.write_text(json.dumps(plan))
+        code, out, err = run(capsys, "simulate", "-i", ipath, "-p", str(ppath),
+                             "--trials", "10", "--seed", "1")
+        assert code == 1
+        assert out == ""
+        where = "epoch 2 plan id" if key == "plans" else "stationary plan id"
+        assert where in err and f"got {bad_id!r}" in err
+
+    @pytest.mark.parametrize("plan", [{"plans": [0, 1]}, {"stationary": 3}, [1, 2]])
+    def test_malformed_plan_is_rejected(self, tmp_path, capsys, plan):
+        ipath = write_instance(tmp_path, FINITE2)
+        ppath = tmp_path / "plan.json"
+        ppath.write_text(json.dumps(plan))
+        code, out, err = run(capsys, "simulate", "-i", ipath, "-p", str(ppath),
+                             "--trials", "10", "--seed", "1")
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
 
     def test_unknown_flag_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "solve", "finite", "--bogus")

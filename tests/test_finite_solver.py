@@ -2,7 +2,10 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskplan import (
     MAX_EPOCHS,
@@ -10,15 +13,14 @@ from riskplan import (
     InfiniteHorizonError,
     Instance,
     InvalidInstanceError,
-    MissingPerEpochCatalogError,
     PackageSpec,
     brute_force_finite,
+    canonical_delivery_order,
     evaluate_mission,
     reward_to_risk,
     solve_finite,
-    solve_finite_heterogeneous,
 )
-from riskplan import finite_solver
+from riskplan import finite_solver, model
 from riskplan.errors import TooManyEpochsError
 
 from conftest import make_instance
@@ -106,12 +108,12 @@ class TestExamples:
         assert peak < 1 << 20
 
     def test_epoch_limit_heterogeneous(self, monkeypatch):
-        monkeypatch.setattr(finite_solver, "MAX_EPOCHS", 2)
+        monkeypatch.setattr(model, "MAX_EPOCHS", 2)
         inst = inst_of(1.0, 3, PackageSpec(0, 1, 0.5), per_epoch=(frozenset({0}),) * 3)
         with pytest.raises(TooManyEpochsError):
-            solve_finite_heterogeneous(inst)
-        assert len(solve_finite_heterogeneous(inst_of(1.0, 2, PackageSpec(0, 1, 0.5),
-                                                      per_epoch=(frozenset({0}),) * 2)).plan.plans) == 2
+            solve_finite(inst)
+        assert len(solve_finite(inst_of(1.0, 2, PackageSpec(0, 1, 0.5),
+                                        per_epoch=(frozenset({0}),) * 2)).plan.plans) == 2
 
     def test_empty_catalog(self):
         report = solve_finite(inst_of(2.0, 3))
@@ -125,7 +127,7 @@ class TestHeterogeneous:
             0.0, 2, PackageSpec(0, 1, 0.5),
             per_epoch=(frozenset(), frozenset({0})),
         )
-        report = solve_finite_heterogeneous(inst)
+        report = solve_finite(inst)
         assert report.plan.as_tuples() == ("plans", ((), (0,)))
         assert math.isclose(report.total, 0.5, rel_tol=1e-12)
         assert math.isclose(report.values[1], 0.5, rel_tol=1e-12)
@@ -135,13 +137,9 @@ class TestHeterogeneous:
             0.0, 2, PackageSpec(0, 1, 0.5),
             per_epoch=(frozenset({0}), frozenset()),
         )
-        report = solve_finite_heterogeneous(inst)
+        report = solve_finite(inst)
         assert report.plan.as_tuples() == ("plans", ((0,), ()))
         assert math.isclose(report.total, 0.5, rel_tol=1e-12)
-
-    def test_requires_catalogs(self):
-        with pytest.raises(MissingPerEpochCatalogError):
-            solve_finite_heterogeneous(inst_of(0.0, 1, PackageSpec(0, 1, 0.5)))
 
     def test_solve_finite_dispatches(self):
         inst = inst_of(
@@ -163,9 +161,100 @@ class TestHeterogeneous:
                 theta=base.theta, horizon=base.horizon,
                 packages=base.packages, per_epoch_packages=per_epoch,
             )
-            report = solve_finite_heterogeneous(inst)
+            report = solve_finite(inst)
             oracle_value, _ = brute_force_finite(inst)
             assert math.isclose(report.total, oracle_value, rel_tol=1e-9, abs_tol=1e-9)
+
+
+def per_epoch_loop(instance):
+    """(values, thresholds, plans) by the per-epoch solver that the prefix
+    sweep replaced, kept as a reference: each epoch filters the global
+    canonical order by its catalog and its threshold, O(K n) in Python."""
+    k = instance.horizon.epochs
+    theta = instance.theta
+    ordered = canonical_delivery_order(instance.packages)
+    ordered_gammas = [reward_to_risk(p) for p in ordered]
+
+    values = [0.0] * (k + 1)
+    thresholds = [0.0] * k
+    plans = [()] * k
+    v_next = 0.0
+    for h in range(k - 1, -1, -1):
+        threshold = theta + v_next
+        thresholds[h] = threshold
+        allowed = instance.allowed_ids(h + 1)
+        chosen = [p for p, g in zip(ordered, ordered_gammas) if p.id in allowed and g > threshold]
+        rho_bar = 1.0
+        reward_sum = 0.0
+        for p in chosen:
+            reward_sum += p.reward * rho_bar * p.leg_success
+            rho_bar *= p.leg_success * p.leg_success
+        values[h] = reward_sum - theta * (1.0 - rho_bar) + rho_bar * v_next
+        plans[h] = tuple(p.id for p in chosen)
+        v_next = values[h]
+    return values, thresholds, plans
+
+
+def random_catalog_instance(rng: random.Random, per_epoch: bool = True) -> Instance:
+    """Scattered ids; riskless, zero-reward and tied packages; catalogs that
+    are empty, the whole catalog, a repeat of the next epoch's, or random."""
+    ids = rng.sample(range(10**6), rng.randint(0, 25))
+    packages = []
+    for pkg_id in ids:
+        kind = rng.random()
+        if kind < 0.1 and packages:
+            reward, rho = packages[-1].reward, packages[-1].leg_success  # a tie
+        else:
+            reward = 0.0 if kind < 0.2 else rng.uniform(0.0, 10.0)
+            rho = 1.0 if 0.2 <= kind < 0.3 else rng.uniform(0.0, 1.0)
+        packages.append(PackageSpec(pkg_id, reward, rho))
+    k = rng.randint(1, 8)
+    catalogs: list[frozenset] = []
+    for _ in range(k):
+        draw = rng.random()
+        if catalogs and draw < 0.25:
+            catalogs.append(catalogs[-1])
+        elif draw < 0.4:
+            catalogs.append(frozenset())
+        elif draw < 0.55:
+            catalogs.append(frozenset(ids))
+        else:
+            catalogs.append(frozenset(i for i in ids if rng.random() < 0.5))
+    return inst_of(rng.uniform(0.0, 5.0), k, *packages,
+                   per_epoch=tuple(catalogs) if per_epoch else None)
+
+
+class TestAgainstPerEpochLoop:
+    def test_plans_equal_and_values_within_1e_12(self):
+        rng = random.Random(20261018)
+        for _ in range(300):
+            inst = random_catalog_instance(rng)
+            values, thresholds, plans = per_epoch_loop(inst)
+            report = solve_finite(inst)
+            assert report.plan.as_tuples() == ("plans", tuple(plans))
+            for got, want in zip(report.values + report.thresholds, values + thresholds):
+                assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0)
+            assert report.total == report.values[0]
+
+    def test_per_epoch_plans_hold_only_the_chosen_ids(self):
+        inst = inst_of(0.0, 2, PackageSpec(0, 1, 0.5), PackageSpec(1, 1, 0.6), PackageSpec(2, 1, 0.7),
+                       per_epoch=(frozenset({0, 2}), frozenset({1})))
+        plans = solve_finite(inst).plan.plans
+        assert [p.tolist() for p in plans] == [[2, 0], [1]]
+        assert all(isinstance(p, np.ndarray) and p.base is None for p in plans)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_full_catalogs_equal_the_homogeneous_solve_bit_for_bit(self, seed):
+        homogeneous = random_catalog_instance(random.Random(seed), per_epoch=False)
+        k = homogeneous.horizon.epochs
+        full = Instance(theta=homogeneous.theta, horizon=homogeneous.horizon, packages=homogeneous.packages,
+                        per_epoch_packages=(frozenset(homogeneous.packages.ids.tolist()),) * k)
+        expected, got = solve_finite(homogeneous), solve_finite(full)
+        assert got.values == expected.values
+        assert got.thresholds == expected.thresholds
+        assert got.total == expected.total
+        assert got.plan.as_tuples() == expected.plan.as_tuples()
 
 
 class TestInvariants:

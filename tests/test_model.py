@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,16 +7,20 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from riskplan import (
+    MAX_EPOCHS,
     DomainError,
     Horizon,
     Instance,
     InvalidInstanceError,
     MissionPlan,
     PackageSpec,
+    SimConfig,
     ViolationCode,
+    brute_force_finite,
     canonical_delivery_order,
     distance_to_probability,
     ensure_valid,
+    greedy_rtpd,
     instance_from_dict,
     instance_to_dict,
     plan_from_dict,
@@ -24,6 +29,8 @@ from riskplan import (
     reward_to_risk,
     validate_instance,
 )
+from riskplan import model, multiagent, oracle_sim
+from riskplan.errors import TooManyEpochsError
 from riskplan.model import PackageTable, gamma_values
 
 
@@ -379,3 +386,43 @@ class TestMissionPlanType:
             MissionPlan(plans=None, stationary=None)
         with pytest.raises(ValueError):
             MissionPlan(plans=((0,),), stationary=(0,))
+
+
+# The oracles that keep per-epoch state, with the first step each takes after
+# the epoch check.  A stand-in for that step makes a missing check fail the
+# test instead of looping over 10^9 epochs.  tests/test_finite_solver.py
+# checks the solver's call of the same cap.
+EPOCH_LIMITED = {
+    "brute_force_finite": (brute_force_finite, oracle_sim, "_sequence_count"),
+    "greedy_rtpd": (lambda inst: greedy_rtpd(inst, 2, SimConfig(trials=50, seed=1)),
+                    multiagent, "_greedy_epoch_plan"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(EPOCH_LIMITED))
+class TestEpochLimit:
+    def test_limit_is_checked_before_allocating(self, entry, monkeypatch):
+        call, module, next_step = EPOCH_LIMITED[entry]
+
+        def past_the_check(*args, **kwargs):
+            raise AssertionError(f"{entry} went past the epoch limit")
+
+        monkeypatch.setattr(module, next_step, past_the_check)
+        # An empty catalog: brute force's search space stays 1 however long
+        # the horizon is, so only the epoch limit stops it.
+        inst = Instance(theta=1.0, horizon=Horizon.finite(10**9), packages=())
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooManyEpochsError, match=f"limit of {MAX_EPOCHS:,} epochs"):
+                call(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_limit_is_the_shared_cap(self, entry, monkeypatch):
+        call, _, _ = EPOCH_LIMITED[entry]
+        monkeypatch.setattr(model, "MAX_EPOCHS", 2)
+        with pytest.raises(TooManyEpochsError, match="limit of 2 epochs"):
+            call(one_package_instance(k=3))
+        call(one_package_instance(k=2))
