@@ -374,6 +374,7 @@ class ViolationCode(str, enum.Enum):
     UNKNOWN_PACKAGE_ID = "unknown_package_id"
     NEGATIVE_THETA = "negative_theta"
     INVALID_ID = "invalid_id"
+    MALFORMED_DOCUMENT = "malformed_document"
 
 
 @dataclass(frozen=True)
@@ -474,8 +475,8 @@ def ensure_valid(instance: Instance) -> Instance:
 
 
 #: Longest finite horizon accepted by the solver and by the oracles that
-#: keep per-epoch state (brute force, team greedy).  Each keeps O(K) state,
-#: so a larger K is refused before any of it is allocated.
+#: keep per-epoch state (brute force, team greedy, simulation).  Each keeps
+#: O(K) state, so a larger K is refused before any of it is allocated.
 MAX_EPOCHS = 1_000_000
 
 
@@ -637,8 +638,8 @@ def instance_from_dict(doc: dict) -> Instance:
                 raise InvalidInstanceError(bad)
             per_epoch = tuple(frozenset(ids) for ids, _ in listed)
         theta = float(doc["theta"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInstanceError([Violation(ViolationCode.HORIZON_MISMATCH, f"malformed instance document: {exc}")]) from exc
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInstanceError([Violation(ViolationCode.MALFORMED_DOCUMENT, f"malformed instance document: {exc}")]) from exc
     return Instance(theta=theta, horizon=horizon, packages=packages, per_epoch_packages=per_epoch)
 
 

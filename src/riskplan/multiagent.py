@@ -2,10 +2,13 @@
 
 With several homogeneous agents running disjoint tours in one epoch, the
 number of survivors follows a Poisson binomial distribution over the
-per-tour survival probabilities.  The pmf is computed two independent
-ways (exact subset enumeration, and the characteristic-function/DFT form)
-and everything downstream - team epoch expectation, quotient differences,
-marginal gains, the greedy team solver - is built on it.
+per-tour survival probabilities.  The team path - team epoch expectation,
+quotient differences, marginal gains, the greedy team solver - runs on one
+O(m^2) recursion over the m tour survivals (Barlow & Heidtmann, 1984).  The
+pmf is also computed two independent ways, exact subset enumeration and the
+characteristic-function/DFT form (Hong, 2013); those are the ``pbd``
+subcommand's methods and the recursion's test oracles, never on the team
+path.
 
 The greedy solver is experimental: it reconstructs an incompletely
 specified procedure and is judged by its property suite (submodularity,
@@ -165,20 +168,56 @@ def _tour_stats(tour: Sequence[int], instance: Instance) -> tuple[float, float]:
     return reward, ev.epoch_survival
 
 
+def _survivor_pmf(survivals: Sequence[float]) -> list[float]:
+    """pmf of the number of surviving agents, by the O(m^2) recursion
+
+        P_j(b) = P_{j-1}(b) * (1 - s_j) + P_{j-1}(b - 1) * s_j
+
+    over the survivals in sorted order, so that the rounding, and with it
+    every tie the greedy solver breaks, does not depend on agent order.
+    """
+    pmf = [1.0]
+    for s in sorted(survivals):
+        q = 1.0 - s
+        pmf = [pmf[0] * q] + [pmf[b] * q + pmf[b - 1] * s for b in range(1, len(pmf))] + [pmf[-1] * s]
+    return pmf
+
+
+def _survivor_quotient(survivals: Sequence[float], agent_index: int) -> list[float]:
+    """Survivor-pmf quotient difference for one agent.
+
+    The pmf is affine in the agent's survival ``s``:
+    ``P(b) = s * L(b - 1) + (1 - s) * L(b)`` with ``L`` the pmf of the other
+    agents, so its rate of change is ``Q(b) = L(b - 1) - L(b)``, with
+    ``L(-1) = L(alpha) = 0``.
+    """
+    others = _survivor_pmf([s for i, s in enumerate(survivals) if i != agent_index])
+    return [lo - hi for lo, hi in zip([0.0] + others, others + [0.0])]
+
+
+def _survivor_loss(survivals: Sequence[float], agent_index: int, values: Sequence[float], theta: float) -> float:
+    """``sum_b Q(b) * (V(b) - theta*(alpha - b))`` for one agent's quotient
+    ``Q``: what a lower survival of that agent costs per unit."""
+    alpha = len(survivals)
+    return sum(
+        q * (values[b] - theta * (alpha - b))
+        for b, q in enumerate(_survivor_quotient(survivals, agent_index))
+    )
+
+
 def team_epoch_expectation(team_plan: TeamEpochPlan, instance: Instance) -> float:
     """Expected epoch reward of a team conditioned on all agents alive.
 
     Delivery rewards add across tours; the loss term charges theta per
-    expected failed agent via the Poisson binomial over tour survivals.
+    expected failed agent, ``sum_i (1 - s_i)`` by linearity.
     """
     rewards = 0.0
-    survivals = []
+    failures = 0.0
     for tour in team_plan.tours:
         reward, survival = _tour_stats(tour, instance)
         rewards += reward
-        survivals.append(survival)
-    dist = poisson_binomial_enum(survivals)
-    return rewards - instance.theta * dist.expected_failures
+        failures += 1.0 - survival
+    return rewards - instance.theta * failures
 
 
 def poisson_quotient_difference(
@@ -188,7 +227,8 @@ def poisson_quotient_difference(
 
     Because the pmf is affine in each trial probability, the quotient
     ``(P' - P) / (p' - p)`` does not depend on which pair (p', p) is used;
-    it is a function of the other agents' probabilities only.
+    it is a function of the other agents' probabilities only, and is
+    returned as such: ``L(b - 1) - L(b)`` for the pmf ``L`` of the others.
     """
     ps = _check_probs(team_probs)
     if not 0 <= agent_index < len(ps):
@@ -196,29 +236,9 @@ def poisson_quotient_difference(
     new = float(new_prob)
     if not (0.0 <= new <= 1.0):
         raise DomainError(f"new_prob must lie in [0, 1], got {new_prob!r}")
-    old = ps[agent_index]
-    if new == old:
+    if new == ps[agent_index]:
         raise DegenerateQuotientError("quotient difference needs two distinct probabilities")
-    base = poisson_binomial_enum(ps).pmf
-    ps[agent_index] = new
-    changed = poisson_binomial_enum(ps).pmf
-    return tuple((c - b) / (new - old) for c, b in zip(changed, base))
-
-
-def _quotient_via_probes(survivals: list[float], agent_index: int) -> tuple[float, ...]:
-    """Quotient difference computed from the probe pair (1, 0).
-
-    Valid for any actual (old, new) pair by affineness; in particular it
-    stays defined when appending a riskless package leaves the agent's
-    survival unchanged.
-    """
-    hi = list(survivals)
-    hi[agent_index] = 1.0
-    lo = list(survivals)
-    lo[agent_index] = 0.0
-    p_hi = poisson_binomial_enum(hi).pmf
-    p_lo = poisson_binomial_enum(lo).pmf
-    return tuple(a - b for a, b in zip(p_hi, p_lo))
+    return tuple(_survivor_quotient(ps, agent_index))
 
 
 def marginal_gain(
@@ -252,12 +272,7 @@ def marginal_gain(
                 f"continuation_values needs {alpha + 1} entries (counts 0..{alpha}), got {len(values)}")
 
     survivals = [_tour_stats(tour, instance)[1] for tour in team_plan.tours]
-    quotient = _quotient_via_probes(survivals, agent_index)
-    theta = instance.theta
-    loss = sum(
-        q * (values[b] - theta * (alpha - b))
-        for b, q in enumerate(quotient)
-    )
+    loss = _survivor_loss(survivals, agent_index, values, instance.theta)
     rho = package.leg_success
     return package.reward * rho - (1.0 - rho * rho) * loss
 
@@ -284,22 +299,30 @@ def _greedy_epoch_plan(
     beta: int,
     continuation: list[float],
 ) -> tuple[TeamEpochPlan, float]:
-    """Build one epoch's tours greedily; return the plan and V_h(beta)."""
+    """Build one epoch's tours greedily; return the plan and V_h(beta).
+
+    Each step takes the loss term of :func:`marginal_gain` once per agent,
+    from the tour survivals, so each (agent, package) gain costs O(1); only
+    the tour that grew has its survival recomputed.
+    """
     available = {
         pkg_id: instance.package_by_id(pkg_id)
         for pkg_id in instance.allowed_ids(epoch)
     }
     tours: list[list[int]] = [[] for _ in range(beta)]
+    survivals = [1.0] * beta
 
     while available:
-        plan = TeamEpochPlan.of(tours)
         best_gain = 0.0
         best_pick = None
+        candidates = sorted(available)
         for m in range(beta):
-            scale = _tour_stats(tours[m], instance)[1]
-            for pkg_id in sorted(available):
-                delta = marginal_gain(plan, m, available[pkg_id], continuation[: beta + 1], instance)
-                gain = scale * delta
+            scale = survivals[m]
+            loss = _survivor_loss(survivals, m, continuation, instance.theta)
+            for pkg_id in candidates:
+                pkg = available[pkg_id]
+                rho = pkg.leg_success
+                gain = scale * (pkg.reward * rho - (1.0 - rho * rho) * loss)
                 if gain > best_gain:
                     best_gain = gain
                     best_pick = (m, pkg_id)
@@ -308,13 +331,12 @@ def _greedy_epoch_plan(
         m, pkg_id = best_pick
         tours[m].append(pkg_id)
         tours[m].sort(key=lambda i: canonical_sort_key(instance.package_by_id(i)))
+        survivals[m] = evaluate_epoch(tours[m], instance).epoch_survival
         del available[pkg_id]
 
     plan = TeamEpochPlan.of(tours)
-    survivals = [_tour_stats(t, instance)[1] for t in tours]
-    pmf = poisson_binomial_enum(survivals).pmf
     value = team_epoch_expectation(plan, instance) + sum(
-        p * continuation[b] for b, p in enumerate(pmf)
+        p * continuation[b] for b, p in enumerate(_survivor_pmf(survivals))
     )
     return plan, value
 

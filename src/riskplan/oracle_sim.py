@@ -247,6 +247,7 @@ def simulate_mission(plan: MissionPlan, instance: Instance, config: SimConfig) -
     matching ``evaluate_mission``.
     """
     ensure_valid(instance)
+    check_epoch_limit(instance)
     if plan.is_stationary and instance.horizon.is_finite:
         plan = MissionPlan.finite([plan.stationary] * instance.horizon.epochs)
     epochs, stationary = _plan_epochs_for_sim(plan, instance)

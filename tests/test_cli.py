@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from riskplan import (
@@ -266,6 +266,34 @@ class TestErrorPaths:
         assert code == 0
         assert json.loads(out)["plans"] == [[2**63 - 1]]
 
+    @pytest.mark.parametrize("doc", [
+        dict(FINITE2, packages=5),
+        {key: value for key, value in FINITE2.items() if key != "horizon"},
+    ], ids=["packages-not-a-list", "no-horizon"])
+    def test_malformed_document_has_its_own_code(self, tmp_path, capsys, doc):
+        path = write_instance(tmp_path, doc)
+        code, out, err = run(capsys, "solve", "finite", "-i", path)
+        assert code == 1
+        assert out == ""
+        assert "malformed_document: malformed instance document" in err
+        assert "horizon_mismatch" not in err and "Traceback" not in err
+
+    def test_theta_beyond_the_float_range_is_malformed(self, tmp_path, capsys):
+        path = write_instance(tmp_path, dict(FINITE2, theta=10**400))
+        code, out, err = run(capsys, "solve", "finite", "-i", path)
+        assert code == 1 and out == ""
+        assert "malformed_document" in err and "Traceback" not in err
+
+    def test_stationary_plan_on_a_huge_horizon_is_a_scale_limit(self, tmp_path, capsys):
+        # The stationary plan used to be copied K times before anything
+        # looked at K: an OverflowError at K = 1e300, memory exhaustion at 1e9.
+        ipath = write_instance(tmp_path, dict(FINITE2, horizon={"finite": 1e300}))
+        ppath = tmp_path / "plan.json"
+        ppath.write_text(json.dumps({"stationary": [0]}))
+        code, out, err = run(capsys, "simulate", "-i", ipath, "-p", str(ppath), "--trials", "3", "--seed", "1")
+        assert code == 2 and out == ""
+        assert "scale limit" in err and f"{MAX_EPOCHS:,}" in err
+
     @pytest.mark.parametrize("epochs", [2.7, True, "2", 0, -1.0, float("nan")])
     def test_bad_horizon_is_rejected(self, tmp_path, capsys, epochs):
         doc = dict(FINITE2, horizon={"finite": epochs})
@@ -351,6 +379,94 @@ class TestErrorPaths:
     def test_unknown_command_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == 64
+
+
+# --- fuzzed documents through the CLI -------------------------------------------
+
+# Numbers at the edges of what the documents accept, and values of the wrong
+# JSON type.  Horizons stay at K <= 3 or above the epoch cap, so no command
+# allocates per-epoch state for a long mission.
+EDGE_VALUES = [0, 1, -1, 0.5, 1.0, 2.7, -0.0, 5e-324, 1e300, 2**63, -(2**63) - 1, 10**400,
+               float("nan"), float("inf"), float("-inf"), True, False, "1", "", None, [], {}]
+EDGE_EPOCHS = [0, -1, 1.0, 3.0, 2.7, 1e300, 2**63, 10**400, MAX_EPOCHS + 1, True, "2", None, float("nan")]
+
+junk = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+odd_values = st.one_of(st.sampled_from(EDGE_VALUES), junk)
+
+
+@st.composite
+def mutated_instance_docs(draw):
+    """A valid instance document (at most 20 packages, K <= 3) with up to
+    three of its values replaced by edge values or junk, or keys dropped."""
+    n = draw(st.integers(0, 20))
+    doc = {
+        "theta": draw(st.floats(0, 5)),
+        "horizon": {"finite": draw(st.integers(1, 3))} if draw(st.integers(0, 4)) else "infinite",
+        "packages": [{"id": i, "reward": draw(st.floats(0, 10)), "rho": draw(st.floats(0, 1))}
+                     for i in range(n)],
+    }
+    if doc["horizon"] != "infinite" and draw(st.booleans()):
+        doc["per_epoch_packages"] = [draw(st.lists(st.integers(0, n - 1), max_size=6)) if n else []
+                                     for _ in range(doc["horizon"]["finite"])]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 1, 2, 3]))):
+        where = draw(st.sampled_from(["theta", "horizon", "finite", "packages", "package", "field",
+                                      "per_epoch_packages", "catalog"]))
+        value = draw(st.sampled_from(EDGE_EPOCHS) if where == "finite" else odd_values)
+        if where in ("theta", "horizon", "packages", "per_epoch_packages"):
+            if draw(st.booleans()):
+                doc[where] = value
+            else:
+                doc.pop(where, None)
+        elif where == "finite" and isinstance(doc.get("horizon"), dict):
+            doc["horizon"]["finite"] = value
+        elif where in ("package", "field") and isinstance(doc.get("packages"), list) and doc["packages"]:
+            i = draw(st.integers(0, len(doc["packages"]) - 1))
+            if where == "package":
+                doc["packages"][i] = value
+            elif isinstance(doc["packages"][i], dict):
+                doc["packages"][i][draw(st.sampled_from(["id", "reward", "rho"]))] = value
+        elif where == "catalog" and isinstance(doc.get("per_epoch_packages"), list) and doc["per_epoch_packages"]:
+            doc["per_epoch_packages"][draw(st.integers(0, len(doc["per_epoch_packages"]) - 1))] = value
+    return doc
+
+
+instance_docs = st.one_of(mutated_instance_docs(), mutated_instance_docs(), mutated_instance_docs(), junk)
+
+
+plan_ids = st.one_of(st.integers(0, 5), st.integers(0, 20), odd_values)
+plan_docs = st.one_of(
+    st.builds(lambda plans: {"plans": plans}, st.lists(st.lists(plan_ids, max_size=6, unique_by=repr), max_size=4)),
+    st.builds(lambda ids: {"stationary": ids}, st.lists(plan_ids, max_size=6, unique_by=repr)),
+    st.dictionaries(st.sampled_from(["plans", "stationary", "x"]), odd_values, max_size=2),
+    junk,
+)
+COMMANDS = [
+    ["solve", "finite"],
+    ["simulate", "-p", "PLAN", "--trials", "3", "--seed", "1"],
+    ["team", "greedy", "--agents", "2", "--trials", "3", "--seed", "1"],
+]
+
+
+class TestFuzzedDocuments:
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(instance=instance_docs, plan=plan_docs, command=st.sampled_from(COMMANDS))
+    def test_every_exit_is_a_documented_code(self, tmp_path, capsys, instance, plan, command):
+        ipath = tmp_path / "instance.json"
+        ppath = tmp_path / "plan.json"
+        ipath.write_text(json.dumps(instance))
+        ppath.write_text(json.dumps(plan))
+        argv = [str(ppath) if arg == "PLAN" else arg for arg in command] + ["-i", str(ipath)]
+        code, out, err = run(capsys, *argv)
+        assert code in (0, 1, 2, 64)
+        assert "Traceback" not in err
+        if code == 0:
+            json.loads(out)
+        else:
+            assert out == "" and err.startswith("riskplan: ")
 
 
 class TestDumpJson:

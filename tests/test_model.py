@@ -388,14 +388,20 @@ class TestMissionPlanType:
             MissionPlan(plans=((0,),), stationary=(0,))
 
 
-# The oracles that keep per-epoch state, with the first step each takes after
-# the epoch check.  A stand-in for that step makes a missing check fail the
-# test instead of looping over 10^9 epochs.  tests/test_finite_solver.py
+# The oracles that keep per-epoch state and the simulator, with the first
+# step each takes after the epoch check.  A stand-in for that step makes a
+# missing check fail the test instead of looping over 10^9 epochs.  tests/test_finite_solver.py
 # checks the solver's call of the same cap.
 EPOCH_LIMITED = {
     "brute_force_finite": (brute_force_finite, oracle_sim, "_sequence_count"),
     "greedy_rtpd": (lambda inst: greedy_rtpd(inst, 2, SimConfig(trials=50, seed=1)),
                     multiagent, "_greedy_epoch_plan"),
+    # A plan of at most three empty epochs, so that a missing check reaches
+    # the stand-in without building a K-epoch plan first.
+    "simulate_mission": (lambda inst: oracle_sim.simulate_mission(
+                             MissionPlan.finite([()] * min(inst.horizon.epochs, 3)), inst,
+                             SimConfig(trials=10, seed=1)),
+                         oracle_sim, "_plan_epochs_for_sim"),
 }
 
 

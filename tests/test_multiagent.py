@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 
@@ -29,12 +30,35 @@ from riskplan import (
     solve_finite,
     team_epoch_expectation,
 )
+from riskplan import multiagent
+from riskplan.cli import run_cli
+from riskplan.model import canonical_sort_key
+from riskplan.multiagent import _survivor_pmf
 
 from conftest import make_instance
 
 
 def inst_of(theta, k, *pkgs):
     return Instance(theta=theta, horizon=Horizon.finite(k), packages=tuple(pkgs))
+
+
+def enum_quotient(probs, m, old, new):
+    """(P' - P) / (p' - p) for agent ``m`` moving from ``old`` to ``new``,
+    both pmfs by subset enumeration."""
+    before, after = list(probs), list(probs)
+    before[m], after[m] = old, new
+    pmf_before = poisson_binomial_enum(before).pmf
+    pmf_after = poisson_binomial_enum(after).pmf
+    return [(a - b) / (new - old) for a, b in zip(pmf_after, pmf_before)]
+
+
+def distinct_prob(rng, p, gap=0.25):
+    """A probability at least ``gap`` from ``p``, so that dividing by the
+    difference keeps the enumerated quotient accurate to 1e-15."""
+    while True:
+        q = rng.random()
+        if abs(q - p) >= gap:
+            return q
 
 
 class TestPoissonBinomialEnum:
@@ -101,6 +125,33 @@ class TestPoissonBinomialDft:
         assert abs(dist.mean - sum(probs)) < 1e-6
 
 
+class TestSurvivorRecursion:
+    """The team path's O(m^2) pmf against both oracles."""
+
+    def test_matches_enum_and_dft_up_to_twelve_trials(self):
+        rng = random.Random(520)
+        for alpha in range(13):
+            for _ in range(6):
+                probs = [rng.choice([0.0, 1.0]) if rng.random() < 0.25 else rng.random()
+                         for _ in range(alpha)]
+                got = _survivor_pmf(probs)
+                assert len(got) == alpha + 1
+                for oracle, tol in ((poisson_binomial_enum, 1e-12), (poisson_binomial_dft, 1e-10)):
+                    assert max(abs(a - b) for a, b in zip(got, oracle(probs).pmf)) < tol
+
+    def test_certain_outcomes_are_exact(self):
+        assert _survivor_pmf([]) == [1.0]
+        assert _survivor_pmf([1.0, 0.0, 1.0]) == [0.0, 0.0, 1.0, 0.0]
+
+    def test_agent_order_does_not_change_a_bit(self):
+        rng = random.Random(521)
+        probs = [rng.random() for _ in range(8)]
+        want = _survivor_pmf(probs)
+        for _ in range(20):
+            rng.shuffle(probs)
+            assert _survivor_pmf(probs) == want
+
+
 class TestTeamEpochExpectation:
     def test_single_agent_reduces_exactly(self):
         rng = random.Random(504)
@@ -139,19 +190,19 @@ class TestQuotientDifference:
         assert poisson_quotient_difference([0.5], 0, 0.9) == (-1.0, 1.0)
 
     def test_invariance_across_probe_pairs(self):
+        # The quotient depends only on the other agents' probabilities: the
+        # enumerated (P' - P) / (p' - p) of two different pairs both match it.
         rng = random.Random(506)
         for _ in range(50):
             alpha = rng.randint(1, 6)
             probs = [rng.random() for _ in range(alpha)]
             m = rng.randrange(alpha)
-            q1 = poisson_quotient_difference(probs, m, 0.99 * rng.random())
-            alt = list(probs)
-            alt[m] = rng.random()
-            new = rng.random()
-            while new == alt[m]:
-                new = rng.random()
-            q2 = poisson_quotient_difference(alt, m, new)
-            assert max(abs(a - b) for a, b in zip(q1, q2)) < 1e-10
+            got = poisson_quotient_difference(probs, m, distinct_prob(rng, probs[m]))
+            for _ in range(2):
+                old = rng.random()
+                new = distinct_prob(rng, old)
+                want = enum_quotient(probs, m, old, new)
+                assert max(abs(a - b) for a, b in zip(got, want)) < 1e-12
 
     def test_quotient_sums_to_zero(self):
         rng = random.Random(507)
@@ -160,6 +211,12 @@ class TestQuotientDifference:
             probs = [rng.random() for _ in range(alpha)]
             q = poisson_quotient_difference(probs, rng.randrange(alpha), rng.random())
             assert abs(sum(q)) < 1e-12
+
+    def test_equal_survivals_share_one_quotient(self):
+        # Agents 0 and 3 see the same other survivals, as a multiset, so
+        # their quotients are the same bits and a tie between them is exact.
+        survivals = [0.81, 0.3, 0.7, 0.81, 0.55]
+        assert poisson_quotient_difference(survivals, 0, 0.5) == poisson_quotient_difference(survivals, 3, 0.5)
 
     def test_degenerate_pair_rejected(self):
         with pytest.raises(DegenerateQuotientError):
@@ -195,7 +252,6 @@ class TestMarginalGain:
 
     def test_delta_sign_matches_gamma_vs_bound(self):
         rng = random.Random(510)
-        from riskplan.multiagent import _quotient_via_probes
         for _ in range(200):
             inst = make_instance(rng.randrange(2**31), n_max=5)
             pkg = inst.packages[0]
@@ -213,7 +269,9 @@ class TestMarginalGain:
             values = [0.0] + [rng.uniform(0, 5) for _ in range(alpha)]
             delta = marginal_gain(team, m, pkg, values, inst)
             survivals = [evaluate_epoch(t, inst).epoch_survival for t in tours]
-            quotient = _quotient_via_probes(survivals, m)
+            quotient = enum_quotient(survivals, m, 0.0, 1.0)
+            got = poisson_quotient_difference(survivals, m, 0.0 if survivals[m] else 1.0)
+            assert max(abs(a - b) for a, b in zip(got, quotient)) < 1e-12
             bound = sum(
                 q * (values[b] - inst.theta * (alpha - b))
                 for b, q in enumerate(quotient)
@@ -228,6 +286,73 @@ class TestMarginalGain:
         inst = inst_of(0.0, 1, PackageSpec(0, 1, 0.5))
         with pytest.raises(AlreadyAssignedError):
             marginal_gain(TeamEpochPlan.of([(0,)]), 0, inst.packages[0], None, inst)
+
+
+# --- greedy on subset enumeration, as it was -----------------------------------
+
+
+def enum_greedy_epoch_plan(instance, epoch, beta, continuation):
+    """``_greedy_epoch_plan`` as it was before the O(m^2) recursion, kept as a
+    reference: the survivor-pmf quotient is the enumerated pmf at survival 1
+    minus that at survival 0, and the expected failures come from the
+    enumerated pmf.  The quotient is taken once per agent and step instead of
+    once per (agent, package) pair; it does not depend on the package."""
+    available = {pkg_id: instance.package_by_id(pkg_id) for pkg_id in instance.allowed_ids(epoch)}
+    tours = [[] for _ in range(beta)]
+    theta = instance.theta
+    while available:
+        survivals = [evaluate_epoch(t, instance).epoch_survival for t in tours]
+        best_gain, best_pick = 0.0, None
+        for m in range(beta):
+            quotient = enum_quotient(survivals, m, 0.0, 1.0)
+            loss = sum(q * (continuation[b] - theta * (beta - b)) for b, q in enumerate(quotient))
+            for pkg_id in sorted(available):
+                pkg = available[pkg_id]
+                rho = pkg.leg_success
+                gain = survivals[m] * (pkg.reward * rho - (1.0 - rho * rho) * loss)
+                if gain > best_gain:
+                    best_gain, best_pick = gain, (m, pkg_id)
+        if best_pick is None:
+            break
+        m, pkg_id = best_pick
+        tours[m].append(pkg_id)
+        tours[m].sort(key=lambda i: canonical_sort_key(instance.package_by_id(i)))
+        del available[pkg_id]
+
+    survivals = [evaluate_epoch(t, instance).epoch_survival for t in tours]
+    dist = poisson_binomial_enum(survivals)
+    rewards = 0.0
+    for tour in tours:
+        for pkg_id, psi in zip(tour, evaluate_epoch(tour, instance).delivery_probs):
+            rewards += instance.package_by_id(pkg_id).reward * psi
+    expected = rewards - theta * dist.expected_failures
+    return tours, expected + sum(p * continuation[b] for b, p in enumerate(dist.pmf))
+
+
+def enum_greedy(instance, agents):
+    """(plans, values) of ``greedy_rtpd`` by :func:`enum_greedy_epoch_plan`."""
+    plans, values = {}, {}
+    v_next = [0.0] * (agents + 1)
+    for h in range(instance.horizon.epochs, 0, -1):
+        v_here = [0.0] * (agents + 1)
+        for beta in range(1, agents + 1):
+            tours, v_here[beta] = enum_greedy_epoch_plan(instance, h, beta, v_next)
+            plans[(h, beta)] = tuple(tuple(t) for t in tours)
+            values[(h, beta)] = v_here[beta]
+        v_next = v_here
+    return plans, values
+
+
+def random_team_instance(rng):
+    """Up to 12 packages, K <= 3, rho drawn continuously; some instances
+    restrict each epoch to a random catalog."""
+    inst = make_instance(rng.randrange(2**31), n_max=12, k_max=3)
+    if rng.random() < 0.3:
+        ids = [p.id for p in inst.packages]
+        catalogs = tuple(frozenset(i for i in ids if rng.random() < 0.6) for _ in range(inst.horizon.epochs))
+        inst = Instance(theta=inst.theta, horizon=inst.horizon, packages=inst.packages,
+                        per_epoch_packages=catalogs)
+    return inst
 
 
 # --- exhaustive team oracle ---------------------------------------------------
@@ -349,6 +474,78 @@ class TestGreedy:
         two_epoch = inst_of(0.0, 2, PackageSpec(0, 1, 0.5))
         with pytest.raises(ValidationError):
             greedy_rtpd(two_epoch, 1)  # K > 1 needs a sim_config
+
+
+# An exact tie seen through the CLI: when package 0 is handed out in the
+# (epoch 1, 4 alive) scenario, agents 0 ([6, 9, 15, 21]) and 3 ([12]) both
+# survive with probability exactly 0.81.  Enumeration in agent order rounded
+# agent 3's gain above agent 0's.
+TIE_INSTANCE = {
+    "theta": 0.9327808263312948, "horizon": {"finite": 1},
+    "packages": [
+        {"id": 0, "reward": 1.0, "rho": 0.6913942924401034}, {"id": 3, "reward": 0.0, "rho": 1.0},
+        {"id": 6, "reward": 1.0, "rho": 1.0}, {"id": 9, "reward": 1.0, "rho": 1.0},
+        {"id": 12, "reward": 2.287010015467562, "rho": 0.9}, {"id": 15, "reward": 1.0, "rho": 1.0},
+        {"id": 18, "reward": 0.0, "rho": 0.9955222567528874}, {"id": 21, "reward": 6.5751273289387555, "rho": 0.9},
+        {"id": 24, "reward": 9.635905169472492, "rho": 0.422286085759491},
+        {"id": 27, "reward": 4.255587375723699, "rho": 0.8128075905084795},
+    ],
+}
+
+
+class TestGreedyTies:
+    def test_exact_tie_goes_to_the_lowest_agent_index(self, tmp_path, capsys):
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(TIE_INSTANCE))
+        assert run_cli(["team", "greedy", "-i", str(path), "--agents", "6", "--seed", "1"]) == 0
+        plans = json.loads(capsys.readouterr().out)["plans"]
+        tours = next(p["tours"] for p in plans if p["alive"] == 4)
+        assert tours == [[6, 9, 15, 21, 0], [24], [27], [12]]
+
+    def test_equal_survival_agents_apart_in_the_order(self):
+        # Packages 0..3 go to agents 0..3 in turn, leaving survivals
+        # (0.64, 0.49, 0.64, 0.36).  Package 4 then gains exactly as much on
+        # agent 0 as on agent 2, whose other survivals are the same multiset
+        # in a different order; the tie goes to agent 0.
+        inst = inst_of(
+            1.5, 1,
+            PackageSpec(0, 10.0, 0.8), PackageSpec(1, 9.5, 0.7), PackageSpec(2, 6.0, 0.8),
+            PackageSpec(3, 4.0, 0.6), PackageSpec(4, 1.0, 0.95),
+        )
+        before = TeamEpochPlan.of([(0,), (1,), (2,), (3,)])
+        survivals = [evaluate_epoch(t, inst).epoch_survival for t in before.tours]
+        assert survivals[0] == survivals[2] and len(set(survivals)) == 3
+        gains = [marginal_gain(before, m, inst.packages[4], None, inst) for m in (0, 2)]
+        assert gains[0] == gains[1] > 0
+        assert greedy_rtpd(inst, 4).plans[(1, 4)].tours == ((0, 4), (1,), (2,), (3,))
+
+
+class TestGreedyAgainstEnumeration:
+    def test_plans_and_values_match_the_enumeration_greedy(self):
+        rng = random.Random(530)
+        for _ in range(300):
+            inst = random_team_instance(rng)
+            agents = rng.randint(1, 6)
+            plans, values = enum_greedy(inst, agents)
+            report = greedy_rtpd(inst, agents, sim_config=SimConfig(trials=2, seed=1))
+            for key, tours in plans.items():
+                assert report.plans[key].tours == tours
+                assert math.isclose(report.values[key], values[key], rel_tol=1e-12, abs_tol=0.0)
+
+    def test_oracles_are_off_the_team_path(self, monkeypatch):
+        def oracle(*args, **kwargs):
+            raise AssertionError("a Poisson-binomial oracle ran on the team path")
+
+        monkeypatch.setattr(multiagent, "poisson_binomial_enum", oracle)
+        monkeypatch.setattr(multiagent, "poisson_binomial_dft", oracle)
+        inst = make_instance(532, n=8, k=2)
+        report = greedy_rtpd(inst, 4, sim_config=SimConfig(trials=50, seed=1))
+        plan = report.plans[(1, 4)]
+        team_epoch_expectation(plan, inst)
+        for pkg in inst.packages:
+            if pkg.id not in plan.assigned_ids():
+                marginal_gain(plan, 0, pkg, [0.0, 1.0, 2.0, 3.0, 4.0], inst)
+        poisson_quotient_difference([0.2, 0.5, 0.9], 1, 0.7)
 
 
 class TestSubmodularity:
