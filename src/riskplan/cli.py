@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import expectation, finite_solver, infinite_solver, mdp, multiagent, oracle_sim
+from . import finite_solver, infinite_solver, mdp, multiagent, oracle_sim
 from .errors import (
     InvalidRangeError,
     RiskPlanError,
@@ -130,6 +130,13 @@ def dump_json(obj, indent: int = 0) -> str:
         seq = list(obj)
         if not seq:
             return "[]"
+        # A flat list of exact ints or exact floats (bools and numpy
+        # scalars are neither) is written in one join.
+        kinds = set(map(type, seq))
+        if kinds == {int}:
+            return "[" + ", ".join(map(str, seq)) + "]"
+        if kinds == {float}:
+            return "[" + ", ".join(map(_fmt_float, seq)) + "]"
         flat = all(isinstance(v, (int, float, np.integer, np.floating, str)) for v in seq)
         if flat:
             return "[" + ", ".join(dump_json(v) for v in seq) + "]"
@@ -220,7 +227,6 @@ def _cmd_solve_finite(args) -> int:
     }
     _emit(doc, args.output)
     if args.csv:
-        evaluation = expectation.evaluate_mission(report.plan, instance)
         with open(args.csv, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["epoch", "V_h", "threshold", "plan_size", "epoch_survival"])
@@ -230,7 +236,7 @@ def _cmd_solve_finite(args) -> int:
                     format(report.values[h], ".17g"),
                     format(report.thresholds[h], ".17g"),
                     len(report.plan.plans[h]),
-                    format(evaluation.epoch_evals[h].epoch_survival, ".17g"),
+                    format(report.epoch_survivals[h], ".17g"),
                 ])
     return 0
 

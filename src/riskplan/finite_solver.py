@@ -42,12 +42,16 @@ class SolveReport:
 
     ``values`` holds ``V_1 .. V_{K+1}`` (``V_{K+1} = 0``); ``thresholds``
     holds ``theta + V_{h+1}`` for ``h = 1..K``; ``total`` equals ``V_1``.
+    ``epoch_survivals`` holds each epoch plan's survival ``rho_bar_h``,
+    the running product of ``rho**2`` in plan order: bit-identical to
+    :func:`riskplan.expectation.evaluate_epoch`'s ``epoch_survival``.
     """
 
     values: tuple[float, ...]
     thresholds: tuple[float, ...]
     plan: MissionPlan
     total: float
+    epoch_survivals: tuple[float, ...]
 
 
 def _sorted_package_arrays(instance: Instance):
@@ -103,6 +107,7 @@ def solve_finite(instance: Instance) -> SolveReport:
 
     values = [0.0] * (k + 1)
     thresholds = [0.0] * k
+    survivals = [0.0] * k
     plans = [None] * k
     v_next = 0.0
     for h in range(k - 1, -1, -1):
@@ -124,7 +129,7 @@ def solve_finite(instance: Instance) -> SolveReport:
         # are included at any finite threshold.
         q = int(np.searchsorted(neg_gammas[:q], -threshold, side="left"))
         plans[h] = table_ids[:q] if whole else table_ids[:q].copy()
-        rho_bar = survival[q]
+        rho_bar = survivals[h] = float(survival[q])
         values[h] = float(reward_sum[q] - theta * (1.0 - rho_bar) + rho_bar * v_next)
         v_next = values[h]
 
@@ -133,6 +138,7 @@ def solve_finite(instance: Instance) -> SolveReport:
         thresholds=tuple(thresholds),
         plan=MissionPlan.finite(plans),
         total=values[0],
+        epoch_survivals=tuple(survivals),
     )
 
 

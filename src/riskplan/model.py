@@ -637,16 +637,25 @@ def instance_from_dict(doc: dict) -> Instance:
             if bad:
                 raise InvalidInstanceError(bad)
             per_epoch = tuple(frozenset(ids) for ids, _ in listed)
-        theta = float(doc["theta"])
+        theta = doc["theta"]
+        if not _is_real(theta):  # the rule for ``reward``: no bools, no strings
+            raise TypeError(f"theta must be a real number, got {theta!r}")
+        theta = float(theta)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInstanceError([Violation(ViolationCode.MALFORMED_DOCUMENT, f"malformed instance document: {exc}")]) from exc
     return Instance(theta=theta, horizon=horizon, packages=packages, per_epoch_packages=per_epoch)
 
 
+def _id_list(epoch: EpochPlan) -> list[int]:
+    if isinstance(epoch, np.ndarray) and epoch.dtype == np.int64:  # the solver's plans
+        return epoch.tolist()
+    return [int(i) for i in epoch]
+
+
 def plan_to_dict(plan: MissionPlan) -> dict:
     if plan.is_stationary:
-        return {"stationary": [int(i) for i in plan.stationary]}
-    return {"plans": [[int(i) for i in epoch] for epoch in plan.plans]}
+        return {"stationary": _id_list(plan.stationary)}
+    return {"plans": [_id_list(epoch) for epoch in plan.plans]}
 
 
 def plan_from_dict(doc: dict) -> MissionPlan:

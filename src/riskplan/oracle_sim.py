@@ -181,10 +181,15 @@ def _plan_epochs_for_sim(plan: MissionPlan, instance: Instance) -> tuple[list[li
             raise InvalidPlanError("stationary plan repeats a package id")
         epoch = [instance.package_by_id(i) for i in plan.stationary]
         return [epoch], True
-    pep = instance.per_epoch_packages
-    if pep is not None and len(plan.plans) != len(pep):
+    # The checks and messages of ``evaluate_mission``; a valid instance
+    # has one catalog per epoch, so they cover per-epoch catalogs too.
+    horizon = instance.horizon
+    if not horizon.is_finite:
+        raise HorizonMismatchError("finite plan cannot be evaluated on an infinite horizon")
+    if len(plan.plans) != horizon.epochs:
         raise HorizonMismatchError(
-            "finite plan length must match the per-epoch catalog list")
+            f"plan has {len(plan.plans)} epochs but horizon is {horizon.epochs}")
+    pep = instance.per_epoch_packages
     epochs = []
     for h, epoch_plan in enumerate(plan.plans, start=1):
         if len(set(map(int, epoch_plan))) != len(epoch_plan):

@@ -284,6 +284,40 @@ class TestErrorPaths:
         assert code == 1 and out == ""
         assert "malformed_document" in err and "Traceback" not in err
 
+    # theta follows the rule for ``reward``: a JSON int or float, never a
+    # boolean or a string read through float().
+    @pytest.mark.parametrize("theta", ["2.5", True, None, [1]])
+    def test_theta_that_is_not_a_number_is_malformed(self, tmp_path, capsys, theta):
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(dict(FINITE2, theta=theta)))
+        code, out, err = run(capsys, "solve", "finite", "-i", str(path))
+        assert code == 1 and out == ""
+        assert "malformed_document" in err and f"theta must be a real number, got {theta!r}" in err
+        assert "Traceback" not in err
+
+    def test_integral_theta_solves_as_its_float(self, tmp_path, capsys):
+        outputs = []
+        for theta in (3, 3.0):
+            path = tmp_path / "instance.json"
+            path.write_text(json.dumps(dict(FINITE2, theta=theta)))
+            code, out, _ = run(capsys, "solve", "finite", "-i", str(path))
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("horizon, plan, message", [
+        ({"finite": 3}, {"plans": [[0]]}, "plan has 1 epochs but horizon is 3"),
+        ("infinite", {"plans": [[0], [0, 1]]}, "finite plan cannot be evaluated on an infinite horizon"),
+    ], ids=["short-plan", "finite-plan-infinite-horizon"])
+    def test_simulated_plan_must_match_the_horizon(self, tmp_path, capsys, horizon, plan, message):
+        # the checks evaluate_mission makes, for instances without catalogs
+        ipath = write_instance(tmp_path, dict(FINITE2, horizon=horizon))
+        ppath = tmp_path / "plan.json"
+        ppath.write_text(json.dumps(plan))
+        code, out, err = run(capsys, "simulate", "-i", ipath, "-p", str(ppath), "--trials", "10", "--seed", "1")
+        assert code == 1 and out == ""
+        assert f"riskplan: error: {message}" in err
+
     def test_stationary_plan_on_a_huge_horizon_is_a_scale_limit(self, tmp_path, capsys):
         # The stationary plan used to be copied K times before anything
         # looked at K: an OverflowError at K = 1e300, memory exhaustion at 1e9.
@@ -469,6 +503,33 @@ class TestFuzzedDocuments:
             assert out == "" and err.startswith("riskplan: ")
 
 
+def generic_flat_dump(seq) -> str:
+    """A flat list as ``dump_json`` wrote it before its one-join path: one
+    ``dump_json`` call per item."""
+    seq = list(seq)
+    if not seq:
+        return "[]"
+    assert all(isinstance(v, (int, float, np.integer, np.floating, str)) for v in seq)
+    return "[" + ", ".join(dump_json(v) for v in seq) + "]"
+
+
+EDGE_LIST_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 1e308, -1e308, 5e-324,
+                    3.0, -7.0, 2.0**53, 0.1]
+list_ints = st.integers(-(2**70), 2**70)
+list_floats = st.one_of(st.sampled_from(EDGE_LIST_FLOATS), st.floats())
+numpy_scalars = st.one_of(
+    list_ints.filter(lambda x: -(2**63) <= x < 2**63).map(np.int64),
+    list_floats.map(np.float64),
+    st.integers(0, 255).map(np.uint8),
+)
+flat_lists = st.one_of(
+    st.lists(list_ints, max_size=20),
+    st.lists(list_floats, max_size=20),
+    st.lists(st.one_of(list_ints, list_floats), max_size=20),
+    st.lists(st.one_of(st.booleans(), list_ints, list_floats, numpy_scalars), max_size=20),
+)
+
+
 class TestDumpJson:
     def test_seventeen_digit_floats_round_trip(self):
         values = [0.1, 1 / 3, 9 / 0.19, 1e-300, 2.5e300]
@@ -480,6 +541,19 @@ class TestDumpJson:
         assert dump_json(UNBOUNDED) == '"unbounded"'
         assert dump_json(float("inf")) == '"inf"'
         assert json.loads(dump_json({"a": (1, 2), "b": None})) == {"a": [1, 2], "b": None}
+
+    @settings(deadline=None, max_examples=300)
+    @given(seq=flat_lists, container=st.sampled_from([list, tuple]))
+    def test_flat_lists_match_the_per_item_path(self, seq, container):
+        assert dump_json(container(seq)) == generic_flat_dump(seq)
+        # inside a document, at an indent
+        assert dump_json({"a": [container(seq)]}) == "{\n  \"a\": [\n    " + generic_flat_dump(seq) + "\n  ]\n}"
+
+    def test_flat_list_fast_path_edges(self):
+        assert dump_json([1, 2, 3]) == "[1, 2, 3]"
+        assert dump_json([3.0, -0.0, float("nan"), float("-inf")]) == '[3, -0, "nan", "-inf"]'
+        assert dump_json([True, 1, 1.5]) == "[true, 1, 1.5]"
+        assert dump_json(np.array([1, 2], dtype=np.int64)) == "[1, 2]"
 
     def test_instance_doc_round_trips(self):
         inst = generate_instance(GeneratorSpec(n=4, epochs=2, seed=9))

@@ -209,6 +209,12 @@ def random_catalog_instance(rng: random.Random, per_epoch: bool = True) -> Insta
             rho = 1.0 if 0.2 <= kind < 0.3 else rng.uniform(0.0, 1.0)
         packages.append(PackageSpec(pkg_id, reward, rho))
     k = rng.randint(1, 8)
+    catalogs = random_catalogs(rng, ids, k)
+    return inst_of(rng.uniform(0.0, 5.0), k, *packages,
+                   per_epoch=catalogs if per_epoch else None)
+
+
+def random_catalogs(rng: random.Random, ids, k: int) -> tuple[frozenset, ...]:
     catalogs: list[frozenset] = []
     for _ in range(k):
         draw = rng.random()
@@ -220,8 +226,7 @@ def random_catalog_instance(rng: random.Random, per_epoch: bool = True) -> Insta
             catalogs.append(frozenset(ids))
         else:
             catalogs.append(frozenset(i for i in ids if rng.random() < 0.5))
-    return inst_of(rng.uniform(0.0, 5.0), k, *packages,
-                   per_epoch=tuple(catalogs) if per_epoch else None)
+    return tuple(catalogs)
 
 
 class TestAgainstPerEpochLoop:
@@ -253,8 +258,67 @@ class TestAgainstPerEpochLoop:
         expected, got = solve_finite(homogeneous), solve_finite(full)
         assert got.values == expected.values
         assert got.thresholds == expected.thresholds
+        assert got.epoch_survivals == expected.epoch_survivals
         assert got.total == expected.total
         assert got.plan.as_tuples() == expected.plan.as_tuples()
+
+
+def survival_edge_instance(rng: random.Random) -> Instance:
+    """Packages with rho = 0, 1 - 1e-9 and 1, zero rewards, and in one
+    instance of four a long run of low-rho, high-reward packages whose plan
+    survival underflows to 0; half the instances have per-epoch catalogs."""
+    long = rng.random() < 0.25
+    ids = rng.sample(range(10**6), rng.randint(150, 400) if long else rng.randint(0, 25))
+    packages = []
+    for pkg_id in ids:
+        kind = rng.random()
+        reward, rho = rng.uniform(0.0, 10.0), rng.uniform(0.0, 1.0)
+        if long:
+            reward, rho = rng.uniform(1e6, 1e8), rng.uniform(0.001, 0.05)
+        elif kind < 0.1:
+            rho = 0.0
+        elif kind < 0.2:
+            rho = 1.0 - 1e-9
+        elif kind < 0.3:
+            rho = 1.0
+        elif kind < 0.4:
+            reward = 0.0
+        packages.append(PackageSpec(pkg_id, reward, rho))
+    k = rng.randint(1, 8)
+    catalogs = random_catalogs(rng, ids, k) if rng.random() < 0.5 else None
+    return inst_of(rng.uniform(0.0, 5.0), k, *packages, per_epoch=catalogs)
+
+
+class TestEpochSurvivals:
+    def test_equal_to_evaluate_epoch_bit_for_bit(self):
+        # np.cumprod and evaluate_epoch's ``rho_bar *= rho * rho`` are the
+        # same left fold in plan order, so the survivals are equal, not close.
+        rng = random.Random(20261019)
+        seen = set()
+        for _ in range(400):
+            inst = survival_edge_instance(rng)
+            report = solve_finite(inst)
+            evaluation = evaluate_mission(report.plan, inst)
+            assert len(report.epoch_survivals) == inst.horizon.epochs
+            for plan, got, ev in zip(report.plan.plans, report.epoch_survivals, evaluation.epoch_evals):
+                assert type(got) is float
+                assert got == ev.epoch_survival
+                rhos = {inst.package_by_id(int(i)).leg_success for i in plan}
+                seen.add("per-epoch" if inst.per_epoch_packages else "homogeneous")
+                seen.update(kind for kind, hit in (
+                    ("empty", not len(plan)),
+                    ("underflow", len(plan) and got == 0.0),
+                    ("riskless", len(plan) and got == 1.0),
+                    ("near 1", 1.0 - 1e-9 in rhos),
+                ) if hit)
+        assert seen == {"per-epoch", "homogeneous", "empty", "underflow", "riskless", "near 1"}
+
+    def test_rho_zero_is_never_planned(self):
+        # gamma = 0 is never above a threshold theta + V >= 0
+        inst = inst_of(0.0, 2, PackageSpec(0, 5.0, 0.0), PackageSpec(1, 1.0, 0.5))
+        report = solve_finite(inst)
+        assert [p.tolist() for p in report.plan.plans] == [[1], [1]]
+        assert report.epoch_survivals == (0.25, 0.25)
 
 
 class TestInvariants:
