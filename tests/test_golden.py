@@ -34,6 +34,9 @@ CASES = {
     "simulate": ("simulate -i <gen_finite.json -p <solve_finite.json --trials 2000 --seed 5 --shards 2"
                  " -o >simulate.json"),
     "team_greedy": "team greedy -i <gen_finite.json --agents 2 --seed 3 --trials 500 -o >team_greedy.json",
+    "oracle_per_epoch": "oracle -i <per_epoch_instance.json -o >oracle_per_epoch.json",
+    "mdp_eval": "mdp-eval -i <mdp_instance.json -o >mdp_eval.json",
+    "mdp_eval_action": "mdp-eval -i <mdp_instance.json --action 1100101 -o >mdp_eval_action.json",
 }
 
 
