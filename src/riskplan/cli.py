@@ -30,7 +30,6 @@ from .errors import (
     InvalidRangeError,
     RiskPlanError,
     ScaleLimitError,
-    UnboundedValueError,
 )
 from .model import (
     UNBOUNDED,
@@ -276,27 +275,23 @@ def _cmd_mdp_eval(args) -> int:
     instance = _load_instance(args.input)
     model = mdp.build_model(instance)
 
-    def value_of(mask: int):
-        try:
-            return mdp.evaluate_policy(model, mask)
-        except UnboundedValueError:
-            return UNBOUNDED
+    def value_of(values: mdp.PolicyValues, i: int):
+        return UNBOUNDED if values.unbounded[i] else values.value(i)
 
     if args.action is not None:
         if len(args.action) != model.n:
             raise InvalidRangeError(
                 f"action has {len(args.action)} bits but the instance has {model.n} packages")
-        mask = mdp.action_from_bits(args.action)
-        _emit({"action": args.action, "value": value_of(mask)}, args.output)
+        values = mdp.policy_values(model, [mdp.action_from_bits(args.action)])
+        _emit({"action": args.action, "value": value_of(values, 0)}, args.output)
         return 0
 
-    entries = []
-    best_mask, best_value = 0, 0.0
-    for mask in model.actions():
-        value = value_of(mask)
-        entries.append({"action": mdp.bits_from_action(mask, model.n), "value": value})
-        if value is not UNBOUNDED and value > best_value:
-            best_mask, best_value = mask, value
+    values = mdp.policy_values(model)
+    entries = [
+        {"action": mdp.bits_from_action(mask, model.n), "value": value_of(values, mask)}
+        for mask in model.actions()
+    ]
+    best_mask, best_value = values.best()
     _emit({
         "actions": entries,
         "best": {"action": mdp.bits_from_action(best_mask, model.n), "value": best_value},

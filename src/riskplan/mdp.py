@@ -16,27 +16,42 @@ sum to 1.  Failure states pay the delivered prefix reward minus theta and
 fall into ``x_d``; the full-success state pays the whole subset's reward
 and returns to ``x_s``.
 
-Outcome states are computed on the fly per action (never materialized:
-the state space is exponential in n), and policy values are computed two
-independent ways - closed form and fixed-point iteration - which must
-agree.  This module is the oracle for ``solve_infinite``.
+Outcome states are never materialized (the state space is exponential
+in n).  :func:`policy_values` evaluates a batch of actions in one pass
+over the canonical order, one array entry per action, and computes each
+policy value two independent ways - closed form and fixed-point
+iteration - which must agree.  Every entry is the same chain of float
+operations, in the same order, as :attr:`ActionOutcomes.expected_epoch_reward`
+and a per-action fixed-point loop.  This module is the oracle for
+``solve_infinite``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     FiniteHorizonError,
     TooManyPackagesError,
     UnboundedValueError,
 )
-from .model import Instance, PackageSpec, canonical_delivery_order, ensure_valid
+from .model import (
+    Instance,
+    PackageSpec,
+    canonical_delivery_order,
+    canonical_sort_key,
+    ensure_valid,
+)
 
 __all__ = [
     "MdpModel",
     "ActionOutcomes",
+    "PolicyValues",
     "build_model",
+    "policy_values",
     "evaluate_policy",
     "best_stationary_policy",
     "action_from_bits",
@@ -47,6 +62,12 @@ _MAX_PACKAGES = 16
 
 #: Relative tolerance for closed-form vs iterative value agreement.
 _AGREEMENT_RTOL = 1e-10
+
+#: Fixed-point steps allowed per action before it counts as diverging.
+_MAX_STEPS = 50_000_000
+
+#: Unconverged actions below which plain floats step faster than numpy.
+_SCALAR_TAIL = 64
 
 
 @dataclass(frozen=True)
@@ -144,22 +165,155 @@ def build_model(instance: Instance) -> MdpModel:
     return MdpModel(instance=instance, n=n)
 
 
-def _iterative_value(epoch_reward: float, success_prob: float) -> float:
-    """Fixed-point sweep v <- E_a + rho_bar * v from v = 0.
+@dataclass(frozen=True, eq=False)
+class PolicyValues:
+    """A batch of stationary policies, evaluated by :func:`policy_values`.
 
-    The contraction leaves a residual of (last step)/(1 - rho_bar), so the
-    stop threshold is scaled by (1 - rho_bar) to guarantee the remaining
-    error is below 1e-12 in absolute terms.  Caller guarantees
-    ``success_prob < 1``.
+    Entry ``i`` of each array belongs to action ``actions[i]``.
+    ``closed`` is the policy value ``E_a / (1 - rho_bar)``, or 0 where
+    ``rho_bar == 1``; ``unbounded`` marks riskless positive-reward
+    actions, which have no finite value.
     """
-    stop = 1e-12 * (1.0 - success_prob)
-    v = 0.0
-    for _ in range(50_000_000):
-        nxt = epoch_reward + success_prob * v
-        if abs(nxt - v) < stop:
-            return nxt
+
+    n: int
+    actions: np.ndarray
+    success_prob: np.ndarray
+    epoch_reward: np.ndarray
+    closed: np.ndarray
+    unbounded: np.ndarray
+
+    def value(self, i: int) -> float:
+        """Value of entry ``i``; :class:`UnboundedValueError` if it has none."""
+        if self.unbounded[i]:
+            raise UnboundedValueError(
+                f"action {int(self.actions[i]):0{self.n}b} is riskless with positive reward")
+        return float(self.closed[i])
+
+    def best(self) -> tuple[int, float]:
+        """First (action, value) of highest value among the bounded entries."""
+        values = np.where(self.unbounded | np.isnan(self.closed), -np.inf, self.closed)
+        i = int(np.argmax(values))
+        return int(self.actions[i]), float(self.closed[i])
+
+
+@np.errstate(over="ignore", invalid="ignore")  # as silent as float arithmetic
+def policy_values(model: MdpModel, actions: Iterable[int] | None = None) -> PolicyValues:
+    """Evaluate the stationary policies ``actions`` (default: all 2^n).
+
+    One walk over the canonical order builds every action's transition
+    row at once, each action reading only the packages its mask selects.
+    ``E_a`` sums ``rho_bar * R`` first, then the failure terms j = 0..q.
+    Each action with ``rho_bar < 1`` then gets its value two ways: the
+    closed form, and the fixed-point sweep ``v <- E_a + rho_bar * v`` from
+    ``v = 0``.  The sweep stops when a step is below ``1e-12 * (1 -
+    rho_bar)``: the contraction leaves a residual of (last step)/(1 -
+    rho_bar), so the remaining error is below 1e-12 in absolute terms.
+
+    Raises ``ArithmeticError`` for the first action, in request order,
+    whose sweep does not converge in ``_MAX_STEPS`` steps or whose two
+    values differ by more than ``_AGREEMENT_RTOL`` (relative); actions
+    after a non-converging one are not swept to the end.
+    """
+    limit = 1 << model.n
+    if actions is None:
+        acts = np.arange(limit, dtype=np.int64)
+    else:
+        actions = list(actions)
+        for action in actions:
+            if not (0 <= action < limit):
+                raise ValueError(f"action {action!r} out of range for n={model.n}")
+        acts = np.array(actions, dtype=np.int64)
+    table = model.instance.packages
+    theta = model.instance.theta
+    rhos, rewards = table.rhos.tolist(), table.rewards.tolist()
+    order = sorted(range(model.n), key=lambda i: canonical_sort_key(table[i]))
+
+    m = acts.size
+    count = np.zeros(m, dtype=np.int64)  # packages selected so far
+    rho_bar = np.ones(m)
+    acc = np.zeros(m)                    # prefix reward
+    psi = np.zeros(m)                    # delivery probability of the last package
+    last_rho = np.zeros(m)
+    terms = []  # (entries, p_j * (R_j - theta)); each entry's in j order
+    for pos in order:
+        rho, reward = rhos[pos], rewards[pos]
+        idx = np.flatnonzero(acts >> pos & 1)
+        prob = np.where(count[idx] == 0, 1.0 - rho, psi[idx] * (1.0 - last_rho[idx] * rho))
+        terms.append((idx, prob * (acc[idx] - theta)))
+        psi[idx] = rho_bar[idx] * rho
+        rho_bar[idx] *= rho * rho
+        acc[idx] += reward
+        last_rho[idx] = rho
+        count[idx] += 1
+    busy = np.flatnonzero(count)
+    terms.append((busy, psi[busy] * (1.0 - last_rho[busy]) * (acc[busy] - theta)))
+
+    epoch_reward = rho_bar * acc
+    for idx, term in terms:
+        epoch_reward[idx] += term
+
+    riskless = rho_bar == 1.0
+    live = np.flatnonzero(~riskless)
+    closed = np.zeros(m)
+    closed[live] = epoch_reward[live] / (1.0 - rho_bar[live])
+    iterative, stuck = _fixed_point(epoch_reward[live], rho_bar[live])
+    swept = live[:stuck]
+    gap = np.abs(closed[swept] - iterative[:stuck])
+    disagree = np.flatnonzero(gap > _AGREEMENT_RTOL * np.maximum(1.0, np.abs(closed[swept])))
+    if disagree.size:
+        j = int(disagree[0])
+        raise ArithmeticError(
+            f"closed-form ({float(closed[swept[j]])!r}) and iterative ({float(iterative[j])!r}) "
+            f"policy values disagree for action {int(acts[swept[j]]):#x}")
+    if stuck < live.size:
+        raise ArithmeticError("policy value iteration failed to converge")
+    return PolicyValues(
+        n=model.n,
+        actions=acts,
+        success_prob=rho_bar,
+        epoch_reward=epoch_reward,
+        closed=closed,
+        unbounded=riskless & (acc > 0.0),
+    )
+
+
+def _fixed_point(epoch_reward: np.ndarray, success_prob: np.ndarray) -> tuple[np.ndarray, int]:
+    """Per-entry sweeps ``v <- E + S * v`` from 0, each until its step is
+    below ``1e-12 * (1 - S)``, for at most ``_MAX_STEPS`` steps.
+
+    Returns the converged iterates and the first entry that hit the cap
+    (the entry count if none did); iterates from that entry on are NaN or
+    converged.  Every step is elementwise over the entries not yet
+    converged.  Once few remain, they finish one by one, in order, in
+    Python floats: the same IEEE doubles, at less than a numpy call per
+    step, and the sweep can stop at the first entry that fails.
+    """
+    out = np.full(epoch_reward.size, np.nan)
+    live = np.arange(epoch_reward.size)
+    e, s = epoch_reward, success_prob
+    stop = 1e-12 * (1.0 - s)
+    v = np.zeros(epoch_reward.size)
+    steps = 0
+    while live.size > _SCALAR_TAIL and steps < _MAX_STEPS:
+        steps += 1
+        nxt = e + s * v
+        done = np.abs(nxt - v) < stop
+        if done.any():
+            out[live[done]] = nxt[done]
+            keep = ~done
+            live, e, s, stop, nxt = live[keep], e[keep], s[keep], stop[keep], nxt[keep]
         v = nxt
-    raise ArithmeticError("policy value iteration failed to converge")
+    for i, ei, si, stop_i, vi in zip(live.tolist(), e.tolist(), s.tolist(),
+                                     stop.tolist(), v.tolist()):
+        for _ in range(_MAX_STEPS - steps):
+            nxt = ei + si * vi
+            if abs(nxt - vi) < stop_i:
+                out[i] = nxt
+                break
+            vi = nxt
+        else:
+            return out, i
+    return out, epoch_reward.size
 
 
 def evaluate_policy(model: MdpModel, action: int) -> float:
@@ -168,24 +322,7 @@ def evaluate_policy(model: MdpModel, action: int) -> float:
     Computed independently via the closed form ``E_a / (1 - rho_bar)`` and
     a fixed-point iteration; the two must agree to 1e-10 (relative).
     """
-    outcomes = model.action_outcomes(action)
-    rho_bar = outcomes.success_prob
-    e_a = outcomes.expected_epoch_reward
-
-    if rho_bar == 1.0:
-        if outcomes.success_reward > 0.0:
-            raise UnboundedValueError(
-                f"action {action:0{model.n}b} is riskless with positive reward")
-        return 0.0  # idle or zero-reward loop; both routes give 0
-
-    closed = e_a / (1.0 - rho_bar)
-    iterative = _iterative_value(e_a, rho_bar)
-    scale = max(1.0, abs(closed))
-    if abs(closed - iterative) > _AGREEMENT_RTOL * scale:
-        raise ArithmeticError(
-            f"closed-form ({closed!r}) and iterative ({iterative!r}) "
-            f"policy values disagree for action {action:#x}")
-    return closed
+    return policy_values(model, [action]).value(0)
 
 
 def best_stationary_policy(model: MdpModel) -> tuple[int, float]:
@@ -193,17 +330,20 @@ def best_stationary_policy(model: MdpModel) -> tuple[int, float]:
 
     Ties keep the lowest action mask (the idle action wins at value 0).
     Riskless positive-reward actions have no finite value and surface as
-    :class:`UnboundedValueError`.
+    :class:`UnboundedValueError`; like any error, the lowest action's is
+    the one raised.
     """
-    best_action = 0
-    best_value = evaluate_policy(model, 0)
-    for action in model.actions():
-        if action == 0:
-            continue
-        value = evaluate_policy(model, action)
-        if value > best_value:
-            best_action, best_value = action, value
-    return best_action, best_value
+    # rho_bar is 1 only when every selected rho is, so the lowest
+    # unbounded action is the first riskless positive-reward package
+    # alone: the actions past it are never needed.
+    table = model.instance.packages
+    riskless = np.flatnonzero((table.rhos == 1.0) & (table.rewards > 0.0))
+    end = (1 << int(riskless[0])) + 1 if riskless.size else 1 << model.n
+    values = policy_values(model, range(end))
+    unbounded = np.flatnonzero(values.unbounded)
+    if unbounded.size:
+        values.value(int(unbounded[0]))  # raises
+    return values.best()
 
 
 def action_from_bits(bits: str) -> int:

@@ -3,10 +3,15 @@
 ``brute_force_finite`` enumerates every per-epoch (subset, ordering)
 combination - orderings are enumerated explicitly rather than assuming the
 ratio-ordering result - so it is an independent check of both the solver
-and the ordering/threshold analysis.  Each distinct epoch sequence is
-evaluated once through :mod:`riskplan.expectation` and combinations are
-chained with the same backward recursion the evaluator uses; independence
-comes from the enumeration, not from re-deriving the arithmetic.
+and the ordering/threshold analysis.  Each sequence of each distinct
+catalog is evaluated once through :mod:`riskplan.expectation`.  A
+combination's value is the backward recursion ``v_h = E_h + S_h * v_{h+1}``
+from ``v_{K+1} = 0`` over those cached (E, survival) pairs, folded for many
+combinations at once in numpy arrays.  ``evaluate_mission`` then
+re-evaluates the winning plan by its forward direct sum (the backward
+recursion is only its internal cross-check), and the two totals must agree.
+Independence comes from the enumeration, not from re-deriving the
+arithmetic.
 
 ``simulate_mission`` draws every leg outcome from a counter-based RNG: the
 uniform for (trial i, leg j) is a pure function of (seed, i, j) built from
@@ -89,6 +94,91 @@ def _sequence_count(n: int) -> int:
     return total
 
 
+#: Most values the brute-force fold holds in one array.
+_FOLD_BLOCK = 1 << 16
+
+
+@dataclass(frozen=True)
+class _EpochTable:
+    """One catalog's ordered selections and their (E, survival) columns."""
+
+    seqs: list[tuple[int, ...]]
+    expected: np.ndarray
+    survival: np.ndarray
+
+
+@np.errstate(over="ignore", invalid="ignore")  # as silent as float arithmetic
+def _fold_product(tables: list[_EpochTable]) -> tuple[float, list[int]]:
+    """Best ``value = E_1 + S_1*(E_2 + S_2*(... (E_K + S_K*0.0)))`` over
+    the product of the epochs' selections; returns it with one index per
+    epoch.
+
+    Combinations are visited in ``itertools.product`` order (last epoch
+    fastest) and the first maximum wins, as a strictly-greater scan would
+    keep it, so exact ties resolve to the lexicographically smallest plan.
+    Each value is the same chain of float operations, in the same order,
+    as the per-combination backward loop.
+
+    The trailing epochs whose product fits in ``_FOLD_BLOCK`` fold once
+    into ``tail``.  The rest is walked block by block: each leading index
+    tuple, in lexicographic order, with a chunk of the next epoch's
+    selections, so no array holds more than about ``_FOLD_BLOCK`` values.
+    """
+    counts = [len(t.seqs) for t in tables]
+    h = len(tables)
+    tail = 0.0  # a float while every folded epoch has one selection
+    size = 1
+    while h > 0 and size * counts[h - 1] <= _FOLD_BLOCK:
+        h -= 1
+        e, s = tables[h].expected, tables[h].survival
+        if counts[h] == 1:  # no numpy call on a float tail
+            tail = float(e[0]) + float(s[0]) * tail
+        elif isinstance(tail, float):
+            tail = e + s * tail
+        else:
+            tail = (e[:, None] + np.multiply.outer(s, tail)).ravel()
+        size *= counts[h]
+
+    if h == 0:
+        best_value, pos = _first_max(np.atleast_1d(tail))
+        lead: tuple[int, ...] = ()
+    else:
+        # Epoch h (1-based) is split into chunks; epochs 1..h-1 lead.
+        split = tables[h - 1]
+        chunk = max(1, _FOLD_BLOCK // size)
+        leaders = [(t.expected.tolist(), t.survival.tolist()) for t in tables[: h - 1]]
+        best_value, pos, lead = -math.inf, 0, ()
+        for idx in itertools.product(*(range(c) for c in counts[: h - 1])):
+            for lo in range(0, counts[h - 1], chunk):
+                e, s = split.expected[lo: lo + chunk], split.survival[lo: lo + chunk]
+                if isinstance(tail, float):
+                    block = e + s * tail
+                else:
+                    block = (e[:, None] + np.multiply.outer(s, tail)).ravel()
+                for (es, ss), i in zip(reversed(leaders), reversed(idx)):
+                    block = es[i] + ss[i] * block
+                value, at = _first_max(block)
+                if value > best_value:
+                    best_value, pos, lead = value, lo * size + at, idx
+
+    # Decode the winner's position in its block, last epoch first.
+    choice = [0] * len(tables)
+    for g in range(len(tables) - 1, h - 1, -1):
+        pos, choice[g] = divmod(pos, counts[g])
+    if h:
+        choice[h - 1] = pos
+        choice[: h - 1] = lead
+    return best_value, choice
+
+
+def _first_max(values: np.ndarray) -> tuple[float, int]:
+    """(value, position) of the first maximum, skipping NaN as ``>`` does."""
+    at = int(np.argmax(values))
+    if values[at] != values[at]:
+        at = int(np.argmax(np.where(np.isnan(values), -math.inf, values)))
+    return float(values[at]), at
+
+
 def brute_force_finite(instance: Instance) -> tuple[float, MissionPlan]:
     """Exhaustive optimum of a finite-horizon instance.
 
@@ -112,29 +202,25 @@ def brute_force_finite(instance: Instance) -> tuple[float, MissionPlan]:
             raise SearchSpaceTooLargeError(
                 f"search space exceeds {MAX_SEARCH_SPACE:,} plan combinations")
 
-    # Evaluate each distinct epoch sequence once; combinations only chain
-    # the cached (E, survival) pairs.
-    epoch_entries = []
+    # Evaluate each sequence of each distinct catalog once; combinations
+    # only chain the cached (E, survival) pairs.
+    by_catalog: dict[tuple[int, ...], _EpochTable] = {}
+    tables = []
     for h, ids in enumerate(epoch_ids, start=1):
-        entries = []
-        for seq in _epoch_sequences(ids):
-            ev = evaluate_epoch(seq, instance, epoch=h)
-            entries.append((ev.expected_reward, ev.epoch_survival, seq))
-        epoch_entries.append(entries)
+        table = by_catalog.get(tuple(ids))
+        if table is None:
+            seqs = _epoch_sequences(ids)
+            evals = [evaluate_epoch(seq, instance, epoch=h) for seq in seqs]
+            table = _EpochTable(
+                seqs,
+                np.array([ev.expected_reward for ev in evals]),
+                np.array([ev.epoch_survival for ev in evals]),
+            )
+            by_catalog[tuple(ids)] = table
+        tables.append(table)
 
-    best_value = -math.inf
-    best_combo = None
-    for combo in itertools.product(*epoch_entries):
-        value = 0.0
-        for expected, survival, _ in reversed(combo):
-            value = expected + survival * value
-        # Strictly-greater keeps the first maximum; product() iterates in
-        # lexicographic plan order, so exact ties resolve canonically.
-        if value > best_value:
-            best_value = value
-            best_combo = combo
-
-    plan = MissionPlan.finite(seq for _, _, seq in best_combo)
+    best_value, choice = _fold_product(tables)
+    plan = MissionPlan.finite(t.seqs[i] for t, i in zip(tables, choice))
     check = evaluate_mission(plan, instance).total
     if not math.isclose(best_value, check, rel_tol=1e-9, abs_tol=1e-9):
         raise ArithmeticError(

@@ -17,6 +17,7 @@ from riskplan import (
     reward_to_risk,
     solve_infinite,
 )
+from riskplan import mdp
 from riskplan.mdp import action_from_bits, bits_from_action
 
 from conftest import make_instance
@@ -152,3 +153,140 @@ class TestActionBits:
             action_from_bits("01x1")
         with pytest.raises(ValueError):
             action_from_bits("")
+
+
+# --- array pass vs the per-action loop ----------------------------------------
+
+
+def scalar_policy_value(model, action):
+    """The per-action evaluation the array pass replaced, kept as its
+    reference: the action's transition row, its closed form and a
+    fixed-point loop in plain floats."""
+    out = model.action_outcomes(action)
+    rho_bar = out.success_prob
+    e_a = out.expected_epoch_reward
+    if rho_bar == 1.0:
+        if out.success_reward > 0.0:
+            raise UnboundedValueError(
+                f"action {action:0{model.n}b} is riskless with positive reward")
+        return 0.0
+    closed = e_a / (1.0 - rho_bar)
+    stop = 1e-12 * (1.0 - rho_bar)
+    v = 0.0
+    for _ in range(mdp._MAX_STEPS):
+        nxt = e_a + rho_bar * v
+        if abs(nxt - v) < stop:
+            break
+        v = nxt
+    else:
+        raise ArithmeticError("policy value iteration failed to converge")
+    if abs(closed - nxt) > mdp._AGREEMENT_RTOL * max(1.0, abs(closed)):
+        raise ArithmeticError(
+            f"closed-form ({closed!r}) and iterative ({nxt!r}) "
+            f"policy values disagree for action {action:#x}")
+    return closed
+
+
+def scalar_best_stationary(model):
+    """Every action in mask order; the first strictly greater value wins."""
+    best_action, best_value = 0, scalar_policy_value(model, 0)
+    for action in range(1, 1 << model.n):
+        value = scalar_policy_value(model, action)
+        if value > best_value:
+            best_action, best_value = action, value
+    return best_action, best_value
+
+
+def outcome(fn, *args):
+    """A result as comparable bits: float values by hex, errors by type
+    and message."""
+    try:
+        result = fn(*args)
+    except (ArithmeticError, UnboundedValueError) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(result, tuple):
+        return result[0], result[1].hex()
+    if isinstance(result, mdp.PolicyValues):
+        return "PolicyValues"
+    return result.hex()
+
+
+def random_mdp_instance(rng):
+    """Small infinite instance mixing exact ties, rho in {0, 1}, zero
+    rewards and theta = 0."""
+    n = rng.randint(1, 7)
+    pkgs = []
+    for pkg_id in rng.sample(range(30), n):
+        reward = rng.choice([0.0, 1.5, 3.75, rng.uniform(0, 10), rng.uniform(0, 10)])
+        rho = rng.choice([0.0, 1.0, 0.5, 0.25, rng.random(), rng.random(), rng.random()])
+        pkgs.append(PackageSpec(pkg_id, reward, rho))
+    if n >= 2 and rng.random() < 0.3:
+        pkgs[-1] = PackageSpec(pkgs[-1].id, pkgs[0].reward, pkgs[0].leg_success)
+    theta = rng.choice([0.0, 0.5, rng.uniform(0, 5)])
+    return inst_of(theta, *pkgs)
+
+
+class TestPolicyArrayPass:
+    # 0 steps every action in arrays to the end; 10^9 steps every action
+    # in plain floats; the default mixes both.
+    @pytest.mark.parametrize("tail", [0, mdp._SCALAR_TAIL, 10**9])
+    def test_matches_scalar_loop_on_random_instances(self, tail, monkeypatch):
+        monkeypatch.setattr(mdp, "_SCALAR_TAIL", tail)
+        rng = random.Random(4100 + tail % 1000)
+        for trial in range(300 if tail == mdp._SCALAR_TAIL else 60):
+            model = build_model(random_mdp_instance(rng))
+            assert outcome(best_stationary_policy, model) == outcome(scalar_best_stationary, model)
+            expected = [outcome(scalar_policy_value, model, a) for a in model.actions()]
+            failures = [e for e in expected if e[0] == "ArithmeticError"]
+            if failures:  # the batch raises its first action's failure
+                assert outcome(mdp.policy_values, model) == failures[0]
+            else:
+                values = mdp.policy_values(model)
+                assert [outcome(values.value, a) for a in model.actions()] == expected
+            if trial % 10 == 0:  # the one-action batch of evaluate_policy
+                for action in model.actions():
+                    assert outcome(evaluate_policy, model, action) == expected[action]
+
+    def test_rows_match_action_outcomes(self):
+        rng = random.Random(4200)
+        for _ in range(40):
+            model = build_model(random_mdp_instance(rng))
+            values = mdp.policy_values(model)
+            for action in model.actions():
+                out = model.action_outcomes(action)
+                assert values.success_prob[action].hex() == out.success_prob.hex()
+                assert float(values.epoch_reward[action]).hex() == out.expected_epoch_reward.hex()
+
+    def test_requested_actions_keep_their_order(self):
+        model = build_model(make_instance(4300, n=5, infinite=True))
+        everything = mdp.policy_values(model)
+        some = mdp.policy_values(model, [9, 0, 31, 9])
+        assert some.actions.tolist() == [9, 0, 31, 9]
+        assert some.closed.tolist() == everything.closed[[9, 0, 31, 9]].tolist()
+
+    def test_out_of_range_action(self):
+        model = build_model(inst_of(1.0, PackageSpec(0, 1, 0.5)))
+        with pytest.raises(ValueError, match="out of range"):
+            evaluate_policy(model, 2)
+
+    @pytest.mark.parametrize("riskless_first", [True, False])
+    def test_lowest_action_error_wins(self, riskless_first, monkeypatch):
+        # Every iterated action disagrees; the riskless positive package
+        # makes one action unbounded.  Its mask decides which error is
+        # raised, as in the per-action loop.
+        monkeypatch.setattr(mdp, "_AGREEMENT_RTOL", -1.0)
+        risky, riskless = PackageSpec(0, 2, 0.5), PackageSpec(1, 1, 1.0)
+        pkgs = (riskless, risky) if riskless_first else (risky, riskless)
+        model = build_model(inst_of(0.5, *pkgs))
+        expected = outcome(scalar_best_stationary, model)
+        assert expected[0] == ("UnboundedValueError" if riskless_first else "ArithmeticError")
+        assert outcome(best_stationary_policy, model) == expected
+
+    @pytest.mark.parametrize("tail", [0, 10**9])
+    def test_non_convergence_keeps_its_message(self, tail, monkeypatch):
+        monkeypatch.setattr(mdp, "_MAX_STEPS", 3)
+        monkeypatch.setattr(mdp, "_SCALAR_TAIL", tail)
+        model = build_model(inst_of(0.5, PackageSpec(0, 2, 0.5), PackageSpec(1, 1, 1.0)))
+        expected = outcome(scalar_best_stationary, model)
+        assert expected == ("ArithmeticError", "policy value iteration failed to converge")
+        assert outcome(best_stationary_policy, model) == expected

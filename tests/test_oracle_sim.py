@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -13,11 +15,13 @@ from riskplan import (
     SimConfig,
     UnboundedSimulationError,
     brute_force_finite,
+    evaluate_epoch,
     evaluate_mission,
     reward_to_risk,
     simulate_mission,
 )
-from riskplan.oracle_sim import STATIONARY_EPOCH_CAP, leg_uniforms, trial_keys
+from riskplan import oracle_sim
+from riskplan.oracle_sim import STATIONARY_EPOCH_CAP, _epoch_sequences, leg_uniforms, trial_keys
 
 from conftest import make_instance, random_mission_plan
 
@@ -189,3 +193,117 @@ class TestSimulateMission:
                                SimConfig(trials=50, seed=2))
         assert len(res.per_epoch_survival_freq) <= STATIONARY_EPOCH_CAP
         assert res.truncation_bias_bound > 0
+
+
+# --- array fold vs the per-combination loop ----------------------------------
+
+
+def scalar_brute_force(instance):
+    """The per-combination loop the array fold replaced, kept as its
+    reference: every (E, survival) chain folded backwards in plan order,
+    the first strictly greater value winning."""
+    epoch_entries = []
+    for h in range(1, instance.horizon.epochs + 1):
+        entries = []
+        for seq in _epoch_sequences(sorted(instance.allowed_ids(h))):
+            ev = evaluate_epoch(seq, instance, epoch=h)
+            entries.append((ev.expected_reward, ev.epoch_survival, seq))
+        epoch_entries.append(entries)
+    best_value, best_combo = -math.inf, None
+    for combo in itertools.product(*epoch_entries):
+        value = 0.0
+        for expected, survival, _ in reversed(combo):
+            value = expected + survival * value
+        if value > best_value:
+            best_value, best_combo = value, combo
+    return best_value, tuple(tuple(seq) for _, _, seq in best_combo)
+
+
+def random_oracle_instance(rng):
+    """Small instance mixing exact ties, rho in {0, 1}, zero rewards,
+    theta = 0 and per-epoch catalogs of unequal sizes."""
+    while True:
+        n = rng.randint(0, 4)
+        k = rng.randint(1, 3)
+        ids = rng.sample(range(20), n)
+        pkgs = []
+        for pkg_id in ids:
+            reward = rng.choice([0.0, 1.0, 2.5, rng.uniform(0, 10), rng.uniform(0, 10)])
+            rho = rng.choice([0.0, 1.0, 0.5, rng.random(), rng.random(), rng.random()])
+            pkgs.append(PackageSpec(pkg_id, reward, rho))
+        if n >= 2 and rng.random() < 0.25:
+            pkgs[1] = PackageSpec(pkgs[1].id, pkgs[0].reward, pkgs[0].leg_success)
+        theta = rng.choice([0.0, 1.0, rng.uniform(0, 5), rng.uniform(0, 5)])
+        per_epoch = None
+        if rng.random() < 0.4:
+            per_epoch = tuple(frozenset(rng.sample(ids, rng.randint(0, n))) for _ in range(k))
+        inst = Instance(theta=theta, horizon=Horizon.finite(k), packages=tuple(pkgs),
+                        per_epoch_packages=per_epoch)
+        space = math.prod(len(_epoch_sequences(sorted(inst.allowed_ids(h))))
+                          for h in range(1, k + 1))
+        if space <= 5000:
+            return inst
+
+
+def assert_same_optimum(inst):
+    value, plan = brute_force_finite(inst)
+    ref_value, ref_plan = scalar_brute_force(inst)
+    assert value.hex() == ref_value.hex()
+    assert tuple(tuple(int(i) for i in p) for p in plan.plans) == ref_plan
+
+
+class TestBruteForceFold:
+    # 1 folds nothing ahead and walks every combination alone; 7 and 100
+    # split an epoch into chunks behind leading epochs.
+    @pytest.mark.parametrize("block", [1, 7, 100, oracle_sim._FOLD_BLOCK])
+    def test_matches_scalar_loop_on_random_instances(self, block, monkeypatch):
+        monkeypatch.setattr(oracle_sim, "_FOLD_BLOCK", block)
+        rng = random.Random(20261018 + block)
+        for _ in range(300 if block == oracle_sim._FOLD_BLOCK else 75):
+            assert_same_optimum(random_oracle_instance(rng))
+
+    @pytest.mark.parametrize("block", [1, 7, oracle_sim._FOLD_BLOCK])
+    @pytest.mark.parametrize("inst", [
+        inst_of(0.0, 3, PackageSpec(0, 2, 0.7), PackageSpec(1, 2, 0.7), PackageSpec(2, 2, 0.7)),
+        inst_of(1.0, 2, PackageSpec(0, 3, 0.0), PackageSpec(1, 3, 1.0), PackageSpec(2, 1, 0.5)),
+        inst_of(1.0, 3, PackageSpec(0, 0, 0.6), PackageSpec(1, 0, 1.0), PackageSpec(2, 0, 0.0)),
+        inst_of(0.0, 2, PackageSpec(0, 0, 0.3), PackageSpec(1, 4, 0.9), PackageSpec(2, 1.5, 0.5)),
+        inst_of(0.0, 2, PackageSpec(0, 0, 0.0), PackageSpec(1, 0, 1.0)),
+        Instance(theta=2.0, horizon=Horizon.finite(3),
+                 packages=(PackageSpec(0, 3, 0.9), PackageSpec(4, 8, 0.5), PackageSpec(9, 1, 1.0),
+                           PackageSpec(7, 0, 0.75)),
+                 per_epoch_packages=(frozenset({0, 4, 9, 7}), frozenset(), frozenset({4, 9}))),
+        # Epoch 2's (0, 1) overflows E to inf; behind a rho = 0 epoch
+        # 0 * inf is NaN, which never wins.
+        inst_of(1.0, 2, PackageSpec(0, 1.5e308, 0.9), PackageSpec(1, 1.5e308, 0.9),
+                PackageSpec(2, 1, 0.0)),
+    ], ids=["duplicates", "rho-0-and-1", "zero-rewards", "theta-0", "all-zero", "unequal-catalogs",
+            "overflow-nan"])
+    def test_matches_scalar_loop_on_constructed_cases(self, inst, block, monkeypatch):
+        monkeypatch.setattr(oracle_sim, "_FOLD_BLOCK", block)
+        assert_same_optimum(inst)
+
+    def test_plans_longer_than_64_epochs_decode(self, monkeypatch):
+        # numpy's unravel_index stops at 64 dimensions; the fold does not.
+        catalogs = [frozenset()] * 70
+        catalogs[0], catalogs[40], catalogs[69] = frozenset({0}), frozenset({0, 1}), frozenset({1})
+        inst = Instance(theta=0.5, horizon=Horizon.finite(70),
+                        packages=(PackageSpec(0, 3, 0.8), PackageSpec(1, 2, 0.9)),
+                        per_epoch_packages=tuple(catalogs))
+        for block in (1, 3, oracle_sim._FOLD_BLOCK):
+            monkeypatch.setattr(oracle_sim, "_FOLD_BLOCK", block)
+            assert_same_optimum(inst)
+
+    def test_peak_memory_stays_within_blocks(self):
+        # 1957^2 = 3.8e6 combinations, 58 times the block: a fold over the
+        # whole product would hold 30 MB per array.
+        pkgs = tuple(PackageSpec(i, 1 + i, 0.5 + 0.05 * i) for i in range(6))
+        inst = inst_of(0.5, 2, *pkgs)
+        tracemalloc.start()
+        try:
+            value, plan = brute_force_finite(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert math.isclose(value, evaluate_mission(plan, inst).total, rel_tol=1e-12)
