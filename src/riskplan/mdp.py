@@ -333,9 +333,9 @@ def best_stationary_policy(model: MdpModel) -> tuple[int, float]:
     :class:`UnboundedValueError`; like any error, the lowest action's is
     the one raised.
     """
-    # rho_bar is 1 only when every selected rho is, so the lowest
-    # unbounded action is the first riskless positive-reward package
-    # alone: the actions past it are never needed.
+    # The lowest unbounded action's error comes before any later action's,
+    # so evaluate no further.  rho_bar is 1 only when every selected rho
+    # is, so that action is the first riskless positive-reward package alone.
     table = model.instance.packages
     riskless = np.flatnonzero((table.rhos == 1.0) & (table.rewards > 0.0))
     end = (1 << int(riskless[0])) + 1 if riskless.size else 1 << model.n
