@@ -247,6 +247,22 @@ class TestPolicyArrayPass:
                 for action in model.actions():
                     assert outcome(evaluate_policy, model, action) == expected[action]
 
+    @pytest.mark.parametrize("inst", [
+        inst_of(0.2, PackageSpec(0, 2, 0.7), PackageSpec(1, 2, 0.7), PackageSpec(2, 2, 0.7)),
+        inst_of(0.5, PackageSpec(0, 3, 0.0), PackageSpec(1, 0, 1.0), PackageSpec(2, 1, 0.5)),
+        inst_of(0.5, PackageSpec(0, 0, 0.6), PackageSpec(1, 0, 1.0), PackageSpec(2, 0, 0.0)),
+        inst_of(0.0, PackageSpec(0, 0, 0.3), PackageSpec(1, 4, 0.9), PackageSpec(2, 1.5, 0.5)),
+        # gamma = 1 exactly three ways, a riskless package and a zero reward
+        inst_of(0.5, PackageSpec(3, 1.5, 0.5), PackageSpec(1, 1.5, 0.5), PackageSpec(2, 3.75, 0.25),
+                PackageSpec(4, 2, 1.0), PackageSpec(0, 0, 0.8)),
+    ], ids=["duplicates", "rho-0-and-1", "zero-rewards", "theta-0", "tied-gammas"])
+    def test_matches_scalar_loop_on_constructed_cases(self, inst):
+        model = build_model(inst)
+        assert outcome(best_stationary_policy, model) == outcome(scalar_best_stationary, model)
+        values = mdp.policy_values(model)
+        assert ([outcome(values.value, a) for a in model.actions()]
+                == [outcome(scalar_policy_value, model, a) for a in model.actions()])
+
     def test_rows_match_action_outcomes(self):
         rng = random.Random(4200)
         for _ in range(40):

@@ -1,7 +1,9 @@
+import ast
 import itertools
 import math
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -307,3 +309,15 @@ class TestBruteForceFold:
             tracemalloc.stop()
         assert peak < 4 * 2**20
         assert math.isclose(value, evaluate_mission(plan, inst).total, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("module", ["mdp", "oracle_sim"])
+def test_oracles_do_not_use_the_solvers(module):
+    source = (Path(oracle_sim.__file__).parent / f"{module}.py").read_text(encoding="utf-8")
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+    assert not names & {"finite_solver", "infinite_solver", "gamma_values"}
