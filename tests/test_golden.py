@@ -33,6 +33,10 @@ CASES = {
     "solve_infinite": "solve infinite -i <gen_infinite.json -o >solve_infinite.json",
     "simulate": ("simulate -i <gen_finite.json -p <solve_finite.json --trials 2000 --seed 5 --shards 2"
                  " -o >simulate.json"),
+    "simulate_per_epoch": ("simulate -i <per_epoch_instance.json -p <solve_finite_per_epoch.json"
+                           " --trials 3000 --seed 9 --shards 3 -o >simulate_per_epoch.json"),
+    "simulate_stationary": ("simulate -i <gen_infinite.json -p <stationary_plan.json --trials 2000 --seed 4"
+                            " -o >simulate_stationary.json"),
     "team_greedy": "team greedy -i <gen_finite.json --agents 2 --seed 3 --trials 500 -o >team_greedy.json",
     "oracle_per_epoch": "oracle -i <per_epoch_instance.json -o >oracle_per_epoch.json",
     "mdp_eval": "mdp-eval -i <mdp_instance.json -o >mdp_eval.json",
