@@ -44,7 +44,7 @@ from .model import (
     check_epoch_limit,
     ensure_valid,
 )
-from .oracle_sim import SimConfig, SimResult, leg_uniforms, trial_keys
+from .oracle_sim import SimConfig, SimResult, _failed_legs, _leg_thresholds, trial_keys
 
 __all__ = [
     "PoissonBinomial",
@@ -397,10 +397,11 @@ def simulate_team_mission(
 ) -> SimResult:
     """Monte Carlo mission estimate for per-(epoch, count) team plans.
 
-    Same counter-based draws as the single-agent simulator: the uniform
-    for (trial, epoch, agent slot, cycle, leg) is a pure function of the
-    seed, so results are shard-invariant.  Dead agents' packages are not
-    reassigned.
+    Same counter-based draws and kernel as the single-agent simulator: the
+    uniform for (trial, epoch, agent slot, cycle, leg) is a pure function
+    of the seed, so results are shard-invariant.  Each agent slot's tour
+    takes its legs' draws from its own stretch of the stream.  Dead
+    agents' packages are not reassigned.
     """
     ensure_valid(instance)
     if not instance.horizon.is_finite:
@@ -409,9 +410,6 @@ def simulate_team_mission(
     theta = instance.theta
     max_len = max((len(t) for p in plans.values() for t in p.tours), default=0)
     stride_agent = 2 * max(max_len, 1)
-
-    def draw_index(h: int, m: int, pos: int, leg: int) -> int:
-        return leg + 2 * pos + stride_agent * (m + agents * (h - 1))
 
     bounds = np.linspace(0, config.trials, config.parallel_shards + 1).astype(int)
     totals_parts = []
@@ -435,20 +433,20 @@ def simulate_team_mission(
                 group_keys = keys[sel]
                 deaths = np.zeros(sel.size, dtype=np.int64)
                 for m, tour in enumerate(plan.tours):
-                    ok = np.ones(sel.size, dtype=bool)
-                    for pos, pkg_id in enumerate(tour):
-                        pkg = instance.package_by_id(int(pkg_id))
-                        rho = pkg.leg_success
-                        u_out = leg_uniforms(group_keys, draw_index(h, m, pos, 0))
-                        died = ok & ~(u_out < rho)
-                        totals[sel[died]] -= theta
-                        ok &= u_out < rho
-                        totals[sel[ok]] += pkg.reward
-                        u_ret = leg_uniforms(group_keys, draw_index(h, m, pos, 1))
-                        died = ok & ~(u_ret < rho)
-                        totals[sel[died]] -= theta
-                        ok &= u_ret < rho
-                    deaths += ~ok
+                    pkgs = [instance.package_by_id(int(pkg_id)) for pkg_id in tour]
+                    thresholds = _leg_thresholds([pkg.leg_success for pkg in pkgs])
+                    first = _failed_legs(group_keys, stride_agent * (m + agents * (h - 1)), thresholds)
+                    # Each trial's rewards, then -theta, one at a time in
+                    # tour order, as a trial's own total would take them.
+                    delivered = (first + 1) // 2
+                    for pos, pkg in enumerate(pkgs):
+                        won = sel[delivered > pos]
+                        if won.size == 0:
+                            break
+                        totals[won] += pkg.reward
+                    died = first < thresholds.size
+                    totals[sel[died]] -= theta
+                    deaths += died
                 if deaths.any():
                     deaths_by_epoch[h] = deaths_by_epoch.get(h, 0) + int(deaths.sum())
                     alive[sel] = beta - deaths

@@ -15,8 +15,12 @@ arithmetic.
 
 ``simulate_mission`` draws every leg outcome from a counter-based RNG: the
 uniform for (trial i, leg j) is a pure function of (seed, i, j) built from
-the splitmix64 finalizer.  Results therefore depend only on (seed, trials)
-and are bit-identical for any shard count.
+the splitmix64 finalizer (Salmon et al., SC 2011; Steele, Lea & Flood,
+OOPSLA 2014).  Results therefore depend only on (seed, trials) and are
+bit-identical for any shard count or blocking of the work.  One kernel,
+``_first_failures``, draws a block of legs for the live trials at once and
+finds each trial's first failed leg by an exact integer compare; drawing
+stops once every trial is dead.
 """
 
 from __future__ import annotations
@@ -56,6 +60,8 @@ class SimConfig:
 
     trials: int
     seed: int
+    #: Splits the trial range into this many passes, run one after another
+    #: in this process; the split cannot change any result.
     parallel_shards: int = 1
 
     def __post_init__(self):
@@ -237,10 +243,15 @@ _U64 = 1 << 64
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer over a uint64 array."""
-    z = (z ^ (z >> np.uint64(30))) * _MIX_A
-    z = (z ^ (z >> np.uint64(27))) * _MIX_B
-    return z ^ (z >> np.uint64(31))
+    """splitmix64 finalizer over a uint64 array, in place; returns ``z``."""
+    t = np.empty_like(z)
+    for shift, mult in ((30, _MIX_A), (27, _MIX_B)):
+        np.right_shift(z, np.uint64(shift), out=t)
+        z ^= t
+        z *= mult
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
+    return z
 
 
 def trial_keys(seed: int, trial_ids: np.ndarray) -> np.ndarray:
@@ -255,6 +266,59 @@ def leg_uniforms(keys: np.ndarray, draw_index: int) -> np.ndarray:
     offset = np.uint64(((draw_index + 1) * 0x9E3779B97F4A7C15) % _U64)
     raw = _mix64(keys + offset)
     return (raw >> np.uint64(11)) * (2.0 ** -53)
+
+
+#: Most draws in one block of :func:`_first_failures` (its two uint64
+#: arrays then take 1 MB), and most legs one block spans, since legs drawn
+#: after a trial's death are wasted; at most 255, the kernel's uint8 weights.
+_DRAW_BLOCK = 1 << 16
+_BLOCK_LEGS = 64
+
+
+def _leg_thresholds(rhos) -> np.ndarray:
+    """Each package's two legs' pass marks, ``ceil(rho * 2^53)``, as uint64."""
+    return np.repeat(np.ceil(np.asarray(rhos, dtype=np.float64) * 2.0 ** 53).astype(np.uint64), 2)
+
+
+def _first_failures(keys: np.ndarray, offsets: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """Each trial's first failed leg in one block, or ``len(offsets)``.
+
+    Row j of the (legs x trials) block holds the raw draws
+    ``mix(keys + offsets[j])`` of :func:`leg_uniforms`.  Leg j fails where
+    ``raw >> 11 >= thresholds[j]``.  With thresholds ``ceil(rho * 2^53)``
+    that is exactly ``leg_uniforms(...) >= rho``: ``u = k * 2^-53 < rho``
+    holds exactly when ``k < ceil(rho * 2^53)``.
+    """
+    raw = _mix64(offsets[:, None] + keys)
+    raw >>= np.uint64(11)
+    # The earliest failed leg has the largest weight n - j; none weighs 0.
+    n = offsets.size
+    fail = raw >= thresholds[:, None]
+    weight = np.arange(n, 0, -1, dtype=np.uint8)[:, None]
+    return n - (fail * weight).max(axis=0).astype(np.intp)
+
+
+def _failed_legs(keys: np.ndarray, first_draw: int, thresholds: np.ndarray) -> np.ndarray:
+    """Each trial's first failed leg among legs drawn at ``first_draw``,
+    ``first_draw + 1``, ...; ``len(thresholds)`` for a trial that fails none.
+
+    Blocks hold at most ``_DRAW_BLOCK`` draws (one leg when more trials
+    are alive); a trial leaves once it fails, and drawing stops once none
+    is left.
+    """
+    legs = thresholds.size
+    first = np.full(keys.size, legs, dtype=np.intp)
+    live = np.arange(keys.size)
+    start = 0
+    while start < legs and live.size:
+        n = min(legs - start, _BLOCK_LEGS, max(1, _DRAW_BLOCK // live.size))
+        d = first_draw + start
+        offsets = np.arange(d + 1, d + n + 1, dtype=np.uint64) * _GOLDEN  # wraps as leg_uniforms
+        block = _first_failures(keys[live], offsets, thresholds[start: start + n])
+        first[live] = start + block
+        live = live[block == n]
+        start += n
+    return first
 
 
 # --- Monte Carlo -------------------------------------------------------------
@@ -293,7 +357,16 @@ def _plan_epochs_for_sim(plan: MissionPlan, instance: Instance) -> tuple[list[li
 
 
 def _run_shard(epochs, stationary, theta, seed, lo, hi):
-    """Simulate trials [lo, hi); returns (totals, death_epochs, alive_counts)."""
+    """Simulate trials [lo, hi); returns (totals, death_epochs, alive_counts).
+
+    ``epochs`` holds each epoch's (rewards, leg thresholds).  Every trial
+    alive at an epoch's start has won the same rewards, so one running
+    total, folded package by package as each trial's own total would be,
+    serves them all.  A trial that fails leg f of an epoch won the rewards
+    of its first ``(f + 1) // 2`` packages there and ends at that prefix of
+    the fold minus theta.  Draws run on one counter across epochs, and stop
+    once every trial is dead.
+    """
     m = hi - lo
     ids = np.arange(lo, hi, dtype=np.uint64)
     keys = trial_keys(seed, ids)
@@ -304,26 +377,28 @@ def _run_shard(epochs, stationary, theta, seed, lo, hi):
 
     epoch_iter = itertools.repeat(epochs[0]) if stationary else iter(epochs)
     cap = STATIONARY_EPOCH_CAP if stationary else len(epochs)
+    total = 0.0
     draw = 0
     for h in range(1, cap + 1):
-        if stationary and idx.size == 0:
+        if idx.size == 0:
+            if not stationary:
+                alive_counts += [0] * (cap + 1 - h)
             break
         alive_counts.append(idx.size)
-        for pkg in next(epoch_iter):
-            rho = pkg.leg_success
-            out_ok = leg_uniforms(keys[idx], draw) < rho
-            draw += 1
-            dead = idx[~out_ok]
-            totals[dead] -= theta
+        rewards, thresholds = next(epoch_iter)
+        first = _failed_legs(keys, draw, thresholds)
+        draw += thresholds.size
+        prefix = [total]
+        for reward in rewards:
+            total += reward
+            prefix.append(total)
+        died = first < thresholds.size
+        if died.any():
+            dead = idx[died]
+            totals[dead] = np.array(prefix)[(first[died] + 1) // 2] - theta
             death_epoch[dead] = h
-            idx = idx[out_ok]
-            totals[idx] += pkg.reward
-            ret_ok = leg_uniforms(keys[idx], draw) < rho
-            draw += 1
-            dead = idx[~ret_ok]
-            totals[dead] -= theta
-            death_epoch[dead] = h
-            idx = idx[ret_ok]
+            idx, keys = idx[~died], keys[~died]
+    totals[idx] = total
     return totals, death_epoch, alive_counts
 
 
@@ -354,6 +429,7 @@ def simulate_mission(plan: MissionPlan, instance: Instance, config: SimConfig) -
         eps = ev.expected_reward / (1.0 - ev.epoch_survival)
         truncation_bias = ev.epoch_survival ** STATIONARY_EPOCH_CAP * abs(eps)
 
+    legs = [([p.reward for p in pkgs], _leg_thresholds([p.leg_success for p in pkgs])) for pkgs in epochs]
     bounds = np.linspace(0, config.trials, config.parallel_shards + 1).astype(int)
     totals_parts = []
     death_parts = []
@@ -363,7 +439,7 @@ def simulate_mission(plan: MissionPlan, instance: Instance, config: SimConfig) -
         if lo == hi:
             continue
         totals, deaths, alive_counts = _run_shard(
-            epochs, stationary, instance.theta, config.seed, lo, hi)
+            legs, stationary, instance.theta, config.seed, lo, hi)
         totals_parts.append(totals)
         death_parts.append(deaths)
         alive_parts.append(alive_counts)

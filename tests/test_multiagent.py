@@ -3,6 +3,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from riskplan import (
@@ -34,6 +35,7 @@ from riskplan import multiagent
 from riskplan.cli import run_cli
 from riskplan.model import canonical_sort_key
 from riskplan.multiagent import _survivor_pmf
+from riskplan.oracle_sim import SimResult, leg_uniforms, trial_keys
 
 from conftest import make_instance
 
@@ -587,3 +589,113 @@ class TestSubmodularity:
             assert mg_s >= mg_s_after_r - 1e-10
             checked += 1
         assert checked == 300
+
+
+# --- team Monte Carlo: block kernel vs the per-leg loop ----------------------
+
+
+def per_leg_simulate_team(plans, instance, agents, config):
+    """The per-leg team loop the block kernel replaced, kept as its
+    reference: one ``leg_uniforms`` call per leg, rewards and -theta
+    applied as each leg resolves."""
+    k = instance.horizon.epochs
+    theta = instance.theta
+    max_len = max((len(t) for p in plans.values() for t in p.tours), default=0)
+    stride_agent = 2 * max(max_len, 1)
+
+    def draw_index(h: int, m: int, pos: int, leg: int) -> int:
+        return leg + 2 * pos + stride_agent * (m + agents * (h - 1))
+
+    bounds = np.linspace(0, config.trials, config.parallel_shards + 1).astype(int)
+    totals_parts = []
+    alive_sums = [0] * k  # integer accumulation keeps shard splits exact
+    deaths_by_epoch: dict[int, int] = {}
+    for s in range(config.parallel_shards):
+        lo, hi = int(bounds[s]), int(bounds[s + 1])
+        if lo == hi:
+            continue
+        n_trials = hi - lo
+        keys = trial_keys(config.seed, np.arange(lo, hi, dtype=np.uint64))
+        totals = np.zeros(n_trials)
+        alive = np.full(n_trials, agents, dtype=np.int64)
+        for h in range(1, k + 1):
+            alive_sums[h - 1] += int(alive.sum())
+            for beta in range(1, agents + 1):
+                sel = np.nonzero(alive == beta)[0]
+                if sel.size == 0:
+                    continue
+                plan = plans[(h, beta)]
+                group_keys = keys[sel]
+                deaths = np.zeros(sel.size, dtype=np.int64)
+                for m, tour in enumerate(plan.tours):
+                    ok = np.ones(sel.size, dtype=bool)
+                    for pos, pkg_id in enumerate(tour):
+                        pkg = instance.package_by_id(int(pkg_id))
+                        rho = pkg.leg_success
+                        u_out = leg_uniforms(group_keys, draw_index(h, m, pos, 0))
+                        died = ok & ~(u_out < rho)
+                        totals[sel[died]] -= theta
+                        ok &= u_out < rho
+                        totals[sel[ok]] += pkg.reward
+                        u_ret = leg_uniforms(group_keys, draw_index(h, m, pos, 1))
+                        died = ok & ~(u_ret < rho)
+                        totals[sel[died]] -= theta
+                        ok &= u_ret < rho
+                    deaths += ~ok
+                if deaths.any():
+                    deaths_by_epoch[h] = deaths_by_epoch.get(h, 0) + int(deaths.sum())
+                    alive[sel] = beta - deaths
+        totals_parts.append(totals)
+
+    totals = np.concatenate(totals_parts)
+    mean = float(np.mean(totals))
+    std_error = float(np.std(totals, ddof=1) / math.sqrt(config.trials)) if config.trials > 1 else 0.0
+    return SimResult(
+        mean=mean,
+        std_error=std_error,
+        per_epoch_survival_freq=tuple(s / (config.trials * agents) for s in alive_sums),
+        failure_epoch_histogram=dict(sorted(deaths_by_epoch.items())),
+    )
+
+
+def random_team_plans(rng, instance, agents):
+    """Random disjoint tours, some empty, for every (epoch, alive count)."""
+    plans = {}
+    for h in range(1, instance.horizon.epochs + 1):
+        for beta in range(agents + 1):
+            ids = sorted(instance.allowed_ids(h))
+            rng.shuffle(ids)
+            tours = [[] for _ in range(beta)]
+            for pkg_id in ids:
+                if beta and rng.random() < 0.8:
+                    tours[rng.randrange(beta)].append(pkg_id)
+            plans[(h, beta)] = TeamEpochPlan.of(tours)
+    return plans
+
+
+class TestTeamSimulationMatchesPerLegLoop:
+    def test_random_plans(self):
+        rng = random.Random(20261022)
+        for _ in range(300):
+            inst = random_team_instance(rng)
+            if rng.random() < 0.3:  # rho 0 and 1 legs, and rho near 1
+                pkgs = tuple(PackageSpec(p.id, p.reward, rng.choice([0.0, 1.0, 1 - 1e-9, p.leg_success]))
+                             for p in inst.packages)
+                inst = Instance(theta=inst.theta, horizon=inst.horizon, packages=pkgs,
+                                per_epoch_packages=inst.per_epoch_packages)
+            agents = rng.randint(1, 4)
+            plans = random_team_plans(rng, inst, agents)
+            config = SimConfig(trials=rng.randint(1, 300), seed=rng.randrange(2**64),
+                               parallel_shards=rng.randint(1, 7))
+            assert (simulate_team_mission(plans, inst, agents, config)
+                    == per_leg_simulate_team(plans, inst, agents, config))
+
+    def test_greedy_plans(self):
+        rng = random.Random(20261023)
+        for _ in range(20):
+            inst = random_team_instance(rng)
+            agents = rng.randint(1, 5)
+            plans = greedy_rtpd(inst, agents, sim_config=SimConfig(trials=2, seed=1)).plans
+            config = SimConfig(trials=500, seed=rng.randrange(2**64), parallel_shards=rng.randint(1, 3))
+            assert (simulate_team_mission(plans, inst, agents, config)
+                    == per_leg_simulate_team(plans, inst, agents, config))

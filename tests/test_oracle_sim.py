@@ -25,7 +25,7 @@ from riskplan import (
 from riskplan import oracle_sim
 from riskplan.oracle_sim import STATIONARY_EPOCH_CAP, _epoch_sequences, leg_uniforms, trial_keys
 
-from conftest import make_instance, random_mission_plan
+from conftest import make_instance, random_mission_plan, with_horizon
 
 import numpy as np
 
@@ -321,3 +321,186 @@ def test_oracles_do_not_use_the_solvers(module):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             names.update(alias.name for alias in node.names)
     assert not names & {"finite_solver", "infinite_solver", "gamma_values"}
+
+
+# --- block kernel vs the per-leg loop ----------------------------------------
+
+
+def per_leg_run_shard(epochs, stationary, theta, seed, lo, hi):
+    """Simulate trials [lo, hi); returns (totals, death_epochs, alive_counts)."""
+    m = hi - lo
+    ids = np.arange(lo, hi, dtype=np.uint64)
+    keys = trial_keys(seed, ids)
+    totals = np.zeros(m)
+    death_epoch = np.zeros(m, dtype=np.int64)
+    idx = np.arange(m)
+    alive_counts: list[int] = []
+
+    epoch_iter = itertools.repeat(epochs[0]) if stationary else iter(epochs)
+    cap = STATIONARY_EPOCH_CAP if stationary else len(epochs)
+    draw = 0
+    for h in range(1, cap + 1):
+        if stationary and idx.size == 0:
+            break
+        alive_counts.append(idx.size)
+        for pkg in next(epoch_iter):
+            rho = pkg.leg_success
+            out_ok = leg_uniforms(keys[idx], draw) < rho
+            draw += 1
+            dead = idx[~out_ok]
+            totals[dead] -= theta
+            death_epoch[dead] = h
+            idx = idx[out_ok]
+            totals[idx] += pkg.reward
+            ret_ok = leg_uniforms(keys[idx], draw) < rho
+            draw += 1
+            dead = idx[~ret_ok]
+            totals[dead] -= theta
+            death_epoch[dead] = h
+            idx = idx[ret_ok]
+    return totals, death_epoch, alive_counts
+
+
+def per_leg_simulate(plan, inst, config, monkeypatch):
+    """``simulate_mission`` run on the per-leg shard loop above, the one the
+    block kernel replaced, kept as its reference."""
+    if plan.is_stationary and inst.horizon.is_finite:
+        plan = MissionPlan.finite([plan.stationary] * inst.horizon.epochs)
+    plans = [plan.stationary] if plan.is_stationary else plan.plans
+    epochs = [[inst.package_by_id(int(i)) for i in p] for p in plans]
+    with monkeypatch.context() as m:
+        m.setattr(oracle_sim, "_run_shard", lambda _legs, *rest: per_leg_run_shard(epochs, *rest))
+        return simulate_mission(plan, inst, config)
+
+
+def random_sim_instance(rng, infinite=False):
+    """Up to 30 packages over up to 5 epochs: rewards 0, rho 0, 1 and near
+    1, theta 0, and per-epoch catalogs some of the time."""
+    n = rng.randint(0, 30)
+    k = rng.randint(1, 5)
+    ids = rng.sample(range(100), n)
+    pkgs = [
+        PackageSpec(i, rng.choice([0.0, 1.0, rng.uniform(0, 10)]),
+                    rng.choice([0.0, 1.0, rng.random(), 1 - 10 ** rng.uniform(-6, -1)]))
+        for i in ids
+    ]
+    theta = rng.choice([0.0, rng.uniform(0, 5)])
+    if infinite:
+        return Instance(theta=theta, horizon=Horizon.infinite(), packages=tuple(pkgs))
+    per_epoch = None
+    if rng.random() < 0.4:
+        per_epoch = tuple(frozenset(rng.sample(ids, rng.randint(0, n))) for _ in range(k))
+    return Instance(theta=theta, horizon=Horizon.finite(k), packages=tuple(pkgs),
+                    per_epoch_packages=per_epoch)
+
+
+def random_sim_config(rng):
+    return SimConfig(trials=rng.randint(1, 400), seed=rng.randrange(2**64),
+                     parallel_shards=rng.randint(1, 7))
+
+
+def leg_offsets(first_draw, count):
+    return np.array([((d + 1) * 0x9E3779B97F4A7C15) % 2**64
+                     for d in range(first_draw, first_draw + count)], dtype=np.uint64)
+
+
+class TestFirstFailures:
+    RHOS = [0.0, 5e-324, 2.0 ** -53, 0.5, 1 - 2.0 ** -53, 1.0]
+
+    @pytest.mark.parametrize("draw", [0, 1, 977, 2**40 + 3])
+    def test_one_leg_agrees_with_leg_uniforms(self, draw):
+        keys = trial_keys(31, np.arange(100_000, dtype=np.uint64))
+        u = leg_uniforms(keys, draw)
+        assert u[0] > 0.0
+        # rho = u[0] makes trial 0 draw u == rho exactly: a failure.
+        for rho in self.RHOS + [float(u[0]), float(np.nextafter(u[0], 1.0))]:
+            thresholds = oracle_sim._leg_thresholds([rho])[:1]
+            first = oracle_sim._first_failures(keys, leg_offsets(draw, 1), thresholds)
+            assert np.array_equal(first, (u < rho).astype(np.intp)), rho
+
+    @pytest.mark.parametrize("draw", [0, 5, 2**40 + 3])
+    def test_first_failed_leg_agrees_with_leg_uniforms(self, draw):
+        keys = trial_keys(8, np.arange(100_000, dtype=np.uint64))
+        rhos = [1.0, 1 - 2.0 ** -53, float(leg_uniforms(keys, draw + 4)[7]), 0.5, 0.9, 5e-324]
+        thresholds = oracle_sim._leg_thresholds(rhos)  # each package's two legs
+        legs = thresholds.size
+        fails = np.array([leg_uniforms(keys, draw + j) >= rhos[j // 2] for j in range(legs)])
+        expected = np.where(fails.any(axis=0), fails.argmax(axis=0), legs)
+        first = oracle_sim._first_failures(keys, leg_offsets(draw, legs), thresholds)
+        assert np.array_equal(first, expected)
+        assert expected[7] == 4
+        assert np.array_equal(oracle_sim._failed_legs(keys, draw, thresholds), expected)
+
+    def test_draws_nothing_after_the_last_death(self, monkeypatch):
+        # Every trial fails epoch 1's first leg (rho = 0).
+        pkgs = (PackageSpec(0, 1, 0.0),) + tuple(PackageSpec(i, 1, 0.99) for i in range(1, 200))
+        inst = inst_of(1.0, 3, *pkgs)
+        plan = MissionPlan.finite([tuple(range(200))] * 3)
+        blocks = []
+        kernel = oracle_sim._first_failures
+        monkeypatch.setattr(oracle_sim, "_first_failures",
+                            lambda keys, *rest: blocks.append(keys.size) or kernel(keys, *rest))
+        res = simulate_mission(plan, inst, SimConfig(trials=1000, seed=3, parallel_shards=2))
+        assert blocks == [500, 500]  # one block per shard
+        assert res.per_epoch_survival_freq == (1.0, 0.0, 0.0)
+        assert res.failure_epoch_histogram == {1: 1000}
+        assert res.mean == -1.0
+
+
+class TestBlockKernelMatchesPerLegLoop:
+    # (2^16, 64) is the kernel's own blocking; 1 leg per block and blocks
+    # of up to 3 legs cut epochs and packages at every boundary.
+    @pytest.mark.parametrize("draws, legs, cases", [
+        (oracle_sim._DRAW_BLOCK, oracle_sim._BLOCK_LEGS, 300), (1, 1, 60), (50, 3, 60)])
+    def test_random_finite_plans(self, draws, legs, cases, monkeypatch):
+        monkeypatch.setattr(oracle_sim, "_DRAW_BLOCK", draws)
+        monkeypatch.setattr(oracle_sim, "_BLOCK_LEGS", legs)
+        rng = random.Random(20261019 + legs)
+        for _ in range(cases):
+            inst = random_sim_instance(rng)
+            plan = random_mission_plan(rng, inst)
+            config = random_sim_config(rng)
+            assert simulate_mission(plan, inst, config) == per_leg_simulate(plan, inst, config, monkeypatch)
+
+    def test_oracle_instances_and_optimal_plans(self, monkeypatch):
+        rng = random.Random(20261020)
+        for _ in range(40):
+            inst = random_oracle_instance(rng)
+            _, plan = brute_force_finite(inst)
+            config = random_sim_config(rng)
+            assert simulate_mission(plan, inst, config) == per_leg_simulate(plan, inst, config, monkeypatch)
+
+    @pytest.mark.parametrize("shards", range(1, 8))
+    def test_stationary_plans(self, shards, monkeypatch):
+        # A lower cap stands in for 10^5 epochs, in both loops.
+        monkeypatch.setattr(oracle_sim, "STATIONARY_EPOCH_CAP", 500)
+        monkeypatch.setitem(globals(), "STATIONARY_EPOCH_CAP", 500)
+        rng = random.Random(20261021 + shards)
+        done = 0
+        while done < 12:
+            inst = random_sim_instance(rng, infinite=True)
+            if rng.random() < 0.2:  # expands to one copy per epoch
+                inst = with_horizon(inst, Horizon.finite(rng.randint(1, 5)))
+            ids = sorted(inst.allowed_ids(1))
+            plan = MissionPlan.from_stationary(rng.sample(ids, rng.randint(0, min(len(ids), 6))))
+            config = SimConfig(trials=rng.randint(1, 300), seed=rng.randrange(2**64),
+                               parallel_shards=shards)
+            try:
+                expected = per_leg_simulate(plan, inst, config, monkeypatch)
+            except UnboundedSimulationError:
+                continue
+            assert simulate_mission(plan, inst, config) == expected
+            done += 1
+
+    @pytest.mark.parametrize("rho", [1 - 1e-4, 1 - 2.0 ** -53])
+    def test_stationary_plans_that_reach_the_cap(self, rho, monkeypatch):
+        monkeypatch.setattr(oracle_sim, "STATIONARY_EPOCH_CAP", 400)
+        monkeypatch.setitem(globals(), "STATIONARY_EPOCH_CAP", 400)
+        inst = Instance(theta=0.5, horizon=Horizon.infinite(),
+                        packages=(PackageSpec(0, 1, rho), PackageSpec(1, 2.5, 0.999)))
+        for shards in (1, 3, 7):
+            config = SimConfig(trials=60, seed=12, parallel_shards=shards)
+            res = simulate_mission(MissionPlan.from_stationary((1, 0)), inst, config)
+            assert len(res.per_epoch_survival_freq) == 400
+            assert res.per_epoch_survival_freq[-1] > 0
+            assert res == per_leg_simulate(MissionPlan.from_stationary((1, 0)), inst, config, monkeypatch)
