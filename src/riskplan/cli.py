@@ -2,8 +2,9 @@
 
 stdout carries machine-readable JSON only; human-readable logging goes to
 stderr, gated by the RISKPLAN_LOG environment variable (off/info/debug).
-Exit codes: 0 success, 1 validation error, 2 scale-limit error, 64 usage
-error.  Every randomized subcommand requires an explicit --seed.
+Exit codes: 0 success, 1 validation or numerical error, 2 scale-limit
+error, 64 usage error.  Every randomized subcommand requires an explicit
+--seed.
 
 JSON floats are emitted with 17 significant digits so doubles round-trip
 exactly; diverging values appear as the string "unbounded" (or "inf" for
@@ -447,7 +448,7 @@ def run_cli(argv) -> int:
     except ScaleLimitError as exc:
         print(f"riskplan: scale limit: {exc}", file=sys.stderr)
         return 2
-    except (RiskPlanError, FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
+    except (RiskPlanError, FileNotFoundError, json.JSONDecodeError, ValueError, ArithmeticError) as exc:
         print(f"riskplan: error: {exc}", file=sys.stderr)
         return 1
 

@@ -15,6 +15,7 @@ from riskplan import (
     instance_from_dict,
     plan_from_dict,
 )
+from riskplan import mdp, oracle_sim
 from riskplan.cli import GeneratorSpec, dump_json, generate_instance, run_cli
 from riskplan.errors import InvalidRangeError
 from riskplan.model import UNBOUNDED, PackageTable, instance_to_dict
@@ -413,6 +414,22 @@ class TestErrorPaths:
     def test_unknown_command_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == 64
+
+    @pytest.mark.parametrize("command, doc, module, name", [
+        ("mdp-eval", SINGLE, mdp, "policy_values"),
+        ("oracle", FINITE2, oracle_sim, "evaluate_mission"),
+    ], ids=["mdp-eval", "oracle"])
+    def test_numerical_failure_is_an_error(self, tmp_path, capsys, monkeypatch, command, doc, module, name):
+        # Stands in for value iteration that does not converge, or a
+        # brute-force fold that disagrees with evaluate_mission.
+        def fail(*args, **kwargs):
+            raise ArithmeticError("values disagree")
+
+        monkeypatch.setattr(module, name, fail)
+        code, out, err = run(capsys, command, "-i", write_instance(tmp_path, doc))
+        assert code == 1
+        assert out == ""
+        assert err == "riskplan: error: values disagree\n"
 
 
 # --- fuzzed documents through the CLI -------------------------------------------
