@@ -18,10 +18,12 @@ search.  Thresholds are non-decreasing going backwards in time, so within
 one catalog the prefix only ever shrinks.  A homogeneous instance has one
 catalog, the whole sorted array, and each epoch plan is a numpy view into
 it: O(n log n + K log n) time and O(n + K) memory, even for
-million-package, thousand-epoch problems.  With per-epoch catalogs a new
-table is built only where an epoch's catalog differs from the next
-epoch's, for O(n log n + C n + K log n) time over C distinct consecutive
-catalogs; such plans are copies of just the chosen ids.
+million-package, thousand-epoch problems.  Per-epoch catalogs arrive as
+the instance's sorted int64 id arrays, which index the canonical order
+directly.  A new table is built only where an epoch's catalog differs from
+the next epoch's (compared as arrays), for O(n log n + C n + K log n) time
+over C distinct consecutive catalogs; such plans are copies of just the
+chosen ids.
 """
 
 from __future__ import annotations
@@ -111,15 +113,16 @@ def solve_finite(instance: Instance) -> SolveReport:
     plans = [None] * k
     v_next = 0.0
     for h in range(k - 1, -1, -1):
-        if h == k - 1 or catalogs[h] != catalogs[h + 1]:
+        catalog = catalogs[h]
+        # ``is`` settles the homogeneous case (None every epoch) without a call.
+        if h == k - 1 or (catalog is not catalogs[h + 1] and not np.array_equal(catalog, catalogs[h + 1])):
             # Ids are unique and every catalog id is known, so a catalog as
             # large as the instance is the whole sorted array.
-            whole = catalogs[h] is None or len(catalogs[h]) == ids.size
+            whole = catalog is None or catalog.size == ids.size
             if whole:
                 at = slice(None)
             else:
-                wanted = np.fromiter(catalogs[h], dtype=np.int64, count=len(catalogs[h]))
-                at = np.sort(by_id[np.searchsorted(ids_by_id, wanted)])
+                at = np.sort(by_id[np.searchsorted(ids_by_id, catalog)])
             table_ids, neg_gammas = ids[at], -gammas[at]
             survival, reward_sum = _prefix_tables(rewards[at], rhos[at])
             q = table_ids.size  # prefix pointer; thresholds only grow going backwards

@@ -18,7 +18,8 @@ This module owns:
 An instance stores its catalog as three columns (``ids`` int64, ``rewards``
 and ``rhos`` float64) in a :class:`PackageTable`; :class:`PackageSpec`
 objects are made from the columns only where code asks for one package at
-a time.
+a time.  Per-epoch catalogs are sorted, duplicate-free int64 arrays, one
+per epoch.
 
 All types are immutable after construction and safe to share across
 threads.
@@ -150,14 +151,49 @@ def _is_int64(x) -> bool:
             and -MAX_PACKAGE_ID - 1 <= x <= MAX_PACKAGE_ID)
 
 
-def _listed_ids(raw: Sequence) -> tuple[Sequence[int], list]:
-    """The ids a catalog or plan lists, as Python ints, and the items of
-    ``raw`` that fail :func:`_is_int64` (the ids are empty if any do)."""
-    # Parsed JSON holds exact ints: a C-speed type scan and range check.
-    if set(map(type, raw)) <= {int} and (not raw or -MAX_PACKAGE_ID - 1 <= min(raw) and max(raw) <= MAX_PACKAGE_ID):
-        return raw, []
+def _listed_ids(raw: Sequence) -> tuple[Optional[np.ndarray], list]:
+    """The ids a catalog or plan lists, as an int64 array in their order,
+    and the items of ``raw`` that fail :func:`_is_int64` (the array is None
+    if any do)."""
+    # Parsed JSON holds exact ints: a C-speed type scan, and numpy raises
+    # OverflowError for an id beyond int64.
+    if isinstance(raw, list) and set(map(type, raw)) <= {int}:
+        try:
+            return np.array(raw, dtype=np.int64), []
+        except OverflowError:
+            pass
     bad = [x for x in raw if not _is_int64(x)]
-    return ([] if bad else [int(x) for x in raw]), bad
+    return (None if bad else np.array([int(x) for x in raw], dtype=np.int64)), bad
+
+
+def _sorted_unique(ids: np.ndarray) -> np.ndarray:
+    """``ids`` sorted, with repeats dropped, as a read-only array."""
+    # Sort and compare neighbours: np.unique hashes on numpy 2.x, which
+    # costs more on many small catalogs.
+    ids = np.sort(ids)
+    if ids.size > 1:
+        keep = ids[1:] != ids[:-1]
+        if not keep.all():
+            ids = ids[np.concatenate(([True], keep))]
+    ids.flags.writeable = False
+    return ids
+
+
+def _catalog_arrays(catalogs: Iterable[Iterable]) -> tuple[np.ndarray, ...]:
+    """Each epoch's catalog as a sorted, duplicate-free, read-only int64
+    array; :class:`InvalidInstanceError` names every id the array cannot
+    hold."""
+    out, bad = [], []
+    for h, raw in enumerate(catalogs, start=1):
+        ids, rejected = _listed_ids(raw if isinstance(raw, list) else list(raw))
+        bad += [Violation(ViolationCode.INVALID_ID,
+                          f"epoch {h} catalog id must be an integer in 0..{MAX_PACKAGE_ID}, got {x!r}")
+                for x in rejected]
+        if not bad:
+            out.append(_sorted_unique(ids))
+    if bad:
+        raise InvalidInstanceError(bad)
+    return tuple(out)
 
 
 def _is_real(x) -> bool:
@@ -236,6 +272,28 @@ class PackageTable(SequenceABC):
         return cls(id_col, reward_col, rho_col)
 
     @cached_property
+    def _id_order(self) -> np.ndarray:
+        return np.argsort(self.ids, kind="stable")
+
+    def rows(self, ids: Sequence[int]) -> np.ndarray:
+        """The row of each of ``ids`` (integers) by one binary search over
+        the id column, or -1 for an id the table does not hold."""
+        try:
+            wanted = np.array(ids, dtype=np.int64)
+            held = None
+        except OverflowError:  # no table holds an id beyond int64
+            held = np.array([_is_int64(i) for i in ids], dtype=bool)
+            wanted = np.array([i if ok else 0 for i, ok in zip(ids, held.tolist())], dtype=np.int64)
+        if not self.ids.size:
+            return np.full(wanted.size, -1, dtype=np.intp)
+        order = self._id_order
+        at = order[np.minimum(np.searchsorted(self.ids, wanted, sorter=order), order.size - 1)]
+        found = self.ids[at] == wanted
+        if held is not None:
+            found &= held
+        return np.where(found, at, -1)
+
+    @cached_property
     def _specs(self) -> tuple[PackageSpec, ...]:
         return tuple(map(PackageSpec, self.ids.tolist(), self.rewards.tolist(), self.rhos.tolist()))
 
@@ -273,6 +331,9 @@ class Instance:
 
     ``per_epoch_packages`` (optional) restricts each epoch to a subset of
     the catalog; when present its length must equal the finite horizon.
+    It may be given as any iterable of iterables of ids (frozensets, say)
+    and is stored as a tuple of sorted, duplicate-free, read-only int64
+    arrays, one per epoch; repeated ids collapse.
 
     Instances compare by content.
     """
@@ -280,7 +341,7 @@ class Instance:
     theta: float
     horizon: Horizon
     packages: PackageTable
-    per_epoch_packages: Optional[tuple[frozenset[int], ...]] = None
+    per_epoch_packages: Optional[tuple[np.ndarray, ...]] = None
 
     def __post_init__(self):
         if not isinstance(self.packages, PackageTable):
@@ -288,13 +349,19 @@ class Instance:
             table = PackageTable.from_columns([p.id for p in specs], [p.reward for p in specs],
                                               [p.leg_success for p in specs])
             object.__setattr__(self, "packages", table)
+        if self.per_epoch_packages is not None:
+            object.__setattr__(self, "per_epoch_packages", _catalog_arrays(self.per_epoch_packages))
 
     def __eq__(self, other):
         if not isinstance(other, Instance):
             return NotImplemented
+        mine, theirs = self.per_epoch_packages, other.per_epoch_packages
+        if mine is None or theirs is None:
+            same_catalogs = mine is theirs
+        else:
+            same_catalogs = len(mine) == len(theirs) and all(map(np.array_equal, mine, theirs))
         return (self.theta == other.theta and self.horizon == other.horizon
-                and self.per_epoch_packages == other.per_epoch_packages
-                and self.packages == other.packages)
+                and same_catalogs and self.packages == other.packages)
 
     def __hash__(self):
         return hash((self.theta, self.horizon, len(self.packages)))
@@ -309,10 +376,24 @@ class Instance:
         return int(pkg_id) in self._by_id
 
     def allowed_ids(self, epoch: int) -> frozenset[int]:
-        """Ids deliverable in 1-based ``epoch``."""
-        if self.per_epoch_packages is not None:
-            return self.per_epoch_packages[epoch - 1]
-        return self._all_ids
+        """Ids deliverable in 1-based ``epoch``, as a set made on first use
+        (for the small-instance oracles; solvers read the arrays)."""
+        if self.per_epoch_packages is None:
+            return self._all_ids
+        allowed = self._catalog_sets.get(epoch)
+        if allowed is None:
+            allowed = self._catalog_sets[epoch] = frozenset(self.per_epoch_packages[epoch - 1].tolist())
+        return allowed
+
+    def in_catalog(self, epoch: int, ids: np.ndarray) -> np.ndarray:
+        """Whether each of ``ids`` (int64) is deliverable in 1-based
+        ``epoch``: :meth:`allowed_ids` as one binary search."""
+        if self.per_epoch_packages is None:
+            return self.packages.rows(ids) >= 0
+        catalog = self.per_epoch_packages[epoch - 1]
+        if not catalog.size:
+            return np.zeros(len(ids), dtype=bool)
+        return catalog[np.minimum(np.searchsorted(catalog, ids), catalog.size - 1)] == ids
 
     @cached_property
     def _by_id(self) -> dict[int, PackageSpec]:
@@ -320,7 +401,11 @@ class Instance:
 
     @cached_property
     def _all_ids(self) -> frozenset[int]:
-        return frozenset(self._by_id)
+        return frozenset(self.packages.ids.tolist())
+
+    @cached_property
+    def _catalog_sets(self) -> dict[int, frozenset[int]]:
+        return {}
 
     @cached_property
     def _violations(self) -> tuple["Violation", ...]:
@@ -375,6 +460,7 @@ class ViolationCode(str, enum.Enum):
     NEGATIVE_THETA = "negative_theta"
     INVALID_ID = "invalid_id"
     MALFORMED_DOCUMENT = "malformed_document"
+    REWARD_OVERFLOW = "reward_overflow"
 
 
 @dataclass(frozen=True)
@@ -444,11 +530,13 @@ def _find_violations(instance: Instance) -> list[Violation]:
 
     horizon = instance.horizon
     epochs = horizon.epochs
-    if horizon.is_finite and (not isinstance(epochs, int) or isinstance(epochs, bool) or epochs < 1):
+    counted = horizon.is_finite and isinstance(epochs, int) and not isinstance(epochs, bool) and epochs >= 1
+    if horizon.is_finite and not counted:
         out.append(Violation(ViolationCode.HORIZON_MISMATCH, f"finite horizon must be a positive integer, got {epochs!r}"))
 
     ids, rewards, rhos = instance._arrays()
     out.extend(_package_violations(ids, rewards, rhos))
+    out.extend(_reward_overflow(rewards, epochs if counted else 1))
 
     pep = instance.per_epoch_packages
     if pep is not None:
@@ -458,12 +546,40 @@ def _find_violations(instance: Instance) -> list[Violation]:
             out.append(Violation(
                 ViolationCode.HORIZON_MISMATCH,
                 f"per_epoch_packages has {len(pep)} entries but horizon is {epochs}"))
-        known = set(ids[ids >= 0].tolist())
-        for h, id_set in enumerate(pep, start=1):
-            for pkg_id in sorted(frozenset(id_set) - known):
-                out.append(Violation(ViolationCode.UNKNOWN_PACKAGE_ID, f"epoch {h} references unknown package id {pkg_id}"))
+        out.extend(_unknown_catalog_ids(pep, ids[ids >= 0]))
 
     return out
+
+
+def _reward_overflow(rewards: np.ndarray, epochs: int) -> list[Violation]:
+    """A violation if the valid rewards summed over ``epochs`` epochs are
+    not a finite double.  ``V_h <= sum(r) + V_{h+1}``, so that sum bounds
+    every value of a finite horizon."""
+    with np.errstate(over="ignore"):
+        total = float(rewards[np.isfinite(rewards) & (rewards >= 0)].sum())
+    try:
+        bound = total * epochs
+    except OverflowError:  # an epoch count beyond the float range
+        bound = math.inf if total else 0.0
+    if math.isfinite(bound):
+        return []
+    return [Violation(ViolationCode.REWARD_OVERFLOW,
+                      f"package rewards sum to {total!r} per epoch, which over {epochs} epoch(s) "
+                      f"is beyond the double range")]
+
+
+def _unknown_catalog_ids(catalogs: tuple[np.ndarray, ...], known: np.ndarray) -> list[Violation]:
+    """Catalog ids that name no package, by epoch and then ascending id,
+    from one membership test over every catalog."""
+    listed = np.concatenate(catalogs) if catalogs else np.empty(0, dtype=np.int64)
+    unknown = np.flatnonzero(~np.isin(listed, known))
+    if not unknown.size:
+        return []
+    # Epoch h's entries start at ends[h - 1]; each catalog is sorted.
+    ends = np.cumsum([c.size for c in catalogs])
+    epochs = np.searchsorted(ends, unknown, side="right") + 1
+    return [Violation(ViolationCode.UNKNOWN_PACKAGE_ID, f"epoch {h} references unknown package id {pkg_id}")
+            for h, pkg_id in zip(epochs.tolist(), listed[unknown].tolist())]
 
 
 def ensure_valid(instance: Instance) -> Instance:
@@ -609,7 +725,7 @@ def instance_to_dict(instance: Instance) -> dict:
         "packages": PackageRecords(instance.packages),
     }
     if instance.per_epoch_packages is not None:
-        doc["per_epoch_packages"] = [sorted(ids) for ids in instance.per_epoch_packages]
+        doc["per_epoch_packages"] = [ids.tolist() for ids in instance.per_epoch_packages]
     return doc
 
 
@@ -627,23 +743,14 @@ def instance_from_dict(doc: dict) -> Instance:
             packages = PackageTable.from_columns([p["id"] for p in raw_packages],
                                                  [p["reward"] for p in raw_packages],
                                                  [p["rho"] for p in raw_packages])
-        pep = doc.get("per_epoch_packages")
-        per_epoch = None
-        if pep is not None:
-            listed = [_listed_ids(ids) for ids in pep]
-            bad = [Violation(ViolationCode.INVALID_ID,
-                             f"epoch {h} catalog id must be an integer in 0..{MAX_PACKAGE_ID}, got {x!r}")
-                   for h, (_, rejected) in enumerate(listed, start=1) for x in rejected]
-            if bad:
-                raise InvalidInstanceError(bad)
-            per_epoch = tuple(frozenset(ids) for ids, _ in listed)
         theta = doc["theta"]
         if not _is_real(theta):  # the rule for ``reward``: no bools, no strings
             raise TypeError(f"theta must be a real number, got {theta!r}")
-        theta = float(theta)
+        # Instance turns the catalogs into arrays; their ids follow the package-id rule.
+        return Instance(theta=float(theta), horizon=horizon, packages=packages,
+                        per_epoch_packages=doc.get("per_epoch_packages"))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInstanceError([Violation(ViolationCode.MALFORMED_DOCUMENT, f"malformed instance document: {exc}")]) from exc
-    return Instance(theta=theta, horizon=horizon, packages=packages, per_epoch_packages=per_epoch)
 
 
 def _id_list(epoch: EpochPlan) -> list[int]:
@@ -675,4 +782,4 @@ def _plan_ids(raw: Sequence, where: str) -> tuple[int, ...]:
     ids, bad = _listed_ids(raw)
     if bad:
         raise InvalidPlanError(f"{where} id must be an integer in 0..{MAX_PACKAGE_ID}, got {bad[0]!r}")
-    return tuple(ids)
+    return tuple(ids.tolist())

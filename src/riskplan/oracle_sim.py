@@ -37,6 +37,7 @@ from .errors import (
     InvalidPlanError,
     SearchSpaceTooLargeError,
     UnboundedSimulationError,
+    UnknownPackageIdError,
 )
 from .expectation import evaluate_epoch, evaluate_mission
 from .model import Instance, MissionPlan, check_epoch_limit, ensure_valid
@@ -324,36 +325,47 @@ def _failed_legs(keys: np.ndarray, first_draw: int, thresholds: np.ndarray) -> n
 # --- Monte Carlo -------------------------------------------------------------
 
 
-def _plan_epochs_for_sim(plan: MissionPlan, instance: Instance) -> tuple[list[list], bool]:
-    """Resolve the plan into per-epoch package lists; True if stationary."""
+def _plan_epochs_for_sim(plan: MissionPlan, instance: Instance) -> tuple[list[tuple[list[float], np.ndarray]], bool]:
+    """Each epoch's (rewards, leg thresholds) in plan order; True if stationary.
+
+    The plan's ids are found in the id column by one binary search, and in
+    each epoch's catalog array by another.  The checks and messages are
+    those of ``evaluate_mission``; a valid instance has one catalog per
+    epoch, so they cover per-epoch catalogs too.  The first epoch at fault
+    raises: for repeated ids, else for its first id, in plan order, that is
+    unknown or outside the catalog.
+    """
     if plan.is_stationary:
-        if len(set(map(int, plan.stationary))) != len(plan.stationary):
-            raise InvalidPlanError("stationary plan repeats a package id")
-        epoch = [instance.package_by_id(i) for i in plan.stationary]
-        return [epoch], True
-    # The checks and messages of ``evaluate_mission``; a valid instance
-    # has one catalog per epoch, so they cover per-epoch catalogs too.
-    horizon = instance.horizon
-    if not horizon.is_finite:
-        raise HorizonMismatchError("finite plan cannot be evaluated on an infinite horizon")
-    if len(plan.plans) != horizon.epochs:
-        raise HorizonMismatchError(
-            f"plan has {len(plan.plans)} epochs but horizon is {horizon.epochs}")
-    pep = instance.per_epoch_packages
+        id_lists = [list(map(int, plan.stationary))]
+    else:
+        horizon = instance.horizon
+        if not horizon.is_finite:
+            raise HorizonMismatchError("finite plan cannot be evaluated on an infinite horizon")
+        if len(plan.plans) != horizon.epochs:
+            raise HorizonMismatchError(
+                f"plan has {len(plan.plans)} epochs but horizon is {horizon.epochs}")
+        id_lists = [list(map(int, p)) for p in plan.plans]
+    table = instance.packages
+    rows = table.rows([i for ids in id_lists for i in ids])
     epochs = []
-    for h, epoch_plan in enumerate(plan.plans, start=1):
-        if len(set(map(int, epoch_plan))) != len(epoch_plan):
-            raise InvalidPlanError(f"epoch {h} plan repeats a package id")
-        allowed = instance.allowed_ids(h) if pep is not None else None
-        pkgs = []
-        for pkg_id in epoch_plan:
-            pkg = instance.package_by_id(int(pkg_id))
-            if allowed is not None and pkg.id not in allowed:
-                raise HorizonMismatchError(
-                    f"package {pkg.id} is not available in epoch {h}")
-            pkgs.append(pkg)
-        epochs.append(pkgs)
-    return epochs, False
+    end = 0
+    for h, ids in enumerate(id_lists, start=1):
+        if len(set(ids)) != len(ids):
+            where = "stationary plan" if plan.is_stationary else f"epoch {h} plan"
+            raise InvalidPlanError(f"{where} repeats a package id")
+        at = rows[end: end + len(ids)]
+        end += len(ids)
+        bad = at < 0
+        if instance.per_epoch_packages is not None:
+            known = ~bad
+            bad[known] = ~instance.in_catalog(h, table.ids[at[known]])
+        if bad.any():
+            j = int(np.argmax(bad))
+            if at[j] < 0:
+                raise UnknownPackageIdError(f"unknown package id {ids[j]}")
+            raise HorizonMismatchError(f"package {ids[j]} is not available in epoch {h}")
+        epochs.append((table.rewards[at].tolist(), _leg_thresholds(table.rhos[at])))
+    return epochs, plan.is_stationary
 
 
 def _run_shard(epochs, stationary, theta, seed, lo, hi):
@@ -416,11 +428,11 @@ def simulate_mission(plan: MissionPlan, instance: Instance, config: SimConfig) -
     check_epoch_limit(instance)
     if plan.is_stationary and instance.horizon.is_finite:
         plan = MissionPlan.finite([plan.stationary] * instance.horizon.epochs)
-    epochs, stationary = _plan_epochs_for_sim(plan, instance)
+    legs, stationary = _plan_epochs_for_sim(plan, instance)
 
     truncation_bias = 0.0
     if stationary:
-        if not epochs[0]:
+        if len(plan.stationary) == 0:
             return SimResult(mean=0.0, std_error=0.0, per_epoch_survival_freq=(1.0,))
         ev = evaluate_epoch(plan.stationary, instance)
         if ev.epoch_survival == 1.0:
@@ -429,7 +441,6 @@ def simulate_mission(plan: MissionPlan, instance: Instance, config: SimConfig) -
         eps = ev.expected_reward / (1.0 - ev.epoch_survival)
         truncation_bias = ev.epoch_survival ** STATIONARY_EPOCH_CAP * abs(eps)
 
-    legs = [([p.reward for p in pkgs], _leg_thresholds([p.leg_success for p in pkgs])) for pkgs in epochs]
     bounds = np.linspace(0, config.trials, config.parallel_shards + 1).astype(int)
     totals_parts = []
     death_parts = []

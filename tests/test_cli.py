@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -430,6 +431,26 @@ class TestErrorPaths:
         assert code == 1
         assert out == ""
         assert err == "riskplan: error: values disagree\n"
+
+    # Two rewards of 1.5e308 sum to inf: `oracle` used to report a value of
+    # "inf", `solve finite` a total of "inf" with numpy warnings, and
+    # `mdp-eval` swept for seconds before failing.
+    OVERFLOWING = [{"id": 0, "reward": 1.5e308, "rho": 0.9}, {"id": 1, "reward": 1.5e308, "rho": 0.9},
+                   {"id": 2, "reward": 1.0, "rho": 0.0}]
+
+    @pytest.mark.parametrize("command, horizon", [
+        (["solve", "finite"], {"finite": 2}),
+        (["oracle"], {"finite": 2}),
+        (["mdp-eval"], "infinite"),
+    ], ids=["solve-finite", "oracle", "mdp-eval"])
+    def test_rewards_that_overflow_are_rejected(self, tmp_path, capsys, command, horizon):
+        path = write_instance(tmp_path, {"theta": 1.0, "horizon": horizon, "packages": self.OVERFLOWING})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, *command, "-i", path)
+        assert code == 1 and out == "" and not caught
+        assert err.startswith("riskplan: error: invalid instance: reward_overflow: package rewards sum to inf")
+        assert "Traceback" not in err
 
 
 # --- fuzzed documents through the CLI -------------------------------------------

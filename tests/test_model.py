@@ -31,6 +31,7 @@ from riskplan import (
 )
 from riskplan import model, multiagent, oracle_sim
 from riskplan.errors import TooManyEpochsError
+from riskplan.cli import dump_json
 from riskplan.model import PackageTable, gamma_values
 
 
@@ -180,6 +181,126 @@ class TestVectorizedValidation:
             "unknown_package_id: epoch 1 references unknown package id 9",
             "unknown_package_id: epoch 2 references unknown package id -1",
         ]
+
+
+class TestRewardOverflow:
+    """``sum(rewards) * K`` must be a finite double (K = 1 on an infinite
+    horizon): it bounds every value of a finite horizon."""
+
+    def codes(self, rewards, horizon):
+        pkgs = tuple(PackageSpec(i, r, 0.5) for i, r in enumerate(rewards))
+        return [v.code for v in validate_instance(Instance(theta=1.0, horizon=horizon, packages=pkgs))]
+
+    def test_a_sum_that_overflows_is_rejected(self):
+        assert self.codes([1.5e308, 1.5e308, 1.0], Horizon.finite(1)) == [ViolationCode.REWARD_OVERFLOW]
+        assert self.codes([1.5e308, 1.5e308], Horizon.infinite()) == [ViolationCode.REWARD_OVERFLOW]
+
+    def test_the_horizon_multiplies_the_sum(self):
+        assert self.codes([1e308], Horizon.finite(1)) == []
+        assert self.codes([1e308], Horizon.finite(2)) == [ViolationCode.REWARD_OVERFLOW]
+        assert self.codes([1e308], Horizon.infinite()) == []
+        assert self.codes([1e303], Horizon.finite(10**6)) == [ViolationCode.REWARD_OVERFLOW]
+        assert self.codes([1e303], Horizon.finite(10**5)) == []
+
+    def test_epoch_counts_beyond_the_float_range(self):
+        assert self.codes([0.0, 0.0], Horizon.finite(10**400)) == []
+        assert self.codes([1.0], Horizon.finite(10**400)) == [ViolationCode.REWARD_OVERFLOW]
+
+    def test_invalid_values_are_left_to_their_own_codes(self):
+        # An invalid horizon counts as one epoch; rewards that are not
+        # finite and non-negative are not summed.
+        assert self.codes([1e308], Horizon.finite(2.7)) == [ViolationCode.HORIZON_MISMATCH]
+        assert self.codes([math.inf, 1e308, math.nan, -1e308], Horizon.finite(1)) == [
+            ViolationCode.NEGATIVE_REWARD, ViolationCode.NEGATIVE_REWARD, ViolationCode.NEGATIVE_REWARD]
+
+    def test_message(self):
+        inst = Instance(theta=1.0, horizon=Horizon.finite(3), packages=(PackageSpec(4, 1e308, 0.5),))
+        assert [str(v) for v in validate_instance(inst)] == [
+            "reward_overflow: package rewards sum to 1e+308 per epoch, which over 3 epoch(s) is beyond the double range"]
+
+
+def raw_catalogs(max_id=40):
+    """Per-epoch catalog lists as a document may hold them: any order, with repeats."""
+    return st.lists(st.lists(st.integers(0, max_id), max_size=12), min_size=1, max_size=5)
+
+
+def catalog_instance(pep, n=30, k=None):
+    return Instance(theta=1.5, horizon=Horizon.finite(len(pep) if k is None else k),
+                    packages=tuple(PackageSpec(i, 1.0 + i, 0.5) for i in range(n)),
+                    per_epoch_packages=pep)
+
+
+class TestCatalogs:
+    @settings(deadline=None, max_examples=200)
+    @given(raw=raw_catalogs(), data=st.data())
+    def test_every_listing_of_a_catalog_gives_one_instance(self, raw, data):
+        doc = instance_to_dict(catalog_instance(None, k=len(raw)))
+        parsed = instance_from_dict(dict(doc, per_epoch_packages=raw))
+        for c, ids in zip(parsed.per_epoch_packages, raw):
+            assert c.dtype == np.int64 and c.ndim == 1 and not c.flags.writeable
+            assert (c[1:] > c[:-1]).all()
+            assert set(c.tolist()) == frozenset(ids)  # what the parent's frozenset held
+        shuffled = [data.draw(st.permutations(ids)) for ids in raw]
+        same = [
+            instance_from_dict(dict(doc, per_epoch_packages=shuffled)),
+            instance_from_dict(dict(doc, per_epoch_packages=[sorted(set(ids)) for ids in raw])),
+            instance_from_dict(dict(doc, per_epoch_packages=[ids + ids for ids in raw])),
+            catalog_instance(tuple(frozenset(ids) for ids in raw)),
+            catalog_instance([np.array(ids[::-1], dtype=np.int64) for ids in raw]),
+            instance_from_dict(instance_to_dict(parsed)),
+        ]
+        text = dump_json(instance_to_dict(parsed))
+        for inst in same:
+            assert inst == parsed
+            assert dump_json(instance_to_dict(inst)) == text
+        assert instance_to_dict(parsed)["per_epoch_packages"] == [sorted(set(ids)) for ids in raw]
+
+    @settings(deadline=None, max_examples=100)
+    @given(raw=raw_catalogs(), other=raw_catalogs())
+    def test_instances_with_other_catalogs_differ(self, raw, other):
+        same = [frozenset(ids) for ids in raw] == [frozenset(ids) for ids in other]
+        assert (catalog_instance(raw) == catalog_instance(other)) == same
+        assert catalog_instance(raw) != catalog_instance(None, k=len(raw))
+        assert catalog_instance(None, k=len(raw)) == catalog_instance(None, k=len(raw))
+
+    def test_a_callers_array_is_copied(self):
+        mine = np.array([5, 2, 5], dtype=np.int64)
+        inst = catalog_instance([mine])
+        assert inst.per_epoch_packages[0].tolist() == [2, 5] and mine.tolist() == [5, 2, 5]
+        assert mine.flags.writeable and not inst.per_epoch_packages[0].flags.writeable
+        again = catalog_instance(inst.per_epoch_packages)
+        assert again == inst and not again.per_epoch_packages[0].flags.writeable
+
+    def test_ids_the_column_cannot_hold_are_invalid(self):
+        with pytest.raises(InvalidInstanceError) as err:
+            catalog_instance((frozenset({0, 2**64}), [True, 3], (1.5,), np.array([0.5])))
+        bound = model.MAX_PACKAGE_ID
+        assert [str(v) for v in err.value.violations] == [
+            f"invalid_id: epoch 1 catalog id must be an integer in 0..{bound}, got {2**64}",
+            f"invalid_id: epoch 2 catalog id must be an integer in 0..{bound}, got True",
+            f"invalid_id: epoch 3 catalog id must be an integer in 0..{bound}, got 1.5",
+            f"invalid_id: epoch 4 catalog id must be an integer in 0..{bound}, got np.float64(0.5)",
+        ]
+
+    def test_numpy_integers_of_other_types_are_accepted(self):
+        inst = catalog_instance([np.array([4, 1], dtype=np.uint8), (np.int32(7), 2)])
+        assert [c.tolist() for c in inst.per_epoch_packages] == [[1, 4], [2, 7]]
+
+    def test_allowed_ids_is_the_catalog_as_a_set(self):
+        inst = catalog_instance([[3, 1], []])
+        assert inst.allowed_ids(1) == frozenset({1, 3}) and inst.allowed_ids(2) == frozenset()
+        assert inst.allowed_ids(1) is inst.allowed_ids(1)
+        assert catalog_instance(None, k=1).allowed_ids(1) == frozenset(range(30))
+
+    def test_in_catalog_and_rows(self):
+        inst = catalog_instance([[3, 1], []], n=5)
+        ids = np.array([1, 2, 3, 9], dtype=np.int64)
+        assert inst.in_catalog(1, ids).tolist() == [True, False, True, False]
+        assert inst.in_catalog(2, ids).tolist() == [False] * 4
+        assert catalog_instance(None, n=5, k=1).in_catalog(1, ids).tolist() == [True, True, True, False]
+        table = PackageTable([7, 3, 5], [1.0, 2.0, 3.0], [0.5] * 3)
+        assert table.rows([5, 7, 4, 2**64, -(2**63) - 1, 3]).tolist() == [2, 0, -1, -1, -1, 1]
+        assert PackageTable([], [], []).rows([0, 1]).tolist() == [-1, -1]
 
 
 class TestColumns:

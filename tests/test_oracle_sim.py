@@ -11,6 +11,7 @@ from riskplan import (
     Horizon,
     InfiniteHorizonError,
     Instance,
+    InvalidInstanceError,
     MissionPlan,
     PackageSpec,
     SearchSpaceTooLargeError,
@@ -23,6 +24,7 @@ from riskplan import (
     simulate_mission,
 )
 from riskplan import oracle_sim
+from riskplan.errors import HorizonMismatchError, InvalidPlanError, UnknownPackageIdError
 from riskplan.oracle_sim import STATIONARY_EPOCH_CAP, _epoch_sequences, leg_uniforms, trial_keys
 
 from conftest import make_instance, random_mission_plan, with_horizon
@@ -200,17 +202,27 @@ class TestSimulateMission:
 # --- array fold vs the per-combination loop ----------------------------------
 
 
-def scalar_brute_force(instance):
-    """The per-combination loop the array fold replaced, kept as its
-    reference: every (E, survival) chain folded backwards in plan order,
-    the first strictly greater value winning."""
-    epoch_entries = []
+def epoch_entries(instance):
+    """Each epoch's (E, survival, sequence) for every ordered selection of
+    its catalog, as ``brute_force_finite`` tabulates them."""
+    out = []
     for h in range(1, instance.horizon.epochs + 1):
         entries = []
         for seq in _epoch_sequences(sorted(instance.allowed_ids(h))):
             ev = evaluate_epoch(seq, instance, epoch=h)
             entries.append((ev.expected_reward, ev.epoch_survival, seq))
-        epoch_entries.append(entries)
+        out.append(entries)
+    return out
+
+
+def scalar_brute_force(instance):
+    """The per-combination loop the array fold replaced, kept as its
+    reference: every (E, survival) chain folded backwards in plan order,
+    the first strictly greater value winning."""
+    return scalar_fold(epoch_entries(instance))
+
+
+def scalar_fold(epoch_entries):
     best_value, best_combo = -math.inf, None
     for combo in itertools.product(*epoch_entries):
         value = 0.0
@@ -275,15 +287,28 @@ class TestBruteForceFold:
                  packages=(PackageSpec(0, 3, 0.9), PackageSpec(4, 8, 0.5), PackageSpec(9, 1, 1.0),
                            PackageSpec(7, 0, 0.75)),
                  per_epoch_packages=(frozenset({0, 4, 9, 7}), frozenset(), frozenset({4, 9}))),
-        # Epoch 2's (0, 1) overflows E to inf; behind a rho = 0 epoch
-        # 0 * inf is NaN, which never wins.
-        inst_of(1.0, 2, PackageSpec(0, 1.5e308, 0.9), PackageSpec(1, 1.5e308, 0.9),
-                PackageSpec(2, 1, 0.0)),
-    ], ids=["duplicates", "rho-0-and-1", "zero-rewards", "theta-0", "all-zero", "unequal-catalogs",
-            "overflow-nan"])
+    ], ids=["duplicates", "rho-0-and-1", "zero-rewards", "theta-0", "all-zero", "unequal-catalogs"])
     def test_matches_scalar_loop_on_constructed_cases(self, inst, block, monkeypatch):
         monkeypatch.setattr(oracle_sim, "_FOLD_BLOCK", block)
         assert_same_optimum(inst)
+
+    @pytest.mark.parametrize("block", [1, 7, oracle_sim._FOLD_BLOCK])
+    def test_fold_matches_scalar_loop_past_overflow(self, block, monkeypatch):
+        # Epoch 2's (0, 1) overflows E to inf; behind a rho = 0 epoch
+        # 0 * inf is NaN, which never wins.  Validation rejects these
+        # rewards (reward_overflow), so the fold is given their tables.
+        inst = inst_of(1.0, 2, PackageSpec(0, 1.5e308, 0.9), PackageSpec(1, 1.5e308, 0.9),
+                       PackageSpec(2, 1, 0.0))
+        with pytest.raises(InvalidInstanceError, match="reward_overflow"):
+            brute_force_finite(inst)
+        entries = epoch_entries(inst)
+        tables = [oracle_sim._EpochTable([seq for _, _, seq in es], np.array([e for e, _, _ in es]),
+                                         np.array([s for _, s, _ in es])) for es in entries]
+        monkeypatch.setattr(oracle_sim, "_FOLD_BLOCK", block)
+        value, choice = oracle_sim._fold_product(tables)
+        ref_value, ref_plan = scalar_fold(entries)
+        assert value.hex() == ref_value.hex()
+        assert tuple(t.seqs[i] for t, i in zip(tables, choice)) == ref_plan
 
     def test_plans_longer_than_64_epochs_decode(self, monkeypatch):
         # numpy's unravel_index stops at 64 dimensions; the fold does not.
@@ -504,3 +529,93 @@ class TestBlockKernelMatchesPerLegLoop:
             assert len(res.per_epoch_survival_freq) == 400
             assert res.per_epoch_survival_freq[-1] > 0
             assert res == per_leg_simulate(MissionPlan.from_stationary((1, 0)), inst, config, monkeypatch)
+
+
+# --- plan resolution for simulate --------------------------------------------
+
+
+def reference_plan_epochs_for_sim(plan: MissionPlan, instance: Instance) -> tuple[list[list], bool]:
+    """Resolve the plan into per-epoch package lists; True if stationary."""
+    if plan.is_stationary:
+        if len(set(map(int, plan.stationary))) != len(plan.stationary):
+            raise InvalidPlanError("stationary plan repeats a package id")
+        epoch = [instance.package_by_id(i) for i in plan.stationary]
+        return [epoch], True
+    # The checks and messages of ``evaluate_mission``; a valid instance
+    # has one catalog per epoch, so they cover per-epoch catalogs too.
+    horizon = instance.horizon
+    if not horizon.is_finite:
+        raise HorizonMismatchError("finite plan cannot be evaluated on an infinite horizon")
+    if len(plan.plans) != horizon.epochs:
+        raise HorizonMismatchError(
+            f"plan has {len(plan.plans)} epochs but horizon is {horizon.epochs}")
+    pep = instance.per_epoch_packages
+    epochs = []
+    for h, epoch_plan in enumerate(plan.plans, start=1):
+        if len(set(map(int, epoch_plan))) != len(epoch_plan):
+            raise InvalidPlanError(f"epoch {h} plan repeats a package id")
+        allowed = instance.allowed_ids(h) if pep is not None else None
+        pkgs = []
+        for pkg_id in epoch_plan:
+            pkg = instance.package_by_id(int(pkg_id))
+            if allowed is not None and pkg.id not in allowed:
+                raise HorizonMismatchError(
+                    f"package {pkg.id} is not available in epoch {h}")
+            pkgs.append(pkg)
+        epochs.append(pkgs)
+    return epochs, False
+
+
+def resolved(resolve, plan, inst):
+    """(rewards, thresholds) per epoch and the stationary flag, or the
+    exception's (type, message)."""
+    try:
+        epochs, stationary = resolve(plan, inst)
+    except Exception as exc:  # the comparison is of what each raises
+        return type(exc), str(exc)
+    if resolve is reference_plan_epochs_for_sim:
+        epochs = [([p.reward for p in pkgs], oracle_sim._leg_thresholds([p.leg_success for p in pkgs]))
+                  for pkgs in epochs]
+    return [(rewards, thresholds.dtype, thresholds.tolist()) for rewards, thresholds in epochs], stationary
+
+
+def random_plan_ids(rng, inst, h):
+    """An epoch plan of catalog ids with, some of the time, an unknown id,
+    an id outside the epoch's catalog, a repeat, or nothing at all."""
+    known = inst.packages.ids.tolist()
+    allowed = sorted(inst.allowed_ids(h))
+    ids = rng.sample(allowed, rng.randint(0, min(len(allowed), 6)))
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        kind = rng.choice(["unknown", "outside", "repeat", "empty"])
+        if kind == "unknown":
+            extra = rng.choice([100 + rng.randrange(50), -1, 2**63 - 1, -(2**63), 2**64, 10**30])
+        elif kind == "outside" and set(known) - set(allowed):
+            extra = rng.choice(sorted(set(known) - set(allowed)))
+        elif kind == "repeat" and ids:
+            extra = rng.choice(ids)
+        else:
+            ids = []
+            continue
+        ids.insert(rng.randint(0, len(ids)), extra)
+    if rng.random() < 0.5 and all(-(2**63) <= i < 2**63 for i in ids):
+        return np.array(ids, dtype=np.int64)  # as the solver's plans are
+    return tuple(ids)
+
+
+class TestPlanResolution:
+    def test_matches_the_per_package_resolver(self):
+        rng = random.Random(20261018)
+        seen = set()
+        for _ in range(1500):
+            inst = random_sim_instance(rng, infinite=rng.random() < 0.2)
+            k = inst.horizon.epochs or 1
+            # simulate_mission expands a stationary plan on a finite horizon
+            if not inst.horizon.is_finite and rng.random() < 0.8:
+                plan = MissionPlan.from_stationary(random_plan_ids(rng, inst, 1))
+            else:
+                epochs = k + rng.choice([0, 0, 0, 0, 0, 0, -1, 1]) if inst.horizon.is_finite else k
+                plan = MissionPlan.finite(random_plan_ids(rng, inst, min(h, k)) for h in range(1, max(epochs, 0) + 1))
+            expected = resolved(reference_plan_epochs_for_sim, plan, inst)
+            assert resolved(oracle_sim._plan_epochs_for_sim, plan, inst) == expected
+            seen.add(expected[0] if isinstance(expected[0], type) else "ok")
+        assert seen == {"ok", InvalidPlanError, UnknownPackageIdError, HorizonMismatchError}
