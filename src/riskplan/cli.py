@@ -14,7 +14,6 @@ bare ratios), never as a bare JSON Infinity.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import math
@@ -26,7 +25,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import finite_solver, infinite_solver, mdp, multiagent, oracle_sim
 from .errors import (
     InvalidRangeError,
     RiskPlanError,
@@ -46,6 +44,10 @@ from .model import (
     plan_to_dict,
     probability_to_distance,
 )
+
+# Each subcommand imports the solver or oracle module it runs, and calls
+# through the module attribute, so that a process loads only what its
+# command executes.
 
 __all__ = ["GeneratorSpec", "generate_instance", "dump_json", "run_cli", "main"]
 
@@ -215,6 +217,8 @@ def _parse_range(text: str) -> tuple[float, float]:
 
 
 def _cmd_solve_finite(args) -> int:
+    from . import finite_solver
+
     instance = _load_instance(args.input)
     report = finite_solver.solve_finite(instance)
     log.info("solved finite horizon K=%d, n=%d, total=%g",
@@ -227,6 +231,8 @@ def _cmd_solve_finite(args) -> int:
     }
     _emit(doc, args.output)
     if args.csv:
+        import csv
+
         with open(args.csv, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["epoch", "V_h", "threshold", "plan_size", "epoch_survival"])
@@ -242,6 +248,8 @@ def _cmd_solve_finite(args) -> int:
 
 
 def _cmd_solve_infinite(args) -> int:
+    from . import infinite_solver
+
     instance = _load_instance(args.input)
     report = infinite_solver.solve_infinite(instance)
     _emit({"chosen": report.chosen, "gamma_max": report.gamma_max, "total": report.total},
@@ -250,6 +258,8 @@ def _cmd_solve_infinite(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from . import oracle_sim
+
     instance = _load_instance(args.input)
     plan = plan_from_dict(_load_json(args.plan))
     config = oracle_sim.SimConfig(trials=args.trials, seed=args.seed, parallel_shards=args.shards)
@@ -266,6 +276,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from . import oracle_sim
+
     instance = _load_instance(args.input)
     value, plan = oracle_sim.brute_force_finite(instance)
     _emit({"value": value, "plans": plan_to_dict(plan)["plans"]}, args.output)
@@ -273,6 +285,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_mdp_eval(args) -> int:
+    from . import mdp
+
     instance = _load_instance(args.input)
     model = mdp.build_model(instance)
 
@@ -301,6 +315,8 @@ def _cmd_mdp_eval(args) -> int:
 
 
 def _cmd_team_greedy(args) -> int:
+    from . import multiagent, oracle_sim
+
     instance = _load_instance(args.input)
     config = oracle_sim.SimConfig(trials=args.trials, seed=args.seed)
     report = multiagent.greedy_rtpd(instance, args.agents, sim_config=config)
@@ -320,6 +336,8 @@ def _cmd_team_greedy(args) -> int:
 
 
 def _cmd_pbd(args) -> int:
+    from . import multiagent
+
     probs = [float(p) for p in args.probs.split(",") if p != ""]
     fn = multiagent.poisson_binomial_enum if args.method == "enum" else multiagent.poisson_binomial_dft
     dist = fn(probs)
@@ -423,8 +441,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate a random instance")
     gen.add_argument("-n", type=int, required=True)
-    gen.add_argument("-K", "--epochs", type=int, default=None)
-    gen.add_argument("--infinite", action="store_true")
+    horizon = gen.add_mutually_exclusive_group()
+    horizon.add_argument("-K", "--epochs", type=int, default=None)
+    horizon.add_argument("--infinite", action="store_true")
     gen.add_argument("--theta-range", default="0,5")
     gen.add_argument("--reward-range", default="0,10")
     gen.add_argument("--rho-range", default="0,1")

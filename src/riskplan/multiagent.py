@@ -30,6 +30,7 @@ from .errors import (
     DegenerateQuotientError,
     DomainError,
     InfiniteHorizonError,
+    InvalidRangeError,
     OverlappingToursError,
     ScaleLimitExceededError,
     TooManyTrialsError,
@@ -358,7 +359,9 @@ def greedy_rtpd(
     ensure_valid(instance)
     if not instance.horizon.is_finite:
         raise InfiniteHorizonError("the greedy team solver requires a finite horizon")
-    if not 1 <= agents <= _MAX_AGENTS:
+    if agents < 1:
+        raise InvalidRangeError(f"agents must be positive, got {agents}")
+    if agents > _MAX_AGENTS:
         raise ScaleLimitExceededError(f"agents must be in 1..{_MAX_AGENTS}, got {agents}")
     if len(instance.packages) > _MAX_TEAM_PACKAGES:
         raise ScaleLimitExceededError(

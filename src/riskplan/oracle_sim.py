@@ -325,8 +325,8 @@ def _failed_legs(keys: np.ndarray, first_draw: int, thresholds: np.ndarray) -> n
 # --- Monte Carlo -------------------------------------------------------------
 
 
-def _plan_epochs_for_sim(plan: MissionPlan, instance: Instance) -> tuple[list[tuple[list[float], np.ndarray]], bool]:
-    """Each epoch's (rewards, leg thresholds) in plan order; True if stationary.
+def _plan_epochs_for_sim(plan: MissionPlan, instance: Instance) -> tuple[list[tuple[list[float], list[float]]], bool]:
+    """Each epoch's (rewards, rhos) in plan order; True if stationary.
 
     The plan's ids are found in the id column by one binary search, and in
     each epoch's catalog array by another.  The checks and messages are
@@ -364,7 +364,7 @@ def _plan_epochs_for_sim(plan: MissionPlan, instance: Instance) -> tuple[list[tu
             if at[j] < 0:
                 raise UnknownPackageIdError(f"unknown package id {ids[j]}")
             raise HorizonMismatchError(f"package {ids[j]} is not available in epoch {h}")
-        epochs.append((table.rewards[at].tolist(), _leg_thresholds(table.rhos[at])))
+        epochs.append((table.rewards[at].tolist(), table.rhos[at].tolist()))
     return epochs, plan.is_stationary
 
 
@@ -414,6 +414,26 @@ def _run_shard(epochs, stationary, theta, seed, lo, hi):
     return totals, death_epoch, alive_counts
 
 
+def _truncation_bias(rewards: list[float], rhos: list[float], theta: float) -> float:
+    """Bound on what stopping a stationary plan at ``STATIONARY_EPOCH_CAP``
+    epochs leaves out of its mean.
+
+    The epoch's survival and expected reward are folded in
+    ``evaluate_epoch``'s order, so the bound is bit-identical to one
+    computed from its evaluation, without a lookup per package id.
+    """
+    survival = 1.0
+    reward_sum = 0.0
+    for reward, rho in zip(rewards, rhos):
+        reward_sum += reward * (survival * rho)
+        survival *= rho * rho
+    if survival == 1.0:
+        raise UnboundedSimulationError(
+            "nonempty stationary plan with survival probability 1 never terminates")
+    expected = reward_sum - theta * (1.0 - survival)
+    return survival ** STATIONARY_EPOCH_CAP * abs(expected / (1.0 - survival))
+
+
 def simulate_mission(plan: MissionPlan, instance: Instance, config: SimConfig) -> SimResult:
     """Monte Carlo estimate of a plan's expected mission reward.
 
@@ -428,18 +448,14 @@ def simulate_mission(plan: MissionPlan, instance: Instance, config: SimConfig) -
     check_epoch_limit(instance)
     if plan.is_stationary and instance.horizon.is_finite:
         plan = MissionPlan.finite([plan.stationary] * instance.horizon.epochs)
-    legs, stationary = _plan_epochs_for_sim(plan, instance)
+    epochs, stationary = _plan_epochs_for_sim(plan, instance)
 
     truncation_bias = 0.0
     if stationary:
         if len(plan.stationary) == 0:
             return SimResult(mean=0.0, std_error=0.0, per_epoch_survival_freq=(1.0,))
-        ev = evaluate_epoch(plan.stationary, instance)
-        if ev.epoch_survival == 1.0:
-            raise UnboundedSimulationError(
-                "nonempty stationary plan with survival probability 1 never terminates")
-        eps = ev.expected_reward / (1.0 - ev.epoch_survival)
-        truncation_bias = ev.epoch_survival ** STATIONARY_EPOCH_CAP * abs(eps)
+        truncation_bias = _truncation_bias(*epochs[0], instance.theta)
+    legs = [(rewards, _leg_thresholds(rhos)) for rewards, rhos in epochs]
 
     bounds = np.linspace(0, config.trials, config.parallel_shards + 1).astype(int)
     totals_parts = []

@@ -79,6 +79,11 @@ class TestGenerate:
         assert code == 1
         assert "epochs" in err or "infinite" in err
 
+    def test_gen_rejects_both_horizons(self, capsys):
+        code, out, err = run(capsys, "gen", "-n", "2", "-K", "2", "--infinite", "--seed", "1")
+        assert (code, out) == (64, "")
+        assert "--infinite: not allowed with argument -K/--epochs" in err
+
 
 class TestSolveCommands:
     def test_solve_infinite_derived_value(self, tmp_path, capsys):
@@ -229,6 +234,16 @@ class TestOtherCommands:
         path = write_instance(tmp_path, FINITE2)
         code, _, _ = run(capsys, "team", "greedy", "-i", path, "--agents", "2")
         assert code == 64
+
+    @pytest.mark.parametrize("agents, code, message", [
+        ("0", 1, "riskplan: error: agents must be positive, got 0"),
+        ("-1", 1, "riskplan: error: agents must be positive, got -1"),
+        ("9", 2, "riskplan: scale limit: agents must be in 1..8, got 9"),
+    ])
+    def test_team_greedy_agent_count(self, tmp_path, capsys, agents, code, message):
+        path = write_instance(tmp_path, FINITE2)
+        got, out, err = run(capsys, "team", "greedy", "-i", path, "--agents", agents, "--seed", "1")
+        assert (got, out, err) == (code, "", message + "\n")
 
 
 class TestErrorPaths:

@@ -44,8 +44,8 @@ CASES = {
 }
 
 
-def run_case(case: str, out_dir: Path) -> list[str]:
-    """Run one case, writing into ``out_dir``; return the written names."""
+def case_argv(case: str, out_dir: Path) -> tuple[list[str], list[str]]:
+    """One case's arguments, writing into ``out_dir``, and the names it writes."""
     argv, written = [], []
     for token in CASES[case].split():
         if token.startswith("<"):
@@ -54,6 +54,12 @@ def run_case(case: str, out_dir: Path) -> list[str]:
             written.append(token[1:])
             token = str(out_dir / token[1:])
         argv.append(token)
+    return argv, written
+
+
+def run_case(case: str, out_dir: Path) -> list[str]:
+    """Run one case, writing into ``out_dir``; return the written names."""
+    argv, written = case_argv(case, out_dir)
     assert run_cli(argv) == 0
     return written
 

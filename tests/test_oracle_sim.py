@@ -24,6 +24,7 @@ from riskplan import (
     simulate_mission,
 )
 from riskplan import oracle_sim
+from riskplan.cli import GeneratorSpec, generate_instance
 from riskplan.errors import HorizonMismatchError, InvalidPlanError, UnknownPackageIdError
 from riskplan.oracle_sim import STATIONARY_EPOCH_CAP, _epoch_sequences, leg_uniforms, trial_keys
 
@@ -197,6 +198,31 @@ class TestSimulateMission:
                                SimConfig(trials=50, seed=2))
         assert len(res.per_epoch_survival_freq) <= STATIONARY_EPOCH_CAP
         assert res.truncation_bias_bound > 0
+
+    def test_stationary_plan_makes_no_package_records(self):
+        # The truncation bias once went through evaluate_epoch, whose id
+        # lookups build a PackageSpec per catalog package.
+        inst = generate_instance(GeneratorSpec(n=200_000, epochs=None, seed=3))
+        simulate_mission(MissionPlan.from_stationary((5, 17, 99)), inst, SimConfig(trials=10, seed=1))
+        assert "_by_id" not in inst.__dict__
+
+    def test_truncation_bias_matches_evaluate_epoch(self):
+        rng = random.Random(20261019)
+        for _ in range(500):
+            inst = random_sim_instance(rng, infinite=True)
+            if not len(inst.packages):
+                continue
+            ids = rng.sample(inst.packages.ids.tolist(), rng.randint(1, min(len(inst.packages), 8)))
+            ev = evaluate_epoch(ids, inst)
+            epochs, stationary = oracle_sim._plan_epochs_for_sim(MissionPlan.from_stationary(ids), inst)
+            assert stationary
+            if ev.epoch_survival == 1.0:
+                with pytest.raises(UnboundedSimulationError):
+                    oracle_sim._truncation_bias(*epochs[0], inst.theta)
+                continue
+            eps = ev.expected_reward / (1.0 - ev.epoch_survival)
+            expected = ev.epoch_survival ** STATIONARY_EPOCH_CAP * abs(eps)
+            assert oracle_sim._truncation_bias(*epochs[0], inst.theta) == expected
 
 
 # --- array fold vs the per-combination loop ----------------------------------
@@ -567,16 +593,15 @@ def reference_plan_epochs_for_sim(plan: MissionPlan, instance: Instance) -> tupl
 
 
 def resolved(resolve, plan, inst):
-    """(rewards, thresholds) per epoch and the stationary flag, or the
+    """(rewards, rhos) per epoch and the stationary flag, or the
     exception's (type, message)."""
     try:
         epochs, stationary = resolve(plan, inst)
     except Exception as exc:  # the comparison is of what each raises
         return type(exc), str(exc)
     if resolve is reference_plan_epochs_for_sim:
-        epochs = [([p.reward for p in pkgs], oracle_sim._leg_thresholds([p.leg_success for p in pkgs]))
-                  for pkgs in epochs]
-    return [(rewards, thresholds.dtype, thresholds.tolist()) for rewards, thresholds in epochs], stationary
+        epochs = [([p.reward for p in pkgs], [p.leg_success for p in pkgs]) for pkgs in epochs]
+    return epochs, stationary
 
 
 def random_plan_ids(rng, inst, h):

@@ -1,0 +1,153 @@
+"""What a fresh interpreter loads, and the package's lazy exports.
+
+Every other test runs in one process, where a subcommand can lean on a
+module some earlier test happened to import.  Here each command runs in
+its own interpreter, as the console script does: its output must still
+match the golden bytes, and it must load only the riskplan modules it
+executes.
+"""
+
+from __future__ import annotations
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import riskplan
+from test_golden import CASES, GOLDEN, case_argv
+
+SRC = str(Path(riskplan.__file__).resolve().parent.parent)
+
+RUN = """\
+import json, sys
+from riskplan.cli import run_cli
+code = run_cli(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "riskplan")]))
+"""
+
+#: riskplan modules each subcommand loads beyond ``cli``, ``errors`` and ``model``.
+LOADS = {
+    "gen": set(),
+    "convert": set(),
+    "solve finite": {"finite_solver"},
+    "solve infinite": {"infinite_solver"},
+    "simulate": {"oracle_sim", "expectation"},
+    "oracle": {"oracle_sim", "expectation"},
+    "mdp-eval": {"mdp"},
+    "team greedy": {"multiagent", "oracle_sim", "expectation"},
+    "pbd": {"multiagent", "oracle_sim", "expectation"},
+}
+
+#: Subcommands no golden case runs.
+EXTRA = {
+    "convert": ["convert", "--rho", "0.5", "--phi", "0.5"],
+    "pbd": ["pbd", "--probs", "0.5,0.25"],
+}
+
+#: The package's exports, by the submodule that defines each.
+EXPORTS = {
+    "errors": [
+        "AlreadyAssignedError", "DegenerateQuotientError", "DomainError", "EmptyPlanError",
+        "FiniteHorizonError", "HorizonMismatchError", "InfiniteHorizonError",
+        "InvalidInstanceError", "InvalidPlanError", "InvalidRangeError", "OverlappingToursError",
+        "RiskPlanError", "ScaleLimitError", "ScaleLimitExceededError", "SearchSpaceTooLargeError",
+        "TooManyEpochsError", "TooManyPackagesError", "TooManyTrialsError",
+        "UnboundedSimulationError", "UnboundedValueError", "UnknownPackageIdError",
+        "ValidationError",
+    ],
+    "expectation": [
+        "EpochEvaluation", "MissionEvaluation", "epoch_risk_ratio", "evaluate_epoch",
+        "evaluate_mission",
+    ],
+    "finite_solver": ["SolveReport", "solve_finite"],
+    "infinite_solver": ["InfiniteSolveReport", "solve_infinite"],
+    "mdp": ["MdpModel", "best_stationary_policy", "build_model", "evaluate_policy"],
+    "model": [
+        "MAX_EPOCHS", "UNBOUNDED", "Horizon", "Instance", "MissionPlan", "PackageSpec",
+        "Violation", "ViolationCode", "canonical_delivery_order", "distance_to_probability",
+        "ensure_valid", "instance_from_dict", "instance_to_dict", "plan_from_dict",
+        "plan_to_dict", "probability_to_distance", "reward_to_risk", "validate_instance",
+    ],
+    "multiagent": [
+        "PoissonBinomial", "TeamEpochPlan", "TeamSolveReport", "greedy_rtpd", "marginal_gain",
+        "poisson_binomial_dft", "poisson_binomial_enum", "poisson_quotient_difference",
+        "simulate_team_mission", "team_epoch_expectation",
+    ],
+    "oracle_sim": ["SimConfig", "SimResult", "brute_force_finite", "simulate_mission"],
+}
+
+
+def fresh(*args: str) -> subprocess.CompletedProcess:
+    """Run ``python -c ARGS...`` in a new interpreter that imports riskplan from this tree."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+    return subprocess.run([sys.executable, "-c", *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def run_fresh(argv: list[str]) -> tuple[int, set[str]]:
+    """Exit code and loaded riskplan modules of one command in a fresh interpreter."""
+    proc = fresh(RUN, *argv)
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout)
+    return code, set(modules)
+
+
+def command_of(argv: list[str]) -> str:
+    return " ".join(argv[:2]) if argv[0] in ("solve", "team") else argv[0]
+
+
+def expected_modules(argv: list[str]) -> set[str]:
+    names = {"cli", "errors", "model"} | LOADS[command_of(argv)]
+    return {"riskplan"} | {f"riskplan.{name}" for name in names}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_case_in_a_fresh_interpreter(case, tmp_path):
+    argv, written = case_argv(case, tmp_path)
+    code, modules = run_fresh(argv)
+    assert code == 0
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+    assert modules == expected_modules(argv)
+
+
+@pytest.mark.parametrize("command", sorted(EXTRA))
+def test_command_without_a_golden_in_a_fresh_interpreter(command, tmp_path):
+    argv = EXTRA[command]
+    code, modules = run_fresh([*argv, "-o", str(tmp_path / "out.json")])
+    assert code == 0
+    assert modules == expected_modules(argv)
+
+
+def test_every_subcommand_is_run():
+    argvs = [CASES[case].split() for case in CASES] + list(EXTRA.values())
+    assert set(map(command_of, argvs)) == set(LOADS)
+
+
+def test_import_riskplan_loads_no_submodule():
+    proc = fresh("import sys, riskplan; print(sorted(m for m in sys.modules if m.startswith('riskplan')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['riskplan']"
+
+
+def test_exports_are_the_submodules_own_objects():
+    assert sorted(riskplan.__all__) == sorted(n for names in EXPORTS.values() for n in names)
+    for module, names in EXPORTS.items():
+        sub = importlib.import_module(f"riskplan.{module}")
+        for name in names:
+            assert getattr(riskplan, name) is getattr(sub, name), name
+    assert set(riskplan.__all__) <= set(dir(riskplan))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        riskplan.no_such_name
+    from riskplan import cli  # a submodule, not an export
+
+    assert cli is sys.modules["riskplan.cli"]
