@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import math
 import os
 import sys
@@ -51,7 +50,9 @@ from .model import (
 
 __all__ = ["GeneratorSpec", "generate_instance", "dump_json", "run_cli", "main"]
 
-log = logging.getLogger("riskplan")
+#: The "riskplan" logger while RISKPLAN_LOG names a level, else None; the
+#: logging module is imported only then.
+_log = None
 
 
 # --- instance generation ------------------------------------------------------
@@ -104,9 +105,51 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+#: Rows of an instance's ``packages`` list formatted per piece of output.
+#: Each piece makes its own lists of the chunk's columns and its own string,
+#: so writing an instance holds at most this many rows as Python objects.
+PACKAGE_CHUNK_ROWS = 1024
+
+
 def dump_json(obj, indent: int = 0) -> str:
     """Deterministic JSON with 17-significant-digit floats."""
-    pad = " " * indent
+    return "".join(_json_pieces(obj, indent))
+
+
+def _json_pieces(obj, indent: int = 0):
+    """:func:`dump_json`'s text in pieces: dicts and non-flat lists item by
+    item, an instance's packages in chunks of :data:`PACKAGE_CHUNK_ROWS`."""
+    leaf = _leaf(obj)
+    if leaf is not None:
+        yield leaf
+    elif isinstance(obj, PackageRecords):
+        yield from _package_pieces(obj.table, indent)
+    elif isinstance(obj, dict):
+        yield from _item_pieces("{", "}", ((json.dumps(str(k)) + ": ", v) for k, v in obj.items()), indent)
+    else:
+        yield from _item_pieces("[", "]", (("", v) for v in obj), indent)
+
+
+def _item_pieces(first: str, last: str, items, indent: int):
+    """A non-empty dict or list from its ``(key prefix, value)`` items, one
+    item per piece unless the value is itself written item by item."""
+    pad = " " * (indent + 2)
+    sep = first + "\n"
+    for head, value in items:
+        leaf = _leaf(value)
+        if leaf is not None:
+            yield sep + pad + head + leaf
+        else:
+            yield sep + pad + head
+            yield from _json_pieces(value, indent + 2)
+        sep = ",\n"
+    yield "\n" + " " * indent + last
+
+
+def _leaf(obj) -> Optional[str]:
+    """The whole text of a scalar, an empty container or a flat list; None
+    for a dict, an instance's packages or a list of containers, which
+    :func:`_json_pieces` writes item by item."""
     if obj is None:
         return "null"
     if obj is UNBOUNDED:
@@ -120,14 +163,9 @@ def dump_json(obj, indent: int = 0) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, PackageRecords):
-        return _dump_packages(obj.table, indent)
+        return None if len(obj) else "[]"
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = ",\n".join(
-            f"{pad}  {json.dumps(str(k))}: {dump_json(v, indent + 2)}" for k, v in obj.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
+        return None if obj else "{}"
     if isinstance(obj, (list, tuple, np.ndarray)):
         seq = list(obj)
         if not seq:
@@ -139,44 +177,57 @@ def dump_json(obj, indent: int = 0) -> str:
             return "[" + ", ".join(map(str, seq)) + "]"
         if kinds == {float}:
             return "[" + ", ".join(map(_fmt_float, seq)) + "]"
-        flat = all(isinstance(v, (int, float, np.integer, np.floating, str)) for v in seq)
-        if flat:
-            return "[" + ", ".join(dump_json(v) for v in seq) + "]"
-        items = ",\n".join(f"{pad}  {dump_json(v, indent + 2)}" for v in seq)
-        return "[\n" + items + "\n" + pad + "]"
+        if all(isinstance(v, (int, float, np.integer, np.floating, str)) for v in seq):
+            return "[" + ", ".join(map(_leaf, seq)) + "]"
+        return None
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _dump_packages(table: PackageTable, indent: int) -> str:
-    """An instance's ``packages`` list, as :func:`dump_json` lays out a list
-    of ``{"id", "reward", "rho"}`` dicts, written from the columns."""
-    if not len(table):
-        return "[]"
+def _package_pieces(table: PackageTable, indent: int):
+    """A non-empty ``packages`` list, as :func:`dump_json` lays out a list of
+    ``{"id", "reward", "rho"}`` dicts, written from the columns a chunk of
+    rows at a time."""
     pad = " " * (indent + 2)
     template = f'{pad}{{\n{pad}  "id": %d,\n{pad}  "reward": %s,\n{pad}  "rho": %s\n{pad}}}'
-    rewards, rhos = table.rewards.tolist(), table.rhos.tolist()
-    if np.isfinite(table.rewards).all() and np.isfinite(table.rhos).all():
-        template = template.replace("%s", "%.17g")  # what _fmt_float does for finite values
-    else:
-        rewards, rhos = map(_fmt_float, rewards), map(_fmt_float, rhos)
-    body = ",\n".join(map(template.__mod__, zip(table.ids.tolist(), rewards, rhos)))
-    return "[\n" + body + "\n" + " " * indent + "]"
+    finite = template.replace("%s", "%.17g")  # what _fmt_float does for finite values
+    sep = "[\n"
+    for start in range(0, len(table), PACKAGE_CHUNK_ROWS):
+        rows = slice(start, start + PACKAGE_CHUNK_ROWS)
+        ids, rewards, rhos = table.ids[rows], table.rewards[rows], table.rhos[rows]
+        if np.isfinite(rewards).all() and np.isfinite(rhos).all():
+            fmt = finite.__mod__
+            rewards, rhos = rewards.tolist(), rhos.tolist()
+        else:
+            fmt = template.__mod__
+            rewards, rhos = map(_fmt_float, rewards.tolist()), map(_fmt_float, rhos.tolist())
+        yield sep + ",\n".join(map(fmt, zip(ids.tolist(), rewards, rhos)))
+        sep = ",\n"
+    yield "\n" + " " * indent + "]"
 
 
 # --- plumbing ------------------------------------------------------------------
 
 
 def _setup_logging():
+    global _log
     level = os.environ.get("RISKPLAN_LOG", "off").strip().lower()
     if level in ("", "off"):
-        logging.disable(logging.CRITICAL)
+        _log = None
         return
+    import logging
+
     logging.disable(logging.NOTSET)
     logging.basicConfig(
         stream=sys.stderr,
         level=logging.DEBUG if level == "debug" else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
+    _log = logging.getLogger("riskplan")
+
+
+def _info(msg: str, *args):
+    if _log is not None:
+        _log.info(msg, *args)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -199,11 +250,16 @@ def _load_instance(path: str) -> Instance:
 
 
 def _emit(doc, output: Optional[str]):
-    text = dump_json(doc) + "\n"
+    """Write ``dump_json(doc)`` and a newline to ``output``, or to stdout,
+    piece by piece as it is serialized."""
     if output:
-        Path(output).write_text(text, encoding="utf-8")
+        # Not the module's ``open``: that name is left to the --csv report.
+        with Path(output).open("w", encoding="utf-8") as fh:
+            fh.writelines(_json_pieces(doc))
+            fh.write("\n")
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(_json_pieces(doc))
+        sys.stdout.write("\n")
 
 
 def _parse_range(text: str) -> tuple[float, float]:
@@ -221,8 +277,8 @@ def _cmd_solve_finite(args) -> int:
 
     instance = _load_instance(args.input)
     report = finite_solver.solve_finite(instance)
-    log.info("solved finite horizon K=%d, n=%d, total=%g",
-             instance.horizon.epochs, len(instance.packages), report.total)
+    _info("solved finite horizon K=%d, n=%d, total=%g",
+          instance.horizon.epochs, len(instance.packages), report.total)
     doc = {
         "values": list(report.values),
         "thresholds": list(report.thresholds),
@@ -264,7 +320,7 @@ def _cmd_simulate(args) -> int:
     plan = plan_from_dict(_load_json(args.plan))
     config = oracle_sim.SimConfig(trials=args.trials, seed=args.seed, parallel_shards=args.shards)
     result = oracle_sim.simulate_mission(plan, instance, config)
-    log.info("simulated %d trials: mean=%g +- %g", args.trials, result.mean, result.std_error)
+    _info("simulated %d trials: mean=%g +- %g", args.trials, result.mean, result.std_error)
     _emit({
         "mean": result.mean,
         "std_error": result.std_error,
@@ -467,7 +523,7 @@ def run_cli(argv) -> int:
     except ScaleLimitError as exc:
         print(f"riskplan: scale limit: {exc}", file=sys.stderr)
         return 2
-    except (RiskPlanError, FileNotFoundError, json.JSONDecodeError, ValueError, ArithmeticError) as exc:
+    except (RiskPlanError, OSError, json.JSONDecodeError, ValueError, ArithmeticError) as exc:
         print(f"riskplan: error: {exc}", file=sys.stderr)
         return 1
 

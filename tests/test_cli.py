@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,7 +17,7 @@ from riskplan import (
     instance_from_dict,
     plan_from_dict,
 )
-from riskplan import mdp, oracle_sim
+from riskplan import cli, mdp, oracle_sim
 from riskplan.cli import GeneratorSpec, dump_json, generate_instance, run_cli
 from riskplan.errors import InvalidRangeError
 from riskplan.model import UNBOUNDED, PackageTable, instance_to_dict
@@ -423,6 +424,18 @@ class TestErrorPaths:
         assert out == ""
         assert "Traceback" not in err
 
+    def test_output_path_that_is_a_directory(self, tmp_path, capsys):
+        code, out, err = run(capsys, "gen", "-n", "3", "-K", "1", "--seed", "1", "-o", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err.startswith("riskplan: error: ") and str(tmp_path) in err
+
+    def test_csv_path_that_is_a_directory(self, tmp_path, capsys):
+        path = write_instance(tmp_path, FINITE2)
+        code, out, err = run(capsys, "solve", "finite", "-i", path, "-o", str(tmp_path / "out.json"),
+                             "--csv", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err.startswith("riskplan: error: ") and str(tmp_path) in err
+
     def test_unknown_flag_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "solve", "finite", "--bogus")
         assert code == 64
@@ -670,3 +683,63 @@ class TestInstanceWriter:
         ids, rewards, rhos = inst._arrays()
         assume(np.isfinite(rewards).all() and math.isfinite(inst.theta))
         assert instance_from_dict(json.loads(dump_json(instance_to_dict(inst)))) == inst
+
+
+class TestEmitStream:
+    """``_emit`` writes an instance's packages a chunk of rows at a time;
+    the chunk size is lowered here so that small documents span chunks."""
+
+    CHUNK = 3
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(cli, "PACKAGE_CHUNK_ROWS", self.CHUNK)
+
+    @staticmethod
+    def doc_of(n, row=None, column=None, value=None):
+        rewards, rhos = np.linspace(0.5, 9.5, n), np.linspace(0.1, 0.9, n)
+        if row is not None:
+            {"reward": rewards, "rho": rhos}[column][row] = value
+        inst = Instance(theta=0.25, horizon=Horizon.finite(2),
+                        packages=PackageTable(np.arange(n) * 7, rewards, rhos))
+        return instance_to_dict(inst)
+
+    def check(self, doc, tmp_path, capsys):
+        expected = generic_dump(doc) + "\n"
+        path = tmp_path / "out.json"
+        cli._emit(doc, str(path))
+        assert path.read_text(encoding="utf-8") == expected
+        capsys.readouterr()
+        cli._emit(doc, None)
+        assert capsys.readouterr().out == expected
+        nested = {"instances": [doc]}
+        assert dump_json(nested) == dump_json({"instances": [dict(doc, packages=list(doc["packages"]))]})
+
+    @pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    def test_finite_values(self, n, tmp_path, capsys):
+        self.check(self.doc_of(n), tmp_path, capsys)
+
+    @pytest.mark.parametrize("row", [1, 2 * CHUNK], ids=["first-chunk", "last-chunk"])
+    @pytest.mark.parametrize("column, value", [("reward", float("inf")), ("reward", float("nan")),
+                                               ("rho", float("nan")), ("rho", float("-inf"))])
+    def test_non_finite_value_in_one_chunk(self, row, column, value, tmp_path, capsys):
+        doc = self.doc_of(2 * self.CHUNK + 1, row, column, value)
+        self.check(doc, tmp_path, capsys)
+        assert dump_json(doc).count(cli._fmt_float(value)) == 1
+
+    def test_each_piece_holds_at_most_one_chunk(self):
+        pieces = list(cli._json_pieces(self.doc_of(2 * self.CHUNK + 1)))
+        counts = [piece.count('"id"') for piece in pieces]
+        assert [c for c in counts if c] == [self.CHUNK, self.CHUNK, 1]
+
+
+def test_emit_to_a_file_holds_one_chunk_not_the_document(tmp_path):
+    doc = instance_to_dict(generate_instance(GeneratorSpec(n=50_000, epochs=10, seed=3)))
+    path = tmp_path / "instance.json"
+    tracemalloc.start()
+    try:
+        cli._emit(doc, str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 4

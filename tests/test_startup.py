@@ -4,7 +4,8 @@ Every other test runs in one process, where a subcommand can lean on a
 module some earlier test happened to import.  Here each command runs in
 its own interpreter, as the console script does: its output must still
 match the golden bytes, and it must load only the riskplan modules it
-executes.
+executes.  By default that leaves out ``logging`` too: it is imported
+only when ``RISKPLAN_LOG`` names a level.
 """
 
 from __future__ import annotations
@@ -27,8 +28,12 @@ RUN = """\
 import json, sys
 from riskplan.cli import run_cli
 code = run_cli(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "riskplan")]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "riskplan"),
+                  "logging" in sys.modules]))
 """
+
+#: The console script's entry point.
+MAIN = "from riskplan.cli import main; main()"
 
 #: riskplan modules each subcommand loads beyond ``cli``, ``errors`` and ``model``.
 LOADS = {
@@ -82,19 +87,25 @@ EXPORTS = {
 }
 
 
-def fresh(*args: str) -> subprocess.CompletedProcess:
-    """Run ``python -c ARGS...`` in a new interpreter that imports riskplan from this tree."""
+def fresh(*args: str, log: str = "") -> subprocess.CompletedProcess:
+    """Run ``python -c ARGS...`` in a new interpreter that imports riskplan
+    from this tree, with ``RISKPLAN_LOG`` set to ``log`` (unset if empty)."""
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+    env.pop("RISKPLAN_LOG", None)
+    if log:
+        env["RISKPLAN_LOG"] = log
     return subprocess.run([sys.executable, "-c", *args], env=env, capture_output=True,
                           text=True, timeout=120)
 
 
 def run_fresh(argv: list[str]) -> tuple[int, set[str]]:
-    """Exit code and loaded riskplan modules of one command in a fresh interpreter."""
+    """Exit code and loaded riskplan modules of one command in a fresh
+    interpreter, which must not have loaded ``logging``."""
     proc = fresh(RUN, *argv)
     assert proc.returncode == 0, proc.stderr
-    code, modules = json.loads(proc.stdout)
+    code, modules, logging_loaded = json.loads(proc.stdout)
+    assert not logging_loaded
     return code, set(modules)
 
 
@@ -123,6 +134,24 @@ def test_command_without_a_golden_in_a_fresh_interpreter(command, tmp_path):
     code, modules = run_fresh([*argv, "-o", str(tmp_path / "out.json")])
     assert code == 0
     assert modules == expected_modules(argv)
+
+
+@pytest.mark.parametrize("log", ["", "info"])
+@pytest.mark.parametrize("argv, golden, line", [
+    (["solve", "finite", "-i", "gen_finite.json"], "solve_finite.json",
+     "INFO riskplan: solved finite horizon K=3, n=6, total="),
+    (["simulate", "-i", "gen_finite.json", "-p", "solve_finite.json", "--trials", "2000", "--seed", "5"],
+     "simulate.json", "INFO riskplan: simulated 2000 trials: mean="),
+], ids=["solve-finite", "simulate"])
+def test_log_lines_go_to_stderr_only(argv, golden, line, log):
+    argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
+    proc = fresh(MAIN, *argv, log=log)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / golden).read_text(encoding="utf-8")
+    if log:
+        assert proc.stderr.startswith(line) and proc.stderr.count("\n") == 1
+    else:
+        assert proc.stderr == ""
 
 
 def test_every_subcommand_is_run():
