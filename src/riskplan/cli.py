@@ -242,7 +242,10 @@ def _load_json(path: str) -> dict:
     if not p.is_file():
         raise FileNotFoundError(f"input file not found: {path}")
     with p.open("r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:  # the decoder recurses once per nesting level
+            raise ValueError(f"malformed JSON document {path}: nested too deeply") from None
 
 
 def _load_instance(path: str) -> Instance:

@@ -13,13 +13,20 @@ and mission totals chain epochs through the survival products.  Survival
 products are computed by plain sequential multiplication in plan order (the
 psi values are needed individually anyway); underflow to exact 0 is
 acceptable semantics - an astronomically risky tail is worthless.
+
+Plan ids become package values in one place, :func:`_resolve_plan` (one
+binary search over the id column), which the simulator, brute force and
+the team module share with the evaluator, so each plan fault raises the
+same error everywhere.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
+
+import numpy as np
 
 from .errors import (
     EmptyPlanError,
@@ -32,6 +39,7 @@ from .model import (
     EpochPlan,
     Instance,
     MissionPlan,
+    _id_list,
     _UnboundedType,
 )
 
@@ -71,17 +79,83 @@ class MissionEvaluation:
     total: Union[float, _UnboundedType]
 
 
-def _check_epoch_plan(plan: EpochPlan, instance: Instance, epoch: int | None) -> list[int]:
-    ids = [int(i) for i in plan]
-    if len(set(ids)) != len(ids):
-        raise InvalidPlanError(f"epoch plan repeats a package id: {ids}")
-    allowed = instance.allowed_ids(epoch) if epoch is not None else None
-    for pkg_id in ids:
-        if not instance.has_package(pkg_id):
-            raise UnknownPackageIdError(f"unknown package id {pkg_id}")
-        if allowed is not None and pkg_id not in allowed:
-            raise UnknownPackageIdError(f"package id {pkg_id} is not available in epoch {epoch}")
-    return ids
+def _resolve(epochs: list[tuple[Optional[int], list[int]]], instance: Instance,
+             stationary: bool = False) -> list[tuple[list[float], list[float]]]:
+    """Each (epoch, ids) entry's (rewards, rhos), in plan order.
+
+    The ids of every entry are found in the id column by one binary search,
+    and an entry whose epoch is not None in that epoch's catalog.  The
+    first entry at fault raises: for repeated ids, else for its first id,
+    in plan order, that is unknown or outside the catalog.
+    """
+    table = instance.packages
+    rows = table.rows([i for _, ids in epochs for i in ids])
+    out = []
+    end = 0
+    for h, ids in epochs:
+        if len(set(ids)) != len(ids):
+            where = "stationary plan" if stationary else "epoch plan" if h is None else f"epoch {h} plan"
+            raise InvalidPlanError(f"{where} repeats a package id")
+        at = rows[end: end + len(ids)]
+        end += len(ids)
+        bad = at < 0
+        if h is not None and instance.per_epoch_packages is not None:
+            known = ~bad
+            bad[known] = ~instance.in_catalog(h, table.ids[at[known]])
+        if bad.any():
+            j = int(np.argmax(bad))
+            if at[j] < 0:
+                raise UnknownPackageIdError(f"unknown package id {ids[j]}")
+            raise UnknownPackageIdError(f"package {ids[j]} is not available in epoch {h}")
+        out.append((table.rewards[at].tolist(), table.rhos[at].tolist()))
+    return out
+
+
+def _resolve_epoch(plan: EpochPlan, instance: Instance,
+                   epoch: Optional[int] = None) -> tuple[list[float], list[float]]:
+    """One epoch plan's (rewards, rhos), checked against the catalog of
+    1-based ``epoch``, or of the whole instance when it is None."""
+    return _resolve([(epoch, _id_list(plan))], instance)[0]
+
+
+def _resolve_plan(plan: MissionPlan, instance: Instance) -> tuple[list[tuple[list[float], list[float]]], bool]:
+    """Each epoch's (rewards, rhos) in plan order; True if stationary.
+
+    A stationary plan on a finite horizon is expanded to one copy per
+    epoch.  A finite plan must match a finite horizon epoch for epoch, and
+    each epoch's ids must lie in that epoch's catalog.
+    """
+    horizon = instance.horizon
+    if plan.is_stationary and not horizon.is_finite:
+        return _resolve([(None, _id_list(plan.stationary))], instance, stationary=True), True
+    if plan.is_stationary:
+        id_lists = [_id_list(plan.stationary)] * horizon.epochs
+    else:
+        if not horizon.is_finite:
+            raise HorizonMismatchError("finite plan cannot be evaluated on an infinite horizon")
+        if len(plan.plans) != horizon.epochs:
+            raise HorizonMismatchError(
+                f"plan has {len(plan.plans)} epochs but horizon is {horizon.epochs}")
+        id_lists = [_id_list(p) for p in plan.plans]
+    return _resolve(list(enumerate(id_lists, start=1)), instance), False
+
+
+def _fold_epoch(rewards: list[float], rhos: list[float], theta: float) -> EpochEvaluation:
+    """An epoch's evaluation from its packages' rewards and rhos, in plan order."""
+    psis: list[float] = []
+    rho_bar = 1.0
+    reward_sum = 0.0
+    for reward, rho in zip(rewards, rhos):
+        psi = rho_bar * rho
+        psis.append(psi)
+        reward_sum += reward * psi
+        rho_bar *= rho * rho
+    expected = reward_sum - theta * (1.0 - rho_bar)
+    return EpochEvaluation(
+        delivery_probs=tuple(psis),
+        epoch_survival=rho_bar,
+        expected_reward=expected,
+    )
 
 
 def evaluate_epoch(plan: EpochPlan, instance: Instance, *, epoch: int | None = None) -> EpochEvaluation:
@@ -90,23 +164,7 @@ def evaluate_epoch(plan: EpochPlan, instance: Instance, *, epoch: int | None = N
     ``epoch`` (1-based) restricts ids to that epoch's catalog when the
     instance is heterogeneous; leave it ``None`` to allow the full catalog.
     """
-    ids = _check_epoch_plan(plan, instance, epoch)
-    psis: list[float] = []
-    rho_bar = 1.0
-    reward_sum = 0.0
-    for pkg_id in ids:
-        pkg = instance.package_by_id(pkg_id)
-        rho = pkg.leg_success
-        psi = rho_bar * rho
-        psis.append(psi)
-        reward_sum += pkg.reward * psi
-        rho_bar *= rho * rho
-    expected = reward_sum - instance.theta * (1.0 - rho_bar)
-    return EpochEvaluation(
-        delivery_probs=tuple(psis),
-        epoch_survival=rho_bar,
-        expected_reward=expected,
-    )
+    return _fold_epoch(*_resolve_epoch(plan, instance, epoch), instance.theta)
 
 
 def _finite_total(evals: list[EpochEvaluation]) -> tuple[float, tuple[float, ...]]:
@@ -138,29 +196,16 @@ def evaluate_mission(plan: MissionPlan, instance: Instance) -> MissionEvaluation
     ``E / (1 - rho_bar)``; on a finite horizon they are expanded to one
     identical plan per epoch.
     """
-    horizon = instance.horizon
-    if plan.is_stationary:
-        if horizon.is_finite:
-            expanded = MissionPlan.finite([plan.stationary] * horizon.epochs)
-            return evaluate_mission(expanded, instance)
-        ev = evaluate_epoch(plan.stationary, instance)
+    epochs, stationary = _resolve_plan(plan, instance)
+    evals = [_fold_epoch(rewards, rhos, instance.theta) for rewards, rhos in epochs]
+    if stationary:
+        ev = evals[0]
         if ev.epoch_survival == 1.0:
             # Riskless loop: diverges when it earns anything, else worth 0.
             total = UNBOUNDED if ev.expected_reward != 0.0 else 0.0
-            return MissionEvaluation(epoch_evals=(ev,), survival_to_epoch=(1.0,), total=total)
-        total = ev.expected_reward / (1.0 - ev.epoch_survival)
+        else:
+            total = ev.expected_reward / (1.0 - ev.epoch_survival)
         return MissionEvaluation(epoch_evals=(ev,), survival_to_epoch=(1.0,), total=total)
-
-    if not horizon.is_finite:
-        raise HorizonMismatchError("finite plan cannot be evaluated on an infinite horizon")
-    if len(plan.plans) != horizon.epochs:
-        raise HorizonMismatchError(
-            f"plan has {len(plan.plans)} epochs but horizon is {horizon.epochs}")
-
-    evals = [
-        evaluate_epoch(epoch_plan, instance, epoch=h)
-        for h, epoch_plan in enumerate(plan.plans, start=1)
-    ]
     total, survivals = _finite_total(evals)
     return MissionEvaluation(epoch_evals=tuple(evals), survival_to_epoch=survivals, total=total)
 

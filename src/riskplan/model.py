@@ -367,13 +367,10 @@ class Instance:
         return hash((self.theta, self.horizon, len(self.packages)))
 
     def package_by_id(self, pkg_id: int) -> PackageSpec:
-        try:
-            return self._by_id[int(pkg_id)]
-        except KeyError:
-            raise UnknownPackageIdError(f"unknown package id {pkg_id}") from None
-
-    def has_package(self, pkg_id: int) -> bool:
-        return int(pkg_id) in self._by_id
+        row = int(self.packages.rows([int(pkg_id)])[0])
+        if row < 0:
+            raise UnknownPackageIdError(f"unknown package id {pkg_id}")
+        return self.packages[row]
 
     def allowed_ids(self, epoch: int) -> frozenset[int]:
         """Ids deliverable in 1-based ``epoch``, as a set made on first use
@@ -394,10 +391,6 @@ class Instance:
         if not catalog.size:
             return np.zeros(len(ids), dtype=bool)
         return catalog[np.minimum(np.searchsorted(catalog, ids), catalog.size - 1)] == ids
-
-    @cached_property
-    def _by_id(self) -> dict[int, PackageSpec]:
-        return dict(zip(self.packages.ids.tolist(), self.packages))
 
     @cached_property
     def _all_ids(self) -> frozenset[int]:

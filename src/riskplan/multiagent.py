@@ -36,7 +36,7 @@ from .errors import (
     TooManyTrialsError,
     ValidationError,
 )
-from .expectation import evaluate_epoch
+from .expectation import _fold_epoch, _resolve_epoch
 from .model import (
     EpochPlan,
     Instance,
@@ -162,10 +162,11 @@ class TeamEpochPlan:
 
 def _tour_stats(tour: Sequence[int], instance: Instance) -> tuple[float, float]:
     """(expected delivery reward, tour survival probability)."""
-    ev = evaluate_epoch(tour, instance)
+    rewards, rhos = _resolve_epoch(tour, instance)
+    ev = _fold_epoch(rewards, rhos, instance.theta)
     reward = 0.0
-    for pkg_id, psi in zip(tour, ev.delivery_probs):
-        reward += instance.package_by_id(int(pkg_id)).reward * psi
+    for r, psi in zip(rewards, ev.delivery_probs):
+        reward += r * psi
     return reward, ev.epoch_survival
 
 
@@ -304,12 +305,15 @@ def _greedy_epoch_plan(
 
     Each step takes the loss term of :func:`marginal_gain` once per agent,
     from the tour survivals, so each (agent, package) gain costs O(1); only
-    the tour that grew has its survival recomputed.
+    the tour that grew has its survival recomputed.  The epoch's catalog is
+    resolved once.
     """
-    available = {
-        pkg_id: instance.package_by_id(pkg_id)
-        for pkg_id in instance.allowed_ids(epoch)
+    ids = sorted(instance.allowed_ids(epoch))
+    catalog = {
+        pkg_id: PackageSpec(pkg_id, reward, rho)
+        for pkg_id, reward, rho in zip(ids, *_resolve_epoch(ids, instance, epoch))
     }
+    available = dict(catalog)
     tours: list[list[int]] = [[] for _ in range(beta)]
     survivals = [1.0] * beta
 
@@ -331,8 +335,10 @@ def _greedy_epoch_plan(
             break
         m, pkg_id = best_pick
         tours[m].append(pkg_id)
-        tours[m].sort(key=lambda i: canonical_sort_key(instance.package_by_id(i)))
-        survivals[m] = evaluate_epoch(tours[m], instance).epoch_survival
+        tours[m].sort(key=lambda i: canonical_sort_key(catalog[i]))
+        pkgs = [catalog[i] for i in tours[m]]
+        survivals[m] = _fold_epoch([p.reward for p in pkgs], [p.leg_success for p in pkgs],
+                                   instance.theta).epoch_survival
         del available[pkg_id]
 
     plan = TeamEpochPlan.of(tours)
@@ -413,6 +419,8 @@ def simulate_team_mission(
     theta = instance.theta
     max_len = max((len(t) for p in plans.values() for t in p.tours), default=0)
     stride_agent = 2 * max(max_len, 1)
+    # Each tour's (rewards, rhos), resolved once.
+    resolved = {key: [_resolve_epoch(tour, instance) for tour in plan.tours] for key, plan in plans.items()}
 
     bounds = np.linspace(0, config.trials, config.parallel_shards + 1).astype(int)
     totals_parts = []
@@ -432,21 +440,19 @@ def simulate_team_mission(
                 sel = np.nonzero(alive == beta)[0]
                 if sel.size == 0:
                     continue
-                plan = plans[(h, beta)]
                 group_keys = keys[sel]
                 deaths = np.zeros(sel.size, dtype=np.int64)
-                for m, tour in enumerate(plan.tours):
-                    pkgs = [instance.package_by_id(int(pkg_id)) for pkg_id in tour]
-                    thresholds = _leg_thresholds([pkg.leg_success for pkg in pkgs])
+                for m, (rewards, rhos) in enumerate(resolved[(h, beta)]):
+                    thresholds = _leg_thresholds(rhos)
                     first = _failed_legs(group_keys, stride_agent * (m + agents * (h - 1)), thresholds)
                     # Each trial's rewards, then -theta, one at a time in
                     # tour order, as a trial's own total would take them.
                     delivered = (first + 1) // 2
-                    for pos, pkg in enumerate(pkgs):
+                    for pos, reward in enumerate(rewards):
                         won = sel[delivered > pos]
                         if won.size == 0:
                             break
-                        totals[won] += pkg.reward
+                        totals[won] += reward
                     died = first < thresholds.size
                     totals[sel[died]] -= theta
                     deaths += died

@@ -3,11 +3,12 @@
 ``brute_force_finite`` enumerates every per-epoch (subset, ordering)
 combination - orderings are enumerated explicitly rather than assuming the
 ratio-ordering result - so it is an independent check of both the solver
-and the ordering/threshold analysis.  Each sequence of each distinct
-catalog is evaluated once through :mod:`riskplan.expectation`.  A
-combination's value is the backward recursion ``v_h = E_h + S_h * v_{h+1}``
-from ``v_{K+1} = 0`` over those cached (E, survival) pairs, folded for many
-combinations at once in numpy arrays.  ``evaluate_mission`` then
+and the ordering/threshold analysis.  Each distinct catalog is resolved
+once, and each of its sequences folded once, by
+:mod:`riskplan.expectation`.  A combination's value is the backward
+recursion ``v_h = E_h + S_h * v_{h+1}`` from ``v_{K+1} = 0`` over those
+cached (E, survival) pairs, folded for many combinations at once in numpy
+arrays.  ``evaluate_mission`` then
 re-evaluates the winning plan by its forward direct sum (the backward
 recursion is only its internal cross-check), and the two totals must agree.
 Independence comes from the enumeration, not from re-deriving the
@@ -32,14 +33,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    HorizonMismatchError,
     InfiniteHorizonError,
-    InvalidPlanError,
     SearchSpaceTooLargeError,
     UnboundedSimulationError,
-    UnknownPackageIdError,
 )
-from .expectation import evaluate_epoch, evaluate_mission
+from .expectation import _fold_epoch, _resolve_epoch, _resolve_plan, evaluate_mission
 from .model import Instance, MissionPlan, check_epoch_limit, ensure_valid
 
 __all__ = [
@@ -209,15 +207,19 @@ def brute_force_finite(instance: Instance) -> tuple[float, MissionPlan]:
             raise SearchSpaceTooLargeError(
                 f"search space exceeds {MAX_SEARCH_SPACE:,} plan combinations")
 
-    # Evaluate each sequence of each distinct catalog once; combinations
-    # only chain the cached (E, survival) pairs.
+    # Resolve each distinct catalog once and fold each of its sequences
+    # from its columns; combinations only chain the cached (E, survival)
+    # pairs.
     by_catalog: dict[tuple[int, ...], _EpochTable] = {}
     tables = []
     for h, ids in enumerate(epoch_ids, start=1):
         table = by_catalog.get(tuple(ids))
         if table is None:
+            rewards, rhos = _resolve_epoch(ids, instance, epoch=h)
+            reward_of, rho_of = dict(zip(ids, rewards)), dict(zip(ids, rhos))
             seqs = _epoch_sequences(ids)
-            evals = [evaluate_epoch(seq, instance, epoch=h) for seq in seqs]
+            evals = [_fold_epoch([reward_of[i] for i in seq], [rho_of[i] for i in seq], instance.theta)
+                     for seq in seqs]
             table = _EpochTable(
                 seqs,
                 np.array([ev.expected_reward for ev in evals]),
@@ -325,49 +327,6 @@ def _failed_legs(keys: np.ndarray, first_draw: int, thresholds: np.ndarray) -> n
 # --- Monte Carlo -------------------------------------------------------------
 
 
-def _plan_epochs_for_sim(plan: MissionPlan, instance: Instance) -> tuple[list[tuple[list[float], list[float]]], bool]:
-    """Each epoch's (rewards, rhos) in plan order; True if stationary.
-
-    The plan's ids are found in the id column by one binary search, and in
-    each epoch's catalog array by another.  The checks and messages are
-    those of ``evaluate_mission``; a valid instance has one catalog per
-    epoch, so they cover per-epoch catalogs too.  The first epoch at fault
-    raises: for repeated ids, else for its first id, in plan order, that is
-    unknown or outside the catalog.
-    """
-    if plan.is_stationary:
-        id_lists = [list(map(int, plan.stationary))]
-    else:
-        horizon = instance.horizon
-        if not horizon.is_finite:
-            raise HorizonMismatchError("finite plan cannot be evaluated on an infinite horizon")
-        if len(plan.plans) != horizon.epochs:
-            raise HorizonMismatchError(
-                f"plan has {len(plan.plans)} epochs but horizon is {horizon.epochs}")
-        id_lists = [list(map(int, p)) for p in plan.plans]
-    table = instance.packages
-    rows = table.rows([i for ids in id_lists for i in ids])
-    epochs = []
-    end = 0
-    for h, ids in enumerate(id_lists, start=1):
-        if len(set(ids)) != len(ids):
-            where = "stationary plan" if plan.is_stationary else f"epoch {h} plan"
-            raise InvalidPlanError(f"{where} repeats a package id")
-        at = rows[end: end + len(ids)]
-        end += len(ids)
-        bad = at < 0
-        if instance.per_epoch_packages is not None:
-            known = ~bad
-            bad[known] = ~instance.in_catalog(h, table.ids[at[known]])
-        if bad.any():
-            j = int(np.argmax(bad))
-            if at[j] < 0:
-                raise UnknownPackageIdError(f"unknown package id {ids[j]}")
-            raise HorizonMismatchError(f"package {ids[j]} is not available in epoch {h}")
-        epochs.append((table.rewards[at].tolist(), table.rhos[at].tolist()))
-    return epochs, plan.is_stationary
-
-
 def _run_shard(epochs, stationary, theta, seed, lo, hi):
     """Simulate trials [lo, hi); returns (totals, death_epochs, alive_counts).
 
@@ -416,22 +375,13 @@ def _run_shard(epochs, stationary, theta, seed, lo, hi):
 
 def _truncation_bias(rewards: list[float], rhos: list[float], theta: float) -> float:
     """Bound on what stopping a stationary plan at ``STATIONARY_EPOCH_CAP``
-    epochs leaves out of its mean.
-
-    The epoch's survival and expected reward are folded in
-    ``evaluate_epoch``'s order, so the bound is bit-identical to one
-    computed from its evaluation, without a lookup per package id.
-    """
-    survival = 1.0
-    reward_sum = 0.0
-    for reward, rho in zip(rewards, rhos):
-        reward_sum += reward * (survival * rho)
-        survival *= rho * rho
-    if survival == 1.0:
+    epochs leaves out of its mean."""
+    ev = _fold_epoch(rewards, rhos, theta)
+    if ev.epoch_survival == 1.0:
         raise UnboundedSimulationError(
             "nonempty stationary plan with survival probability 1 never terminates")
-    expected = reward_sum - theta * (1.0 - survival)
-    return survival ** STATIONARY_EPOCH_CAP * abs(expected / (1.0 - survival))
+    eps = ev.expected_reward / (1.0 - ev.epoch_survival)
+    return ev.epoch_survival ** STATIONARY_EPOCH_CAP * abs(eps)
 
 
 def simulate_mission(plan: MissionPlan, instance: Instance, config: SimConfig) -> SimResult:
@@ -446,13 +396,11 @@ def simulate_mission(plan: MissionPlan, instance: Instance, config: SimConfig) -
     """
     ensure_valid(instance)
     check_epoch_limit(instance)
-    if plan.is_stationary and instance.horizon.is_finite:
-        plan = MissionPlan.finite([plan.stationary] * instance.horizon.epochs)
-    epochs, stationary = _plan_epochs_for_sim(plan, instance)
+    epochs, stationary = _resolve_plan(plan, instance)
 
     truncation_bias = 0.0
     if stationary:
-        if len(plan.stationary) == 0:
+        if not epochs[0][0]:
             return SimResult(mean=0.0, std_error=0.0, per_epoch_survival_freq=(1.0,))
         truncation_bias = _truncation_bias(*epochs[0], instance.theta)
     legs = [(rewards, _leg_thresholds(rhos)) for rewards, rhos in epochs]

@@ -1,7 +1,11 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +25,9 @@ from riskplan import cli, mdp, oracle_sim
 from riskplan.cli import GeneratorSpec, dump_json, generate_instance, run_cli
 from riskplan.errors import InvalidRangeError
 from riskplan.model import UNBOUNDED, PackageTable, instance_to_dict
+
+SRC = str(Path(cli.__file__).resolve().parent.parent)
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def write_instance(tmp_path, doc, name="instance.json"):
@@ -336,6 +343,38 @@ class TestErrorPaths:
         assert code == 1 and out == ""
         assert f"riskplan: error: {message}" in err
 
+    def test_plan_id_outside_its_epoch_catalog(self, tmp_path, capsys):
+        # Package 2 exists, but epoch 1's catalog is [0, 1, 9].
+        ppath = tmp_path / "plan.json"
+        ppath.write_text(json.dumps({"plans": [[2], [], []]}))
+        code, out, err = run(capsys, "simulate", "-i", str(GOLDEN / "per_epoch_instance.json"),
+                             "-p", str(ppath), "--trials", "3", "--seed", "1")
+        assert code == 1 and out == ""
+        assert err == "riskplan: error: package 2 is not available in epoch 1\n"
+
+    @pytest.mark.parametrize("flag", ["-i", "-p"])
+    def test_deeply_nested_document_is_one_error_line(self, tmp_path, capsys, flag):
+        paths = {"-i": tmp_path / "instance.json", "-p": tmp_path / "plan.json"}
+        paths["-i"].write_text(json.dumps(FINITE2))
+        paths["-p"].write_text(json.dumps({"plans": [[0], [1]]}))
+        paths[flag].write_text(nested_text({}, "packages" if flag == "-i" else "plans", 10**5))
+        code, out, err = run(capsys, "simulate", "-i", str(paths["-i"]), "-p", str(paths["-p"]),
+                             "--trials", "3", "--seed", "1")
+        assert code == 1 and out == ""
+        assert err == f"riskplan: error: malformed JSON document {paths[flag]}: nested too deeply\n"
+
+    def test_reader_that_closes_early_is_one_error_line(self):
+        # Output that cannot be written is exit code 1, a broken pipe too.
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen([sys.executable, "-m", "riskplan.cli", "gen", "-n", "100000", "-K", "1",
+                                 "--seed", "1"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        head = proc.stdout.read(20)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert head.startswith(b"{")
+        assert proc.returncode == 1
+        assert err == b"riskplan: error: [Errno 32] Broken pipe\n"
+
     def test_stationary_plan_on_a_huge_horizon_is_a_scale_limit(self, tmp_path, capsys):
         # The stationary plan used to be copied K times before anything
         # looked at K: an OverflowError at K = 1e300, memory exhaustion at 1e9.
@@ -534,7 +573,18 @@ def mutated_instance_docs(draw):
     return doc
 
 
-instance_docs = st.one_of(mutated_instance_docs(), mutated_instance_docs(), mutated_instance_docs(), junk)
+def nested_text(doc: dict, key: str, depth: int) -> str:
+    """``doc`` as JSON text with ``key`` holding lists nested ``depth`` deep,
+    which ``json.dumps`` cannot write past its recursion limit."""
+    return json.dumps({**doc, key: "@"}).replace('"@"', "[" * depth + "]" * depth)
+
+
+NESTING_DEPTHS = [2, 900, 1000, 3000, 10**5]
+nested_instance_docs = st.builds(nested_text, st.just(FINITE2),
+                                 st.sampled_from(["packages", "theta", "horizon", "per_epoch_packages"]),
+                                 st.sampled_from(NESTING_DEPTHS))
+instance_docs = st.one_of(mutated_instance_docs(), mutated_instance_docs(), mutated_instance_docs(), junk,
+                          nested_instance_docs)
 
 
 plan_ids = st.one_of(st.integers(0, 5), st.integers(0, 20), odd_values)
@@ -543,6 +593,7 @@ plan_docs = st.one_of(
     st.builds(lambda ids: {"stationary": ids}, st.lists(plan_ids, max_size=6, unique_by=repr)),
     st.dictionaries(st.sampled_from(["plans", "stationary", "x"]), odd_values, max_size=2),
     junk,
+    st.builds(nested_text, st.just({}), st.sampled_from(["plans", "stationary"]), st.sampled_from(NESTING_DEPTHS)),
 )
 COMMANDS = [
     ["solve", "finite"],
@@ -557,8 +608,8 @@ class TestFuzzedDocuments:
     def test_every_exit_is_a_documented_code(self, tmp_path, capsys, instance, plan, command):
         ipath = tmp_path / "instance.json"
         ppath = tmp_path / "plan.json"
-        ipath.write_text(json.dumps(instance))
-        ppath.write_text(json.dumps(plan))
+        ipath.write_text(instance if isinstance(instance, str) else json.dumps(instance))
+        ppath.write_text(plan if isinstance(plan, str) else json.dumps(plan))
         argv = [str(ppath) if arg == "PLAN" else arg for arg in command] + ["-i", str(ipath)]
         code, out, err = run(capsys, *argv)
         assert code in (0, 1, 2, 64)

@@ -522,7 +522,7 @@ EPOCH_LIMITED = {
     "simulate_mission": (lambda inst: oracle_sim.simulate_mission(
                              MissionPlan.finite([()] * min(inst.horizon.epochs, 3)), inst,
                              SimConfig(trials=10, seed=1)),
-                         oracle_sim, "_plan_epochs_for_sim"),
+                         oracle_sim, "_resolve_plan"),
 }
 
 

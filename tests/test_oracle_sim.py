@@ -23,7 +23,7 @@ from riskplan import (
     reward_to_risk,
     simulate_mission,
 )
-from riskplan import oracle_sim
+from riskplan import expectation, oracle_sim
 from riskplan.cli import GeneratorSpec, generate_instance
 from riskplan.errors import HorizonMismatchError, InvalidPlanError, UnknownPackageIdError
 from riskplan.oracle_sim import STATIONARY_EPOCH_CAP, _epoch_sequences, leg_uniforms, trial_keys
@@ -200,11 +200,13 @@ class TestSimulateMission:
         assert res.truncation_bias_bound > 0
 
     def test_stationary_plan_makes_no_package_records(self):
-        # The truncation bias once went through evaluate_epoch, whose id
-        # lookups build a PackageSpec per catalog package.
+        # Plan ids resolve to rows of the package columns; a PackageSpec per
+        # catalog package would cost seconds at n = 10^6.
         inst = generate_instance(GeneratorSpec(n=200_000, epochs=None, seed=3))
         simulate_mission(MissionPlan.from_stationary((5, 17, 99)), inst, SimConfig(trials=10, seed=1))
-        assert "_by_id" not in inst.__dict__
+        assert "_specs" not in inst.packages.__dict__
+        evaluate_mission(MissionPlan.from_stationary((5, 17, 99)), inst)
+        assert "_specs" not in inst.packages.__dict__
 
     def test_truncation_bias_matches_evaluate_epoch(self):
         rng = random.Random(20261019)
@@ -214,7 +216,7 @@ class TestSimulateMission:
                 continue
             ids = rng.sample(inst.packages.ids.tolist(), rng.randint(1, min(len(inst.packages), 8)))
             ev = evaluate_epoch(ids, inst)
-            epochs, stationary = oracle_sim._plan_epochs_for_sim(MissionPlan.from_stationary(ids), inst)
+            epochs, stationary = expectation._resolve_plan(MissionPlan.from_stationary(ids), inst)
             assert stationary
             if ev.epoch_survival == 1.0:
                 with pytest.raises(UnboundedSimulationError):
@@ -585,7 +587,7 @@ def reference_plan_epochs_for_sim(plan: MissionPlan, instance: Instance) -> tupl
         for pkg_id in epoch_plan:
             pkg = instance.package_by_id(int(pkg_id))
             if allowed is not None and pkg.id not in allowed:
-                raise HorizonMismatchError(
+                raise UnknownPackageIdError(
                     f"package {pkg.id} is not available in epoch {h}")
             pkgs.append(pkg)
         epochs.append(pkgs)
@@ -602,6 +604,15 @@ def resolved(resolve, plan, inst):
     if resolve is reference_plan_epochs_for_sim:
         epochs = [([p.reward for p in pkgs], [p.leg_success for p in pkgs]) for pkgs in epochs]
     return epochs, stationary
+
+
+def raised(call, *args):
+    """The (type, message) of what ``call(*args)`` raises, or None."""
+    try:
+        call(*args)
+    except Exception as exc:  # the comparison is of what each raises
+        return type(exc), str(exc)
+    return None
 
 
 def random_plan_ids(rng, inst, h):
@@ -641,6 +652,12 @@ class TestPlanResolution:
                 epochs = k + rng.choice([0, 0, 0, 0, 0, 0, -1, 1]) if inst.horizon.is_finite else k
                 plan = MissionPlan.finite(random_plan_ids(rng, inst, min(h, k)) for h in range(1, max(epochs, 0) + 1))
             expected = resolved(reference_plan_epochs_for_sim, plan, inst)
-            assert resolved(oracle_sim._plan_epochs_for_sim, plan, inst) == expected
+            assert resolved(expectation._resolve_plan, plan, inst) == expected
+            if isinstance(expected[0], type):
+                # The evaluator and the simulator raise what the reference does.
+                assert raised(evaluate_mission, plan, inst) == expected
+                assert raised(simulate_mission, plan, inst, SimConfig(trials=2, seed=1)) == expected
+            else:
+                assert raised(evaluate_mission, plan, inst) is None
             seen.add(expected[0] if isinstance(expected[0], type) else "ok")
         assert seen == {"ok", InvalidPlanError, UnknownPackageIdError, HorizonMismatchError}
