@@ -45,7 +45,7 @@ from .model import (
     check_epoch_limit,
     ensure_valid,
 )
-from .oracle_sim import SimConfig, SimResult, _failed_legs, _leg_thresholds, trial_keys
+from .oracle_sim import SimConfig, SimResult, _failed_legs, _leg_thresholds, _trial_ranges, trial_keys
 
 __all__ = [
     "PoissonBinomial",
@@ -422,14 +422,10 @@ def simulate_team_mission(
     # Each tour's (rewards, rhos), resolved once.
     resolved = {key: [_resolve_epoch(tour, instance) for tour in plan.tours] for key, plan in plans.items()}
 
-    bounds = np.linspace(0, config.trials, config.parallel_shards + 1).astype(int)
     totals_parts = []
     alive_sums = [0] * k  # integer accumulation keeps shard splits exact
     deaths_by_epoch: dict[int, int] = {}
-    for s in range(config.parallel_shards):
-        lo, hi = int(bounds[s]), int(bounds[s + 1])
-        if lo == hi:
-            continue
+    for lo, hi in _trial_ranges(config):
         n_trials = hi - lo
         keys = trial_keys(config.seed, np.arange(lo, hi, dtype=np.uint64))
         totals = np.zeros(n_trials)
@@ -444,7 +440,8 @@ def simulate_team_mission(
                 deaths = np.zeros(sel.size, dtype=np.int64)
                 for m, (rewards, rhos) in enumerate(resolved[(h, beta)]):
                     thresholds = _leg_thresholds(rhos)
-                    first = _failed_legs(group_keys, stride_agent * (m + agents * (h - 1)), thresholds)
+                    first = _failed_legs(group_keys, stride_agent * (m + agents * (h - 1)), thresholds,
+                                         thresholds.size)
                     # Each trial's rewards, then -theta, one at a time in
                     # tour order, as a trial's own total would take them.
                     delivered = (first + 1) // 2

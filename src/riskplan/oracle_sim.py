@@ -21,7 +21,8 @@ OOPSLA 2014).  Results therefore depend only on (seed, trials) and are
 bit-identical for any shard count or blocking of the work.  One kernel,
 ``_first_failures``, draws a block of legs for the live trials at once and
 finds each trial's first failed leg by an exact integer compare; drawing
-stops once every trial is dead.
+stops once every trial is dead.  A mission is one sequence of legs, so a
+trial's first failed leg in it gives both its death epoch and its total.
 """
 
 from __future__ import annotations
@@ -59,8 +60,9 @@ class SimConfig:
 
     trials: int
     seed: int
-    #: Splits the trial range into this many passes, run one after another
-    #: in this process; the split cannot change any result.
+    #: Splits the trial range into this many passes, or ``trials`` if
+    #: fewer, run one after another in this process; the split cannot
+    #: change any result.
     parallel_shards: int = 1
 
     def __post_init__(self):
@@ -301,15 +303,16 @@ def _first_failures(keys: np.ndarray, offsets: np.ndarray, thresholds: np.ndarra
     return n - (fail * weight).max(axis=0).astype(np.intp)
 
 
-def _failed_legs(keys: np.ndarray, first_draw: int, thresholds: np.ndarray) -> np.ndarray:
-    """Each trial's first failed leg among legs drawn at ``first_draw``,
-    ``first_draw + 1``, ...; ``len(thresholds)`` for a trial that fails none.
+def _failed_legs(keys: np.ndarray, first_draw: int, thresholds: np.ndarray, legs: int) -> np.ndarray:
+    """Each trial's first failed leg among ``legs`` legs drawn at
+    ``first_draw``, ``first_draw + 1``, ...; ``legs`` for a trial that
+    fails none.  Leg j's pass mark is ``thresholds[j % len(thresholds)]``,
+    so a stationary plan passes one epoch's marks.
 
     Blocks hold at most ``_DRAW_BLOCK`` draws (one leg when more trials
     are alive); a trial leaves once it fails, and drawing stops once none
     is left.
     """
-    legs = thresholds.size
     first = np.full(keys.size, legs, dtype=np.intp)
     live = np.arange(keys.size)
     start = 0
@@ -317,7 +320,8 @@ def _failed_legs(keys: np.ndarray, first_draw: int, thresholds: np.ndarray) -> n
         n = min(legs - start, _BLOCK_LEGS, max(1, _DRAW_BLOCK // live.size))
         d = first_draw + start
         offsets = np.arange(d + 1, d + n + 1, dtype=np.uint64) * _GOLDEN  # wraps as leg_uniforms
-        block = _first_failures(keys[live], offsets, thresholds[start: start + n])
+        marks = thresholds[np.arange(start, start + n) % thresholds.size]
+        block = _first_failures(keys[live], offsets, marks)
         first[live] = start + block
         live = live[block == n]
         start += n
@@ -327,50 +331,12 @@ def _failed_legs(keys: np.ndarray, first_draw: int, thresholds: np.ndarray) -> n
 # --- Monte Carlo -------------------------------------------------------------
 
 
-def _run_shard(epochs, stationary, theta, seed, lo, hi):
-    """Simulate trials [lo, hi); returns (totals, death_epochs, alive_counts).
-
-    ``epochs`` holds each epoch's (rewards, leg thresholds).  Every trial
-    alive at an epoch's start has won the same rewards, so one running
-    total, folded package by package as each trial's own total would be,
-    serves them all.  A trial that fails leg f of an epoch won the rewards
-    of its first ``(f + 1) // 2`` packages there and ends at that prefix of
-    the fold minus theta.  Draws run on one counter across epochs, and stop
-    once every trial is dead.
-    """
-    m = hi - lo
-    ids = np.arange(lo, hi, dtype=np.uint64)
-    keys = trial_keys(seed, ids)
-    totals = np.zeros(m)
-    death_epoch = np.zeros(m, dtype=np.int64)
-    idx = np.arange(m)
-    alive_counts: list[int] = []
-
-    epoch_iter = itertools.repeat(epochs[0]) if stationary else iter(epochs)
-    cap = STATIONARY_EPOCH_CAP if stationary else len(epochs)
-    total = 0.0
-    draw = 0
-    for h in range(1, cap + 1):
-        if idx.size == 0:
-            if not stationary:
-                alive_counts += [0] * (cap + 1 - h)
-            break
-        alive_counts.append(idx.size)
-        rewards, thresholds = next(epoch_iter)
-        first = _failed_legs(keys, draw, thresholds)
-        draw += thresholds.size
-        prefix = [total]
-        for reward in rewards:
-            total += reward
-            prefix.append(total)
-        died = first < thresholds.size
-        if died.any():
-            dead = idx[died]
-            totals[dead] = np.array(prefix)[(first[died] + 1) // 2] - theta
-            death_epoch[dead] = h
-            idx, keys = idx[~died], keys[~died]
-    totals[idx] = total
-    return totals, death_epoch, alive_counts
+def _trial_ranges(config: SimConfig):
+    """The trial ranges ``[lo, hi)`` of ``config``'s passes: at most
+    ``min(parallel_shards, trials)`` of them, none empty."""
+    passes = min(config.parallel_shards, config.trials)
+    for s in range(passes):
+        yield s * config.trials // passes, (s + 1) * config.trials // passes
 
 
 def _truncation_bias(rewards: list[float], rhos: list[float], theta: float) -> float:
@@ -393,47 +359,54 @@ def simulate_mission(plan: MissionPlan, instance: Instance, config: SimConfig) -
     with the geometric truncation bias bound reported alongside the
     estimate; on a finite horizon it expands to one copy per epoch,
     matching ``evaluate_mission``.
+
+    A mission is one sequence of legs, drawn on one counter: each epoch's
+    legs in plan order, a stationary plan's repeated up to the cap.  All
+    else follows from each trial's first failed leg f in it.  The trial
+    died in the epoch whose legs hold f, and won the first ``(f + 1) // 2``
+    rewards of the mission, whose sum is that prefix of one left fold, as
+    the trial's own running total would be.
     """
     ensure_valid(instance)
     check_epoch_limit(instance)
     epochs, stationary = _resolve_plan(plan, instance)
+    rewards = [r for epoch_rewards, _ in epochs for r in epoch_rewards]
+    thresholds = _leg_thresholds([rho for _, rhos in epochs for rho in rhos])
 
     truncation_bias = 0.0
     if stationary:
-        if not epochs[0][0]:
+        if not rewards:
             return SimResult(mean=0.0, std_error=0.0, per_epoch_survival_freq=(1.0,))
         truncation_bias = _truncation_bias(*epochs[0], instance.theta)
-    legs = [(rewards, _leg_thresholds(rhos)) for rewards, rhos in epochs]
+        ends = thresholds.size * np.arange(1, STATIONARY_EPOCH_CAP + 1)
+    else:
+        ends = np.cumsum([2 * len(epoch_rewards) for epoch_rewards, _ in epochs])
+    legs = int(ends[-1])
 
-    bounds = np.linspace(0, config.trials, config.parallel_shards + 1).astype(int)
-    totals_parts = []
-    death_parts = []
-    alive_parts: list[list[int]] = []
-    for s in range(config.parallel_shards):
-        lo, hi = int(bounds[s]), int(bounds[s + 1])
-        if lo == hi:
-            continue
-        totals, deaths, alive_counts = _run_shard(
-            legs, stationary, instance.theta, config.seed, lo, hi)
-        totals_parts.append(totals)
-        death_parts.append(deaths)
-        alive_parts.append(alive_counts)
+    first = np.concatenate([
+        _failed_legs(trial_keys(config.seed, np.arange(lo, hi, dtype=np.uint64)), 0, thresholds, legs)
+        for lo, hi in _trial_ranges(config)])
+    delivered = (first + 1) // 2
+    won = np.array(rewards)[np.arange(delivered.max()) % len(rewards)]  # cycled on a stationary plan
+    with np.errstate(over="ignore"):  # as silent as float arithmetic
+        prefix = np.cumsum(np.concatenate(([0.0], won)))
+    totals = prefix[delivered]
+    died = first < legs
+    totals[died] -= instance.theta
 
-    totals = np.concatenate(totals_parts)
-    deaths = np.concatenate(death_parts)
-
-    n_epochs = max(len(a) for a in alive_parts)
-    alive_total = np.zeros(n_epochs, dtype=np.int64)
-    for counts in alive_parts:
-        alive_total[: len(counts)] += np.asarray(counts, dtype=np.int64)
+    death_epoch = np.searchsorted(ends, first[died], side="right") + 1
+    n_epochs = ends.size
+    if stationary and died.all():  # the mission ends with its last live trial
+        n_epochs = int(death_epoch.max())
+    deaths = np.bincount(death_epoch, minlength=n_epochs + 1)
+    alive = config.trials - np.cumsum(deaths[:-1])  # at each epoch's start
 
     mean = float(np.mean(totals))
     std_error = float(np.std(totals, ddof=1) / math.sqrt(config.trials)) if config.trials > 1 else 0.0
-    hist_epochs, hist_counts = np.unique(deaths[deaths > 0], return_counts=True)
     return SimResult(
         mean=mean,
         std_error=std_error,
-        per_epoch_survival_freq=tuple(float(c) / config.trials for c in alive_total),
-        failure_epoch_histogram={int(e): int(c) for e, c in zip(hist_epochs, hist_counts)},
+        per_epoch_survival_freq=tuple(c / config.trials for c in alive.tolist()),
+        failure_epoch_histogram={int(h): int(deaths[h]) for h in np.flatnonzero(deaths)},
         truncation_bias_bound=truncation_bias,
     )

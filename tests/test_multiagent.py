@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -461,6 +462,14 @@ class TestGreedy:
             for s in (1, 4)
         ]
         assert results[0] == results[1]
+
+    def test_shards_beyond_the_trial_count_cost_nothing(self):
+        inst = inst_of(1.0, 2, PackageSpec(0, 4, 0.9), PackageSpec(1, 2, 0.8))
+        report = greedy_rtpd(inst, 2, sim_config=SimConfig(trials=10, seed=3))
+        start = time.perf_counter()
+        res = simulate_team_mission(report.plans, inst, 2, SimConfig(trials=10, seed=3, parallel_shards=10**7))
+        assert time.perf_counter() - start < 1.0
+        assert res == simulate_team_mission(report.plans, inst, 2, SimConfig(trials=10, seed=3))
 
     def test_scale_and_horizon_errors(self):
         inst = inst_of(0.0, 1, PackageSpec(0, 1, 0.5))

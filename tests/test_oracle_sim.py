@@ -2,7 +2,9 @@ import ast
 import itertools
 import math
 import random
+import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -26,7 +28,7 @@ from riskplan import (
 from riskplan import expectation, oracle_sim
 from riskplan.cli import GeneratorSpec, generate_instance
 from riskplan.errors import HorizonMismatchError, InvalidPlanError, UnknownPackageIdError
-from riskplan.oracle_sim import STATIONARY_EPOCH_CAP, _epoch_sequences, leg_uniforms, trial_keys
+from riskplan.oracle_sim import STATIONARY_EPOCH_CAP, SimResult, _epoch_sequences, leg_uniforms, trial_keys
 
 from conftest import make_instance, random_mission_plan, with_horizon
 
@@ -148,6 +150,14 @@ class TestSimulateMission:
             for s in (1, 4, 16)
         ]
         assert results[0] == results[1] == results[2]
+
+    def test_shards_beyond_the_trial_count_cost_nothing(self):
+        inst = inst_of(1.0, 2, PackageSpec(0, 4, 0.9), PackageSpec(1, 2, 0.8))
+        plan = MissionPlan.finite([(0, 1), (1,)])
+        start = time.perf_counter()
+        res = simulate_mission(plan, inst, SimConfig(trials=10, seed=3, parallel_shards=10**7))
+        assert time.perf_counter() - start < 1.0
+        assert res == simulate_mission(plan, inst, SimConfig(trials=10, seed=3))
 
     def test_seed_determinism(self):
         inst = inst_of(1.0, 1, PackageSpec(0, 4, 0.9))
@@ -414,16 +424,55 @@ def per_leg_run_shard(epochs, stationary, theta, seed, lo, hi):
     return totals, death_epoch, alive_counts
 
 
-def per_leg_simulate(plan, inst, config, monkeypatch):
-    """``simulate_mission`` run on the per-leg shard loop above, the one the
-    block kernel replaced, kept as its reference."""
+def per_leg_simulate(plan, inst, config):
+    """``simulate_mission`` as it ran on the per-leg shard loop above, the
+    one the block kernel replaced, kept as its reference: the trial range
+    split by ``linspace``, each shard run in turn, and their totals,
+    death epochs and alive counts merged."""
     if plan.is_stationary and inst.horizon.is_finite:
         plan = MissionPlan.finite([plan.stationary] * inst.horizon.epochs)
-    plans = [plan.stationary] if plan.is_stationary else plan.plans
+    stationary = plan.is_stationary
+    plans = [plan.stationary] if stationary else plan.plans
     epochs = [[inst.package_by_id(int(i)) for i in p] for p in plans]
-    with monkeypatch.context() as m:
-        m.setattr(oracle_sim, "_run_shard", lambda _legs, *rest: per_leg_run_shard(epochs, *rest))
-        return simulate_mission(plan, inst, config)
+    truncation_bias = 0.0
+    if stationary:
+        if not epochs[0]:
+            return SimResult(mean=0.0, std_error=0.0, per_epoch_survival_freq=(1.0,))
+        truncation_bias = oracle_sim._truncation_bias(
+            [p.reward for p in epochs[0]], [p.leg_success for p in epochs[0]], inst.theta)
+
+    bounds = np.linspace(0, config.trials, config.parallel_shards + 1).astype(int)
+    totals_parts = []
+    death_parts = []
+    alive_parts: list[list[int]] = []
+    for s in range(config.parallel_shards):
+        lo, hi = int(bounds[s]), int(bounds[s + 1])
+        if lo == hi:
+            continue
+        totals, deaths, alive_counts = per_leg_run_shard(
+            epochs, stationary, inst.theta, config.seed, lo, hi)
+        totals_parts.append(totals)
+        death_parts.append(deaths)
+        alive_parts.append(alive_counts)
+
+    totals = np.concatenate(totals_parts)
+    deaths = np.concatenate(death_parts)
+
+    n_epochs = max(len(a) for a in alive_parts)
+    alive_total = np.zeros(n_epochs, dtype=np.int64)
+    for counts in alive_parts:
+        alive_total[: len(counts)] += np.asarray(counts, dtype=np.int64)
+
+    mean = float(np.mean(totals))
+    std_error = float(np.std(totals, ddof=1) / math.sqrt(config.trials)) if config.trials > 1 else 0.0
+    hist_epochs, hist_counts = np.unique(deaths[deaths > 0], return_counts=True)
+    return SimResult(
+        mean=mean,
+        std_error=std_error,
+        per_epoch_survival_freq=tuple(float(c) / config.trials for c in alive_total),
+        failure_epoch_histogram={int(e): int(c) for e, c in zip(hist_epochs, hist_counts)},
+        truncation_bias_bound=truncation_bias,
+    )
 
 
 def random_sim_instance(rng, infinite=False):
@@ -482,7 +531,22 @@ class TestFirstFailures:
         first = oracle_sim._first_failures(keys, leg_offsets(draw, legs), thresholds)
         assert np.array_equal(first, expected)
         assert expected[7] == 4
-        assert np.array_equal(oracle_sim._failed_legs(keys, draw, thresholds), expected)
+        assert np.array_equal(oracle_sim._failed_legs(keys, draw, thresholds, legs), expected)
+
+    # 3 packages make a 6-leg period, which does not divide a block of 64.
+    @pytest.mark.parametrize("draws, legs", [
+        (oracle_sim._DRAW_BLOCK, oracle_sim._BLOCK_LEGS), (1, 1), (50, 3)])
+    @pytest.mark.parametrize("draw", [0, 2**40 + 3])
+    def test_cycled_thresholds_equal_tiled_ones(self, draw, draws, legs, monkeypatch):
+        monkeypatch.setattr(oracle_sim, "_DRAW_BLOCK", draws)
+        monkeypatch.setattr(oracle_sim, "_BLOCK_LEGS", legs)
+        keys = trial_keys(5, np.arange(2000, dtype=np.uint64))
+        thresholds = oracle_sim._leg_thresholds([0.999, 0.99, 1 - 2.0 ** -53])
+        for count in (7, 64, 65, 301):
+            cycled = oracle_sim._failed_legs(keys, draw, thresholds, count)
+            tiled = np.tile(thresholds, -(-count // thresholds.size))[:count]
+            assert np.array_equal(cycled, oracle_sim._failed_legs(keys, draw, tiled, count))
+            assert 0 < np.count_nonzero(cycled < count) < keys.size
 
     def test_draws_nothing_after_the_last_death(self, monkeypatch):
         # Every trial fails epoch 1's first leg (rho = 0).
@@ -513,15 +577,15 @@ class TestBlockKernelMatchesPerLegLoop:
             inst = random_sim_instance(rng)
             plan = random_mission_plan(rng, inst)
             config = random_sim_config(rng)
-            assert simulate_mission(plan, inst, config) == per_leg_simulate(plan, inst, config, monkeypatch)
+            assert simulate_mission(plan, inst, config) == per_leg_simulate(plan, inst, config)
 
-    def test_oracle_instances_and_optimal_plans(self, monkeypatch):
+    def test_oracle_instances_and_optimal_plans(self):
         rng = random.Random(20261020)
         for _ in range(40):
             inst = random_oracle_instance(rng)
             _, plan = brute_force_finite(inst)
             config = random_sim_config(rng)
-            assert simulate_mission(plan, inst, config) == per_leg_simulate(plan, inst, config, monkeypatch)
+            assert simulate_mission(plan, inst, config) == per_leg_simulate(plan, inst, config)
 
     @pytest.mark.parametrize("shards", range(1, 8))
     def test_stationary_plans(self, shards, monkeypatch):
@@ -539,7 +603,7 @@ class TestBlockKernelMatchesPerLegLoop:
             config = SimConfig(trials=rng.randint(1, 300), seed=rng.randrange(2**64),
                                parallel_shards=shards)
             try:
-                expected = per_leg_simulate(plan, inst, config, monkeypatch)
+                expected = per_leg_simulate(plan, inst, config)
             except UnboundedSimulationError:
                 continue
             assert simulate_mission(plan, inst, config) == expected
@@ -556,7 +620,26 @@ class TestBlockKernelMatchesPerLegLoop:
             res = simulate_mission(MissionPlan.from_stationary((1, 0)), inst, config)
             assert len(res.per_epoch_survival_freq) == 400
             assert res.per_epoch_survival_freq[-1] > 0
-            assert res == per_leg_simulate(MissionPlan.from_stationary((1, 0)), inst, config, monkeypatch)
+            assert res == per_leg_simulate(MissionPlan.from_stationary((1, 0)), inst, config)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_stationary_fold_past_overflow(self, monkeypatch):
+        # Totals reach inf as the running float total does, and the fold
+        # warns no more than float addition (the mean's own sum still does).
+        monkeypatch.setattr(oracle_sim, "STATIONARY_EPOCH_CAP", 400)
+        monkeypatch.setitem(globals(), "STATIONARY_EPOCH_CAP", 400)
+        inst = Instance(theta=0.5, horizon=Horizon.infinite(),
+                        packages=(PackageSpec(0, 1e306, 1 - 2.0 ** -53), PackageSpec(1, 1e306, 0.99)))
+        plan = MissionPlan.from_stationary((0, 1))
+        config = SimConfig(trials=200, seed=3, parallel_shards=2)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", message="overflow encountered in accumulate")
+            res = simulate_mission(plan, inst, config)
+        expected = per_leg_simulate(plan, inst, config)
+        assert res.mean == expected.mean == math.inf
+        assert res.per_epoch_survival_freq == expected.per_epoch_survival_freq
+        assert res.failure_epoch_histogram == expected.failure_epoch_histogram
 
 
 # --- plan resolution for simulate --------------------------------------------
