@@ -38,6 +38,8 @@ CASES = {
     "simulate_stationary": ("simulate -i <gen_infinite.json -p <stationary_plan.json --trials 2000 --seed 4"
                             " -o >simulate_stationary.json"),
     "team_greedy": "team greedy -i <gen_finite.json --agents 2 --seed 3 --trials 500 -o >team_greedy.json",
+    "team_greedy_per_epoch": ("team greedy -i <per_epoch_instance.json --agents 3 --seed 3 --trials 500"
+                              " -o >team_greedy_per_epoch.json"),
     "oracle_per_epoch": "oracle -i <per_epoch_instance.json -o >oracle_per_epoch.json",
     "mdp_eval": "mdp-eval -i <mdp_instance.json -o >mdp_eval.json",
     "mdp_eval_action": "mdp-eval -i <mdp_instance.json --action 1100101 -o >mdp_eval_action.json",
