@@ -323,6 +323,8 @@ def _cmd_simulate(args) -> int:
     plan = plan_from_dict(_load_json(args.plan))
     config = oracle_sim.SimConfig(trials=args.trials, seed=args.seed, parallel_shards=args.shards)
     result = oracle_sim.simulate_mission(plan, instance, config)
+    if not math.isfinite(result.mean):
+        raise ArithmeticError("simulated mission totals pass the largest double")
     _info("simulated %d trials: mean=%g +- %g", args.trials, result.mean, result.std_error)
     _emit({
         "mean": result.mean,

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfiniteHorizonError
-from .model import Instance, MissionPlan, check_epoch_limit, ensure_valid, gamma_values
+from .model import Instance, MissionPlan, canonical_order, check_epoch_limit, ensure_valid, gamma_values
 
 __all__ = ["SolveReport", "solve_finite"]
 
@@ -60,12 +60,7 @@ def _sorted_package_arrays(instance: Instance):
     """ids/rewards/rhos/gammas permuted into canonical delivery order."""
     ids, rewards, rhos = instance._arrays()
     gammas = gamma_values(rewards, rhos)
-    riskless = np.isinf(gammas)
-    # Canonical order: riskless positive-reward packages first (by
-    # descending reward), everything else by descending gamma; ties by
-    # ascending id.  lexsort uses the last key as primary.
-    secondary = np.where(riskless, -rewards, -gammas)
-    order = np.lexsort((ids, secondary, np.where(riskless, 0, 1)))
+    order = canonical_order(ids, rewards, gammas)
     return ids[order], rewards[order], rhos[order], gammas[order]
 
 

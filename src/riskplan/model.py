@@ -65,6 +65,7 @@ __all__ = [
     "gamma_values",
     "canonical_delivery_order",
     "canonical_sort_key",
+    "canonical_order",
     "probability_to_distance",
     "distance_to_probability",
     "instance_to_dict",
@@ -372,33 +373,23 @@ class Instance:
             raise UnknownPackageIdError(f"unknown package id {pkg_id}")
         return self.packages[row]
 
-    def allowed_ids(self, epoch: int) -> frozenset[int]:
-        """Ids deliverable in 1-based ``epoch``, as a set made on first use
-        (for the small-instance oracles; solvers read the arrays)."""
+    def catalog(self, epoch: int) -> np.ndarray:
+        """Ids deliverable in 1-based ``epoch``, as a sorted int64 array."""
         if self.per_epoch_packages is None:
-            return self._all_ids
-        allowed = self._catalog_sets.get(epoch)
-        if allowed is None:
-            allowed = self._catalog_sets[epoch] = frozenset(self.per_epoch_packages[epoch - 1].tolist())
-        return allowed
+            return np.sort(self.packages.ids)
+        return self.per_epoch_packages[epoch - 1]
+
+    def allowed_ids(self, epoch: int) -> frozenset[int]:
+        """:meth:`catalog` as a set, for the small-instance oracles."""
+        return frozenset(self.catalog(epoch).tolist())
 
     def in_catalog(self, epoch: int, ids: np.ndarray) -> np.ndarray:
         """Whether each of ``ids`` (int64) is deliverable in 1-based
-        ``epoch``: :meth:`allowed_ids` as one binary search."""
-        if self.per_epoch_packages is None:
-            return self.packages.rows(ids) >= 0
-        catalog = self.per_epoch_packages[epoch - 1]
+        ``epoch``: :meth:`catalog` as one binary search."""
+        catalog = self.catalog(epoch)
         if not catalog.size:
             return np.zeros(len(ids), dtype=bool)
         return catalog[np.minimum(np.searchsorted(catalog, ids), catalog.size - 1)] == ids
-
-    @cached_property
-    def _all_ids(self) -> frozenset[int]:
-        return frozenset(self.packages.ids.tolist())
-
-    @cached_property
-    def _catalog_sets(self) -> dict[int, frozenset[int]]:
-        return {}
 
     @cached_property
     def _violations(self) -> tuple["Violation", ...]:
@@ -616,7 +607,7 @@ def reward_to_risk(package: PackageSpec) -> float:
 
 def gamma_values(rewards: np.ndarray, rhos: np.ndarray) -> np.ndarray:
     """Vectorized :func:`reward_to_risk` over parallel arrays."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         raw = rewards * rhos / (1.0 - rhos * rhos)
     return np.where(rhos == 1.0, np.where(rewards > 0, np.inf, 0.0), raw)
 
@@ -633,6 +624,14 @@ def canonical_sort_key(package: PackageSpec) -> tuple:
     if math.isinf(gamma):
         return (0, -package.reward, package.id)
     return (1, -gamma, package.id)
+
+
+def canonical_order(ids: np.ndarray, rewards: np.ndarray, gammas: np.ndarray) -> np.ndarray:
+    """The permutation that puts parallel columns in canonical order: the
+    order of :func:`canonical_sort_key`, by one ``lexsort``."""
+    riskless = np.isinf(gammas)
+    # lexsort uses the last key as primary.
+    return np.lexsort((ids, np.where(riskless, -rewards, -gammas), np.where(riskless, 0, 1)))
 
 
 def canonical_delivery_order(packages: Iterable[PackageSpec]) -> list[PackageSpec]:

@@ -18,6 +18,7 @@ optimal.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -41,11 +42,13 @@ from .model import (
     EpochPlan,
     Instance,
     PackageSpec,
-    canonical_sort_key,
+    canonical_order,
     check_epoch_limit,
     ensure_valid,
+    gamma_values,
 )
-from .oracle_sim import SimConfig, SimResult, _failed_legs, _leg_thresholds, _trial_ranges, trial_keys
+from .oracle_sim import (SimConfig, SimResult, _failed_legs, _leg_thresholds, _mean_and_error, _trial_ranges,
+                         trial_keys)
 
 __all__ = [
     "PoissonBinomial",
@@ -160,14 +163,19 @@ class TeamEpochPlan:
         return frozenset(i for tour in self.tours for i in tour)
 
 
-def _tour_stats(tour: Sequence[int], instance: Instance) -> tuple[float, float]:
-    """(expected delivery reward, tour survival probability)."""
-    rewards, rhos = _resolve_epoch(tour, instance)
-    ev = _fold_epoch(rewards, rhos, instance.theta)
+def _tour_stats(rewards: list[float], rhos: list[float], theta: float) -> tuple[float, float]:
+    """(expected delivery reward, survival probability) of a tour, in tour order."""
+    ev = _fold_epoch(rewards, rhos, theta)
     reward = 0.0
     for r, psi in zip(rewards, ev.delivery_probs):
         reward += r * psi
     return reward, ev.epoch_survival
+
+
+def _gain(reward, rho, loss):
+    """Per-unit gain ``r*rho - (1 - rho**2) * loss`` of appending a package:
+    scalars, or arrays elementwise with the same IEEE results."""
+    return reward * rho - (1.0 - rho * rho) * loss
 
 
 def _survivor_pmf(survivals: Sequence[float]) -> list[float]:
@@ -207,19 +215,23 @@ def _survivor_loss(survivals: Sequence[float], agent_index: int, values: Sequenc
     )
 
 
+def _team_expectation(stats: Sequence[tuple[float, float]], theta: float) -> float:
+    """Team epoch expectation from each tour's (reward, survival)."""
+    rewards = failures = 0.0
+    for reward, survival in stats:
+        rewards += reward
+        failures += 1.0 - survival
+    return rewards - theta * failures
+
+
 def team_epoch_expectation(team_plan: TeamEpochPlan, instance: Instance) -> float:
     """Expected epoch reward of a team conditioned on all agents alive.
 
     Delivery rewards add across tours; the loss term charges theta per
     expected failed agent, ``sum_i (1 - s_i)`` by linearity.
     """
-    rewards = 0.0
-    failures = 0.0
-    for tour in team_plan.tours:
-        reward, survival = _tour_stats(tour, instance)
-        rewards += reward
-        failures += 1.0 - survival
-    return rewards - instance.theta * failures
+    theta = instance.theta
+    return _team_expectation([_tour_stats(*_resolve_epoch(t, instance), theta) for t in team_plan.tours], theta)
 
 
 def poisson_quotient_difference(
@@ -273,10 +285,9 @@ def marginal_gain(
             raise ValidationError(
                 f"continuation_values needs {alpha + 1} entries (counts 0..{alpha}), got {len(values)}")
 
-    survivals = [_tour_stats(tour, instance)[1] for tour in team_plan.tours]
+    survivals = [_tour_stats(*_resolve_epoch(t, instance), instance.theta)[1] for t in team_plan.tours]
     loss = _survivor_loss(survivals, agent_index, values, instance.theta)
-    rho = package.leg_success
-    return package.reward * rho - (1.0 - rho * rho) * loss
+    return _gain(package.reward, package.leg_success, loss)
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,47 +314,38 @@ def _greedy_epoch_plan(
 ) -> tuple[TeamEpochPlan, float]:
     """Build one epoch's tours greedily; return the plan and V_h(beta).
 
-    Each step takes the loss term of :func:`marginal_gain` once per agent,
-    from the tour survivals, so each (agent, package) gain costs O(1); only
-    the tour that grew has its survival recomputed.  The epoch's catalog is
-    resolved once.
+    The epoch's catalog is read once, as columns in id order.  Each step
+    takes the loss term of :func:`marginal_gain` once per agent, from the
+    tour survivals, then every (agent, package) gain as one array and its
+    first maximum: a strictly-greater scan's pick, lowest agent then
+    lowest id.  Each tour holds its packages' canonical ranks, sorted, and
+    only the tour that grew has its (reward, survival) recomputed.
     """
-    ids = sorted(instance.allowed_ids(epoch))
-    catalog = {
-        pkg_id: PackageSpec(pkg_id, reward, rho)
-        for pkg_id, reward, rho in zip(ids, *_resolve_epoch(ids, instance, epoch))
-    }
-    available = dict(catalog)
+    theta = instance.theta
+    ids = instance.catalog(epoch)
+    rewards, rhos = (np.array(c) for c in _resolve_epoch(ids, instance, epoch))
+    order = canonical_order(ids, rewards, gamma_values(rewards, rhos))
+    rank = np.argsort(order)  # each catalog position's place in canonical order
+    ranked_rewards, ranked_rhos = rewards[order].tolist(), rhos[order].tolist()
+    free = np.ones(ids.size, dtype=bool)
     tours: list[list[int]] = [[] for _ in range(beta)]
-    survivals = [1.0] * beta
+    stats = [(0.0, 1.0)] * beta  # each tour's (reward, survival); empty ones earn 0 and survive
 
-    while available:
-        best_gain = 0.0
-        best_pick = None
-        candidates = sorted(available)
-        for m in range(beta):
-            scale = survivals[m]
-            loss = _survivor_loss(survivals, m, continuation, instance.theta)
-            for pkg_id in candidates:
-                pkg = available[pkg_id]
-                rho = pkg.leg_success
-                gain = scale * (pkg.reward * rho - (1.0 - rho * rho) * loss)
-                if gain > best_gain:
-                    best_gain = gain
-                    best_pick = (m, pkg_id)
-        if best_pick is None:
+    while free.any():
+        survivals = [s for _, s in stats]
+        losses = [_survivor_loss(survivals, m, continuation, theta) for m in range(beta)]
+        gains = np.array(survivals)[:, None] * _gain(rewards, rhos, np.array(losses)[:, None])
+        gains = np.where(free, gains, 0.0)  # taken packages gain nothing
+        m, at = divmod(int(np.argmax(gains)), ids.size)
+        if not gains[m, at] > 0.0:
             break
-        m, pkg_id = best_pick
-        tours[m].append(pkg_id)
-        tours[m].sort(key=lambda i: canonical_sort_key(catalog[i]))
-        pkgs = [catalog[i] for i in tours[m]]
-        survivals[m] = _fold_epoch([p.reward for p in pkgs], [p.leg_success for p in pkgs],
-                                   instance.theta).epoch_survival
-        del available[pkg_id]
+        free[at] = False
+        bisect.insort(tours[m], int(rank[at]))
+        stats[m] = _tour_stats([ranked_rewards[j] for j in tours[m]], [ranked_rhos[j] for j in tours[m]], theta)
 
-    plan = TeamEpochPlan.of(tours)
-    value = team_epoch_expectation(plan, instance) + sum(
-        p * continuation[b] for b, p in enumerate(_survivor_pmf(survivals))
+    plan = TeamEpochPlan.of(ids[order[t]] for t in tours)
+    value = _team_expectation(stats, theta) + sum(
+        p * continuation[b] for b, p in enumerate(_survivor_pmf([s for _, s in stats]))
     )
     return plan, value
 
@@ -458,12 +460,8 @@ def simulate_team_mission(
                     alive[sel] = beta - deaths
         totals_parts.append(totals)
 
-    totals = np.concatenate(totals_parts)
-    mean = float(np.mean(totals))
-    std_error = float(np.std(totals, ddof=1) / math.sqrt(config.trials)) if config.trials > 1 else 0.0
     return SimResult(
-        mean=mean,
-        std_error=std_error,
+        *_mean_and_error(np.concatenate(totals_parts), config.trials),
         per_epoch_survival_freq=tuple(s / (config.trials * agents) for s in alive_sums),
         failure_epoch_histogram=dict(sorted(deaths_by_epoch.items())),
     )

@@ -339,6 +339,13 @@ def _trial_ranges(config: SimConfig):
         yield s * config.trials // passes, (s + 1) * config.trials // passes
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as silent as float arithmetic
+def _mean_and_error(totals: np.ndarray, trials: int) -> tuple[float, float]:
+    """(mean, standard error) of the trials' totals."""
+    std_error = float(np.std(totals, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    return float(np.mean(totals)), std_error
+
+
 def _truncation_bias(rewards: list[float], rhos: list[float], theta: float) -> float:
     """Bound on what stopping a stationary plan at ``STATIONARY_EPOCH_CAP``
     epochs leaves out of its mean."""
@@ -401,11 +408,8 @@ def simulate_mission(plan: MissionPlan, instance: Instance, config: SimConfig) -
     deaths = np.bincount(death_epoch, minlength=n_epochs + 1)
     alive = config.trials - np.cumsum(deaths[:-1])  # at each epoch's start
 
-    mean = float(np.mean(totals))
-    std_error = float(np.std(totals, ddof=1) / math.sqrt(config.trials)) if config.trials > 1 else 0.0
     return SimResult(
-        mean=mean,
-        std_error=std_error,
+        *_mean_and_error(totals, config.trials),
         per_epoch_survival_freq=tuple(c / config.trials for c in alive.tolist()),
         failure_epoch_histogram={int(h): int(deaths[h]) for h in np.flatnonzero(deaths)},
         truncation_bias_bound=truncation_bias,

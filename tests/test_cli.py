@@ -504,19 +504,28 @@ class TestErrorPaths:
     # `mdp-eval` swept for seconds before failing.
     OVERFLOWING = [{"id": 0, "reward": 1.5e308, "rho": 0.9}, {"id": 1, "reward": 1.5e308, "rho": 0.9},
                    {"id": 2, "reward": 1.0, "rho": 0.0}]
+    REWARD_OVERFLOW = "invalid instance: reward_overflow: package rewards sum to inf"
+    # One reward of 1e307 is valid, but a stationary plan collects it until
+    # the totals pass the largest double: `simulate` used to report a mean
+    # of "inf" and a std_error of "nan", with a numpy warning.
+    ONE_LARGE = [{"id": 0, "reward": 1e307, "rho": 0.9999}]
 
-    @pytest.mark.parametrize("command, horizon", [
-        (["solve", "finite"], {"finite": 2}),
-        (["oracle"], {"finite": 2}),
-        (["mdp-eval"], "infinite"),
-    ], ids=["solve-finite", "oracle", "mdp-eval"])
-    def test_rewards_that_overflow_are_rejected(self, tmp_path, capsys, command, horizon):
-        path = write_instance(tmp_path, {"theta": 1.0, "horizon": horizon, "packages": self.OVERFLOWING})
+    @pytest.mark.parametrize("command, horizon, packages, message", [
+        (["solve", "finite"], {"finite": 2}, OVERFLOWING, REWARD_OVERFLOW),
+        (["oracle"], {"finite": 2}, OVERFLOWING, REWARD_OVERFLOW),
+        (["mdp-eval"], "infinite", OVERFLOWING, REWARD_OVERFLOW),
+        (["simulate", "-p", "{plan}", "--trials", "20", "--seed", "1"], "infinite", ONE_LARGE,
+         "simulated mission totals pass the largest double"),
+    ], ids=["solve-finite", "oracle", "mdp-eval", "simulate-stationary"])
+    def test_rewards_that_overflow_are_rejected(self, tmp_path, capsys, command, horizon, packages, message):
+        path = write_instance(tmp_path, {"theta": 1.0, "horizon": horizon, "packages": packages})
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"stationary": [0]}))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code, out, err = run(capsys, *command, "-i", path)
+            code, out, err = run(capsys, *(arg.format(plan=plan) for arg in command), "-i", path)
         assert code == 1 and out == "" and not caught
-        assert err.startswith("riskplan: error: invalid instance: reward_overflow: package rewards sum to inf")
+        assert err.startswith(f"riskplan: error: {message}")
         assert "Traceback" not in err
 
 

@@ -32,7 +32,7 @@ from riskplan import (
 from riskplan import model, multiagent, oracle_sim
 from riskplan.errors import TooManyEpochsError
 from riskplan.cli import dump_json
-from riskplan.model import PackageTable, gamma_values
+from riskplan.model import PackageTable, canonical_order, canonical_sort_key, gamma_values
 
 
 def one_package_instance(r=1.0, rho=0.5, theta=1.0, k=1):
@@ -289,7 +289,7 @@ class TestCatalogs:
     def test_allowed_ids_is_the_catalog_as_a_set(self):
         inst = catalog_instance([[3, 1], []])
         assert inst.allowed_ids(1) == frozenset({1, 3}) and inst.allowed_ids(2) == frozenset()
-        assert inst.allowed_ids(1) is inst.allowed_ids(1)
+        assert inst.allowed_ids(1) == set(inst.catalog(1).tolist())
         assert catalog_instance(None, k=1).allowed_ids(1) == frozenset(range(30))
 
     def test_in_catalog_and_rows(self):
@@ -411,9 +411,18 @@ class TestRewardToRisk:
             rhos.append(rng.choice([0.0, 1.0, rng.random()]))
         rewards += [0.0, 5.0, 0.0]
         rhos += [1.0, 1.0, 0.0]
+        for _ in range(100):  # exact ties, and zero rewards at every rho drawn
+            at = rng.randrange(len(rewards))
+            rewards.append(rng.choice([0.0, rewards[at]]))
+            rhos.append(rhos[at])
         vec = gamma_values(np.array(rewards), np.array(rhos))
         for r, rho, g in zip(rewards, rhos, vec):
             assert g == reward_to_risk(PackageSpec(0, r, rho))
+        # The columns' canonical order is the scalar key's, ties by id included.
+        ids = rng.sample(range(10**6), len(rewards))
+        specs = [PackageSpec(i, r, rho) for i, r, rho in zip(ids, rewards, rhos)]
+        order = canonical_order(np.array(ids), np.array(rewards), vec)
+        assert order.tolist() == sorted(range(len(specs)), key=lambda j: canonical_sort_key(specs[j]))
 
 
 class TestCanonicalOrder:

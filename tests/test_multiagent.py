@@ -346,10 +346,17 @@ def enum_greedy(instance, agents):
     return plans, values
 
 
-def random_team_instance(rng):
-    """Up to 12 packages, K <= 3, rho drawn continuously; some instances
-    restrict each epoch to a random catalog."""
-    inst = make_instance(rng.randrange(2**31), n_max=12, k_max=3)
+def random_team_instance(rng, ties=False):
+    """Up to 12 packages, K <= 3; some instances restrict each epoch to a
+    random catalog.  rho is drawn continuously, or with ``ties`` each
+    package's (reward, rho) is one of three pairs and theta is 0 or 0.5,
+    so that gains tie exactly."""
+    if ties:
+        pairs = [(rng.choice([0.0, 1.0, 2.0, 3.0]), rng.choice([0.0, 0.5, 0.75, 1.0])) for _ in range(3)]
+        inst = Instance(theta=rng.choice([0.0, 0.5]), horizon=Horizon.finite(rng.randint(1, 3)),
+                        packages=tuple(PackageSpec(i, *rng.choice(pairs)) for i in range(rng.randint(1, 12))))
+    else:
+        inst = make_instance(rng.randrange(2**31), n_max=12, k_max=3)
     if rng.random() < 0.3:
         ids = [p.id for p in inst.packages]
         catalogs = tuple(frozenset(i for i in ids if rng.random() < 0.6) for _ in range(inst.horizon.epochs))
@@ -534,8 +541,8 @@ class TestGreedyTies:
 class TestGreedyAgainstEnumeration:
     def test_plans_and_values_match_the_enumeration_greedy(self):
         rng = random.Random(530)
-        for _ in range(300):
-            inst = random_team_instance(rng)
+        for ties in [False] * 300 + [True] * 300:
+            inst = random_team_instance(rng, ties)
             agents = rng.randint(1, 6)
             plans, values = enum_greedy(inst, agents)
             report = greedy_rtpd(inst, agents, sim_config=SimConfig(trials=2, seed=1))
