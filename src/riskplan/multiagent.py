@@ -47,8 +47,7 @@ from .model import (
     ensure_valid,
     gamma_values,
 )
-from .oracle_sim import (SimConfig, SimResult, _failed_legs, _leg_thresholds, _mean_and_error, _trial_ranges,
-                         trial_keys)
+from .oracle_sim import SimConfig, SimResult, _failed_legs, _leg_thresholds, _pass_keys, _sim_result
 
 __all__ = [
     "PoissonBinomial",
@@ -421,27 +420,23 @@ def simulate_team_mission(
     theta = instance.theta
     max_len = max((len(t) for p in plans.values() for t in p.tours), default=0)
     stride_agent = 2 * max(max_len, 1)
-    # Each tour's (rewards, rhos), resolved once.
-    resolved = {key: [_resolve_epoch(tour, instance) for tour in plan.tours] for key, plan in plans.items()}
+    # Each tour's (rewards, leg thresholds), resolved once.
+    resolved = {key: [(r, _leg_thresholds(rhos)) for r, rhos in (_resolve_epoch(t, instance) for t in plan.tours)]
+                for key, plan in plans.items()}
 
     totals_parts = []
-    alive_sums = [0] * k  # integer accumulation keeps shard splits exact
-    deaths_by_epoch: dict[int, int] = {}
-    for lo, hi in _trial_ranges(config):
-        n_trials = hi - lo
-        keys = trial_keys(config.seed, np.arange(lo, hi, dtype=np.uint64))
-        totals = np.zeros(n_trials)
-        alive = np.full(n_trials, agents, dtype=np.int64)
+    deaths = np.zeros(k + 1, dtype=np.int64)  # agents lost in each epoch
+    for keys in _pass_keys(config):
+        totals = np.zeros(keys.size)
+        alive = np.full(keys.size, agents, dtype=np.int64)
         for h in range(1, k + 1):
-            alive_sums[h - 1] += int(alive.sum())
             for beta in range(1, agents + 1):
                 sel = np.nonzero(alive == beta)[0]
                 if sel.size == 0:
                     continue
                 group_keys = keys[sel]
-                deaths = np.zeros(sel.size, dtype=np.int64)
-                for m, (rewards, rhos) in enumerate(resolved[(h, beta)]):
-                    thresholds = _leg_thresholds(rhos)
+                lost = np.zeros(sel.size, dtype=np.int64)
+                for m, (rewards, thresholds) in enumerate(resolved[(h, beta)]):
                     first = _failed_legs(group_keys, stride_agent * (m + agents * (h - 1)), thresholds,
                                          thresholds.size)
                     # Each trial's rewards, then -theta, one at a time in
@@ -454,14 +449,9 @@ def simulate_team_mission(
                         totals[won] += reward
                     died = first < thresholds.size
                     totals[sel[died]] -= theta
-                    deaths += died
-                if deaths.any():
-                    deaths_by_epoch[h] = deaths_by_epoch.get(h, 0) + int(deaths.sum())
-                    alive[sel] = beta - deaths
+                    lost += died
+                deaths[h] += lost.sum()
+                alive[sel] = beta - lost
         totals_parts.append(totals)
 
-    return SimResult(
-        *_mean_and_error(np.concatenate(totals_parts), config.trials),
-        per_epoch_survival_freq=tuple(s / (config.trials * agents) for s in alive_sums),
-        failure_epoch_histogram=dict(sorted(deaths_by_epoch.items())),
-    )
+    return _sim_result(np.concatenate(totals_parts), deaths, config.trials * agents)

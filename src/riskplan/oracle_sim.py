@@ -47,10 +47,12 @@ __all__ = [
     "brute_force_finite",
     "simulate_mission",
     "MAX_SEARCH_SPACE",
+    "MAX_CATALOG_SEQUENCES",
     "STATIONARY_EPOCH_CAP",
 ]
 
 MAX_SEARCH_SPACE = 10_000_000
+MAX_CATALOG_SEQUENCES = 1_000_000  # per catalog: 9 packages have 986,410
 STATIONARY_EPOCH_CAP = 100_000
 
 
@@ -95,9 +97,12 @@ def _epoch_sequences(ids: list[int]) -> list[tuple[int, ...]]:
 
 
 def _sequence_count(n: int) -> int:
-    total = 0
-    for k in range(n + 1):
-        total += math.perm(n, k)
+    """Ordered selections of n ids, counted only until past the per-catalog cap."""
+    total = 1  # the empty selection; then a(m) = m * a(m - 1) + 1
+    for m in range(1, n + 1):
+        if total > MAX_CATALOG_SEQUENCES:
+            break
+        total = m * total + 1
     return total
 
 
@@ -133,21 +138,15 @@ def _fold_product(tables: list[_EpochTable]) -> tuple[float, list[int]]:
     """
     counts = [len(t.seqs) for t in tables]
     h = len(tables)
-    tail = 0.0  # a float while every folded epoch has one selection
+    tail = np.zeros(1)
     size = 1
     while h > 0 and size * counts[h - 1] <= _FOLD_BLOCK:
         h -= 1
-        e, s = tables[h].expected, tables[h].survival
-        if counts[h] == 1:  # no numpy call on a float tail
-            tail = float(e[0]) + float(s[0]) * tail
-        elif isinstance(tail, float):
-            tail = e + s * tail
-        else:
-            tail = (e[:, None] + np.multiply.outer(s, tail)).ravel()
+        tail = (tables[h].expected[:, None] + np.multiply.outer(tables[h].survival, tail)).ravel()
         size *= counts[h]
 
     if h == 0:
-        best_value, pos = _first_max(np.atleast_1d(tail))
+        best_value, pos = _first_max(tail)
         lead: tuple[int, ...] = ()
     else:
         # Epoch h (1-based) is split into chunks; epochs 1..h-1 lead.
@@ -158,10 +157,7 @@ def _fold_product(tables: list[_EpochTable]) -> tuple[float, list[int]]:
         for idx in itertools.product(*(range(c) for c in counts[: h - 1])):
             for lo in range(0, counts[h - 1], chunk):
                 e, s = split.expected[lo: lo + chunk], split.survival[lo: lo + chunk]
-                if isinstance(tail, float):
-                    block = e + s * tail
-                else:
-                    block = (e[:, None] + np.multiply.outer(s, tail)).ravel()
+                block = (e[:, None] + np.multiply.outer(s, tail)).ravel()
                 for (es, ss), i in zip(reversed(leaders), reversed(idx)):
                     block = es[i] + ss[i] * block
                 value, at = _first_max(block)
@@ -191,7 +187,8 @@ def brute_force_finite(instance: Instance) -> tuple[float, MissionPlan]:
 
     Value ties resolve to the plan that is lexicographically smallest by
     (epoch, position, id).  The search space (product over epochs of the
-    per-epoch ordered-selection counts) is capped at 10^7.
+    per-epoch ordered-selection counts) is capped at 10^7, and each
+    catalog's own count at 10^6.
     """
     ensure_valid(instance)
     if not instance.horizon.is_finite:
@@ -202,9 +199,12 @@ def brute_force_finite(instance: Instance) -> tuple[float, MissionPlan]:
     space = 1
     epoch_ids = []
     for h in range(1, k + 1):
-        ids = sorted(instance.allowed_ids(h))
+        ids = instance.catalog(h).tolist()
         epoch_ids.append(ids)
-        space *= _sequence_count(len(ids))
+        count = _sequence_count(len(ids))
+        if count > MAX_CATALOG_SEQUENCES:
+            raise SearchSpaceTooLargeError(f"epoch {h}'s catalog exceeds {MAX_CATALOG_SEQUENCES:,} ordered selections")
+        space *= count
         if space > MAX_SEARCH_SPACE:
             raise SearchSpaceTooLargeError(
                 f"search space exceeds {MAX_SEARCH_SPACE:,} plan combinations")
@@ -331,19 +331,33 @@ def _failed_legs(keys: np.ndarray, first_draw: int, thresholds: np.ndarray, legs
 # --- Monte Carlo -------------------------------------------------------------
 
 
-def _trial_ranges(config: SimConfig):
-    """The trial ranges ``[lo, hi)`` of ``config``'s passes: at most
-    ``min(parallel_shards, trials)`` of them, none empty."""
+def _pass_keys(config: SimConfig):
+    """Each pass's trial keys: at most ``min(parallel_shards, trials)``
+    passes, none empty, in trial order."""
     passes = min(config.parallel_shards, config.trials)
     for s in range(passes):
-        yield s * config.trials // passes, (s + 1) * config.trials // passes
+        lo, hi = s * config.trials // passes, (s + 1) * config.trials // passes
+        yield trial_keys(config.seed, np.arange(lo, hi, dtype=np.uint64))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as silent as float arithmetic
-def _mean_and_error(totals: np.ndarray, trials: int) -> tuple[float, float]:
-    """(mean, standard error) of the trials' totals."""
-    std_error = float(np.std(totals, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return float(np.mean(totals)), std_error
+def _sim_result(totals: np.ndarray, deaths: np.ndarray, population: int, truncation_bias: float = 0.0) -> SimResult:
+    """The result of the trials' ``totals`` when ``deaths[h]`` of
+    ``population`` agents died in epoch h.  The deviations are squared at
+    the power-of-two scale that puts the largest total in [0.5, 1), which
+    is exact and keeps the standard error finite where the totals are."""
+    std_error = 0.0
+    if totals.size > 1:
+        scale = 2.0 ** math.frexp(float(np.max(np.abs(totals))))[1]  # 1 for inf or NaN
+        std_error = float(np.std(totals / scale, ddof=1) / math.sqrt(totals.size) * scale)
+    alive = population - np.cumsum(deaths[:-1])  # at each epoch's start
+    return SimResult(
+        mean=float(np.mean(totals)),
+        std_error=std_error,
+        per_epoch_survival_freq=tuple((alive / population).tolist()),
+        failure_epoch_histogram={int(h): int(deaths[h]) for h in np.flatnonzero(deaths)},
+        truncation_bias_bound=truncation_bias,
+    )
 
 
 def _truncation_bias(rewards: list[float], rhos: list[float], theta: float) -> float:
@@ -390,9 +404,7 @@ def simulate_mission(plan: MissionPlan, instance: Instance, config: SimConfig) -
         ends = np.cumsum([2 * len(epoch_rewards) for epoch_rewards, _ in epochs])
     legs = int(ends[-1])
 
-    first = np.concatenate([
-        _failed_legs(trial_keys(config.seed, np.arange(lo, hi, dtype=np.uint64)), 0, thresholds, legs)
-        for lo, hi in _trial_ranges(config)])
+    first = np.concatenate([_failed_legs(keys, 0, thresholds, legs) for keys in _pass_keys(config)])
     delivered = (first + 1) // 2
     won = np.array(rewards)[np.arange(delivered.max()) % len(rewards)]  # cycled on a stationary plan
     with np.errstate(over="ignore"):  # as silent as float arithmetic
@@ -406,11 +418,4 @@ def simulate_mission(plan: MissionPlan, instance: Instance, config: SimConfig) -
     if stationary and died.all():  # the mission ends with its last live trial
         n_epochs = int(death_epoch.max())
     deaths = np.bincount(death_epoch, minlength=n_epochs + 1)
-    alive = config.trials - np.cumsum(deaths[:-1])  # at each epoch's start
-
-    return SimResult(
-        *_mean_and_error(totals, config.trials),
-        per_epoch_survival_freq=tuple(c / config.trials for c in alive.tolist()),
-        failure_epoch_histogram={int(h): int(deaths[h]) for h in np.flatnonzero(deaths)},
-        truncation_bias_bound=truncation_bias,
-    )
+    return _sim_result(totals, deaths, config.trials, truncation_bias)

@@ -73,6 +73,14 @@ class TestBruteForce:
         brute_force_finite(inst_of(0.0, 2, *pkgs))  # 326^2 is fine
         with pytest.raises(SearchSpaceTooLargeError):
             brute_force_finite(inst_of(0.0, 3, *pkgs))  # 326^3 > 1e7
+        ten = tuple(PackageSpec(i, 1, 0.5) for i in range(10))
+        with pytest.raises(SearchSpaceTooLargeError, match="ordered selections"):
+            brute_force_finite(inst_of(0.0, 1, *ten))  # 9,864,101 < 1e7, but over 1e6 in one catalog
+        many = tuple(PackageSpec(i, 1, 0.5) for i in range(20_000))
+        start = time.perf_counter()
+        with pytest.raises(SearchSpaceTooLargeError, match="ordered selections"):
+            brute_force_finite(inst_of(0.0, 1, *many))  # counted only until past the cap
+        assert time.perf_counter() - start < 2.0
 
     def test_infinite_horizon_rejected(self):
         inst = Instance(theta=0.0, horizon=Horizon.infinite(), packages=())
@@ -185,6 +193,16 @@ class TestSimulateMission:
         assert abs(res.mean - analytic) <= 5 * res.std_error
         assert res.truncation_bias_bound < 1e-300  # 0.81^1e5 underflows
         assert res.per_epoch_survival_freq[0] == 1.0
+
+    def test_std_error_scales_exactly_past_squared_overflow(self):
+        # Deviations near 2^600 square past the largest double.
+        def run(reward):
+            inst = Instance(theta=0.0, horizon=Horizon.infinite(), packages=(PackageSpec(0, reward, 0.9),))
+            return simulate_mission(MissionPlan.from_stationary((0,)), inst, SimConfig(trials=200, seed=8))
+        big, one = run(2.0 ** 600), run(1.0)
+        assert big.mean == 2.0 ** 600 * one.mean
+        assert big.std_error == 2.0 ** 600 * one.std_error
+        assert math.isfinite(big.std_error) and one.std_error > 0
 
     def test_stationary_empty_plan(self):
         inst = Instance(theta=1.0, horizon=Horizon.infinite(),
