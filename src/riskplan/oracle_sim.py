@@ -138,15 +138,16 @@ def _fold_product(tables: list[_EpochTable]) -> tuple[float, list[int]]:
     """
     counts = [len(t.seqs) for t in tables]
     h = len(tables)
-    tail = np.zeros(1)
-    size = 1
+    tail, size = 0.0, 1  # a float while every folded epoch has one selection
     while h > 0 and size * counts[h - 1] <= _FOLD_BLOCK:
         h -= 1
-        tail = (tables[h].expected[:, None] + np.multiply.outer(tables[h].survival, tail)).ravel()
+        e, s = tables[h].expected, tables[h].survival
+        # One selection folds with no numpy call on a float tail: 10^6 empty catalogs stay cheap.
+        tail = float(e[0]) + float(s[0]) * tail if counts[h] == 1 else (e[:, None] + s[:, None] * tail).ravel()
         size *= counts[h]
 
     if h == 0:
-        best_value, pos = _first_max(tail)
+        best_value, pos = _first_max(np.atleast_1d(tail))
         lead: tuple[int, ...] = ()
     else:
         # Epoch h (1-based) is split into chunks; epochs 1..h-1 lead.
@@ -157,7 +158,7 @@ def _fold_product(tables: list[_EpochTable]) -> tuple[float, list[int]]:
         for idx in itertools.product(*(range(c) for c in counts[: h - 1])):
             for lo in range(0, counts[h - 1], chunk):
                 e, s = split.expected[lo: lo + chunk], split.survival[lo: lo + chunk]
-                block = (e[:, None] + np.multiply.outer(s, tail)).ravel()
+                block = (e[:, None] + s[:, None] * tail).ravel()
                 for (es, ss), i in zip(reversed(leaders), reversed(idx)):
                     block = es[i] + ss[i] * block
                 value, at = _first_max(block)
@@ -206,8 +207,7 @@ def brute_force_finite(instance: Instance) -> tuple[float, MissionPlan]:
             raise SearchSpaceTooLargeError(f"epoch {h}'s catalog exceeds {MAX_CATALOG_SEQUENCES:,} ordered selections")
         space *= count
         if space > MAX_SEARCH_SPACE:
-            raise SearchSpaceTooLargeError(
-                f"search space exceeds {MAX_SEARCH_SPACE:,} plan combinations")
+            raise SearchSpaceTooLargeError(f"search space exceeds {MAX_SEARCH_SPACE:,} plan combinations")
 
     # Resolve each distinct catalog once and fold each of its sequences
     # from its columns; combinations only chain the cached (E, survival)
@@ -348,8 +348,8 @@ def _sim_result(totals: np.ndarray, deaths: np.ndarray, population: int, truncat
     is exact and keeps the standard error finite where the totals are."""
     std_error = 0.0
     if totals.size > 1:
-        scale = 2.0 ** math.frexp(float(np.max(np.abs(totals))))[1]  # 1 for inf or NaN
-        std_error = float(np.std(totals / scale, ddof=1) / math.sqrt(totals.size) * scale)
+        e = math.frexp(float(np.max(np.abs(totals))))[1]  # 0 for inf or NaN; ldexp cannot raise
+        std_error = float(np.ldexp(np.std(np.ldexp(totals, -e), ddof=1) / math.sqrt(totals.size), e))
     alive = population - np.cumsum(deaths[:-1])  # at each epoch's start
     return SimResult(
         mean=float(np.mean(totals)),
