@@ -57,7 +57,6 @@ _EXPORTS = {
         "PackageSpec",
         "Violation",
         "ViolationCode",
-        "canonical_delivery_order",
         "distance_to_probability",
         "ensure_valid",
         "instance_from_dict",

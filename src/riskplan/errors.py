@@ -91,7 +91,7 @@ class TooManyPackagesError(ScaleLimitError):
 
 
 class TooManyTrialsError(ScaleLimitError):
-    """Trial count exceeds the exact subset-enumeration limit."""
+    """Trial count exceeds the subset enumeration's or Monte Carlo's limit."""
 
 
 class TooManyEpochsError(ScaleLimitError):

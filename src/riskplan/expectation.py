@@ -49,7 +49,6 @@ __all__ = [
     "evaluate_epoch",
     "evaluate_mission",
     "epoch_risk_ratio",
-    "mission_evaluation_to_dict",
 ]
 
 #: Relative tolerance for the direct-sum vs backward-recursion cross-check.
@@ -227,16 +226,3 @@ def epoch_risk_ratio(plan: EpochPlan, instance: Instance) -> float:
         return math.inf if ev.expected_reward > 0 else -math.inf
     return ev.expected_reward / denom
 
-
-def mission_evaluation_to_dict(evaluation: MissionEvaluation) -> dict:
-    return {
-        "epochs": [
-            {
-                "E": ev.expected_reward,
-                "survival": ev.epoch_survival,
-                "cumulative_survival": surv,
-            }
-            for ev, surv in zip(evaluation.epoch_evals, evaluation.survival_to_epoch)
-        ],
-        "total": "unbounded" if evaluation.total is UNBOUNDED else evaluation.total,
-    }

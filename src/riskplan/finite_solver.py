@@ -58,10 +58,10 @@ class SolveReport:
 
 def _sorted_package_arrays(instance: Instance):
     """ids/rewards/rhos/gammas permuted into canonical delivery order."""
-    ids, rewards, rhos = instance._arrays()
-    gammas = gamma_values(rewards, rhos)
-    order = canonical_order(ids, rewards, gammas)
-    return ids[order], rewards[order], rhos[order], gammas[order]
+    table = instance.packages
+    gammas = gamma_values(table.rewards, table.rhos)
+    order = canonical_order(table.ids, table.rewards, gammas)
+    return table.ids[order], table.rewards[order], table.rhos[order], gammas[order]
 
 
 def _prefix_tables(rewards: np.ndarray, rhos: np.ndarray):

@@ -50,16 +50,16 @@ def solve_infinite(instance: Instance) -> InfiniteSolveReport:
     if instance.horizon.is_finite:
         raise FiniteHorizonError("use solve_finite for finite horizons")
 
-    ids, rewards, rhos = instance._arrays()
-    if ids.size == 0:
+    table = instance.packages
+    if table.ids.size == 0:
         return InfiniteSolveReport(chosen=None, gamma_max=0.0, total=0.0)
 
-    gammas = gamma_values(rewards, rhos)
+    gammas = gamma_values(table.rewards, table.rhos)
     gamma_max = float(np.max(gammas))
     if gamma_max <= instance.theta:
         return InfiniteSolveReport(chosen=None, gamma_max=gamma_max, total=0.0)
 
-    maximizers = ids[gammas == gamma_max]
+    maximizers = table.ids[gammas == gamma_max]
     chosen = int(np.min(maximizers))
     if math.isinf(gamma_max):
         return InfiniteSolveReport(chosen=chosen, gamma_max=gamma_max, total=UNBOUNDED)

@@ -21,9 +21,9 @@ in n).  :func:`policy_values` evaluates a batch of actions in one pass
 over the canonical order, one array entry per action, and computes each
 policy value two independent ways - closed form and fixed-point
 iteration - which must agree.  Every entry is the same chain of float
-operations, in the same order, as :attr:`ActionOutcomes.expected_epoch_reward`
-and a per-action fixed-point loop.  This module is the oracle for
-``solve_infinite``.
+operations, in the same order, as the per-action transition row and
+fixed-point loop kept in ``tests/test_mdp.py`` as its reference.  This
+module is the oracle for ``solve_infinite``.
 """
 
 from __future__ import annotations
@@ -38,17 +38,10 @@ from .errors import (
     TooManyPackagesError,
     UnboundedValueError,
 )
-from .model import (
-    Instance,
-    PackageSpec,
-    canonical_delivery_order,
-    canonical_sort_key,
-    ensure_valid,
-)
+from .model import Instance, canonical_sort_key, ensure_valid
 
 __all__ = [
     "MdpModel",
-    "ActionOutcomes",
     "PolicyValues",
     "build_model",
     "policy_values",
@@ -70,32 +63,6 @@ _MAX_STEPS = 50_000_000
 _SCALAR_TAIL = 64
 
 
-@dataclass(frozen=True)
-class ActionOutcomes:
-    """One action's transition row out of the alive state.
-
-    ``failure_probs[j]`` is the probability of reaching the failure state
-    whose delivered prefix is the first ``j`` packages of ``ordered_ids``;
-    ``failure_rewards[j]`` is that state's reward (prefix reward minus
-    theta).  ``success_prob``/``success_reward`` describe the full-success
-    state that loops back to the alive state.
-    """
-
-    ordered_ids: tuple[int, ...]
-    failure_probs: tuple[float, ...]
-    failure_rewards: tuple[float, ...]
-    success_prob: float
-    success_reward: float
-
-    @property
-    def expected_epoch_reward(self) -> float:
-        """E_a: one-epoch expected reward out of the alive state."""
-        total = self.success_prob * self.success_reward
-        for p, r in zip(self.failure_probs, self.failure_rewards):
-            total += p * r
-        return total
-
-
 @dataclass(frozen=True, eq=False)
 class MdpModel:
     """Action-indexed view of the chain for one instance.
@@ -107,51 +74,8 @@ class MdpModel:
     instance: Instance
     n: int
 
-    def action_outcomes(self, action: int) -> ActionOutcomes:
-        if not (0 <= action < (1 << self.n)):
-            raise ValueError(f"action {action!r} out of range for n={self.n}")
-        selected = [
-            p for i, p in enumerate(self.instance.packages) if action >> i & 1
-        ]
-        return _outcomes_for(selected, self.instance.theta)
-
     def actions(self):
         return range(1 << self.n)
-
-
-def _outcomes_for(selected: list[PackageSpec], theta: float) -> ActionOutcomes:
-    ordered = canonical_delivery_order(selected)
-    q = len(ordered)
-    rhos = [p.leg_success for p in ordered]
-
-    # psi[j] = probability of delivering the j-th package (1-based).
-    psis = []
-    rho_bar = 1.0
-    for rho in rhos:
-        psis.append(rho_bar * rho)
-        rho_bar *= rho * rho
-
-    # failure with exactly j packages delivered, j = 0..q
-    failure_probs = []
-    if q:
-        failure_probs.append(1.0 - rhos[0])
-        for j in range(1, q):
-            failure_probs.append(psis[j - 1] * (1.0 - rhos[j - 1] * rhos[j]))
-        failure_probs.append(psis[q - 1] * (1.0 - rhos[q - 1]))
-
-    prefix_rewards = [0.0]
-    acc = 0.0
-    for p in ordered:
-        acc += p.reward
-        prefix_rewards.append(acc)
-
-    return ActionOutcomes(
-        ordered_ids=tuple(p.id for p in ordered),
-        failure_probs=tuple(failure_probs),
-        failure_rewards=tuple(r - theta for r in prefix_rewards[: q + 1]) if q else (),
-        success_prob=rho_bar,
-        success_reward=prefix_rewards[q],
-    )
 
 
 def build_model(instance: Instance) -> MdpModel:

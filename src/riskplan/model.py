@@ -43,7 +43,6 @@ from .errors import (
     InvalidInstanceError,
     InvalidPlanError,
     TooManyEpochsError,
-    UnknownPackageIdError,
 )
 
 __all__ = [
@@ -63,7 +62,6 @@ __all__ = [
     "check_epoch_limit",
     "reward_to_risk",
     "gamma_values",
-    "canonical_delivery_order",
     "canonical_sort_key",
     "canonical_order",
     "probability_to_distance",
@@ -367,12 +365,6 @@ class Instance:
     def __hash__(self):
         return hash((self.theta, self.horizon, len(self.packages)))
 
-    def package_by_id(self, pkg_id: int) -> PackageSpec:
-        row = int(self.packages.rows([int(pkg_id)])[0])
-        if row < 0:
-            raise UnknownPackageIdError(f"unknown package id {pkg_id}")
-        return self.packages[row]
-
     def catalog(self, epoch: int) -> np.ndarray:
         """Ids deliverable in 1-based ``epoch``, as a sorted int64 array."""
         if self.per_epoch_packages is None:
@@ -380,7 +372,8 @@ class Instance:
         return self.per_epoch_packages[epoch - 1]
 
     def allowed_ids(self, epoch: int) -> frozenset[int]:
-        """:meth:`catalog` as a set, for the small-instance oracles."""
+        """:meth:`catalog` as a set; no library path uses it, but the
+        benchmark's tracer (``perfbench/tracing.py``) does."""
         return frozenset(self.catalog(epoch).tolist())
 
     def in_catalog(self, epoch: int, ids: np.ndarray) -> np.ndarray:
@@ -394,10 +387,6 @@ class Instance:
     @cached_property
     def _violations(self) -> tuple["Violation", ...]:
         return tuple(_find_violations(self))
-
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(ids, rewards, leg_success) columns of the catalog."""
-        return self.packages.ids, self.packages.rewards, self.packages.rhos
 
 
 @dataclass(frozen=True, eq=False)
@@ -518,9 +507,9 @@ def _find_violations(instance: Instance) -> list[Violation]:
     if horizon.is_finite and not counted:
         out.append(Violation(ViolationCode.HORIZON_MISMATCH, f"finite horizon must be a positive integer, got {epochs!r}"))
 
-    ids, rewards, rhos = instance._arrays()
-    out.extend(_package_violations(ids, rewards, rhos))
-    out.extend(_reward_overflow(rewards, epochs if counted else 1))
+    table = instance.packages
+    out.extend(_package_violations(table.ids, table.rewards, table.rhos))
+    out.extend(_reward_overflow(table.rewards, epochs if counted else 1))
 
     pep = instance.per_epoch_packages
     if pep is not None:
@@ -530,7 +519,7 @@ def _find_violations(instance: Instance) -> list[Violation]:
             out.append(Violation(
                 ViolationCode.HORIZON_MISMATCH,
                 f"per_epoch_packages has {len(pep)} entries but horizon is {epochs}"))
-        out.extend(_unknown_catalog_ids(pep, ids[ids >= 0]))
+        out.extend(_unknown_catalog_ids(pep, table.ids[table.ids >= 0]))
 
     return out
 
@@ -634,10 +623,6 @@ def canonical_order(ids: np.ndarray, rewards: np.ndarray, gammas: np.ndarray) ->
     return np.lexsort((ids, np.where(riskless, -rewards, -gammas), np.where(riskless, 0, 1)))
 
 
-def canonical_delivery_order(packages: Iterable[PackageSpec]) -> list[PackageSpec]:
-    return sorted(packages, key=canonical_sort_key)
-
-
 def probability_to_distance(rho: float, phi: float) -> float:
     """Distance whose traversal succeeds with probability ``rho``.
 
@@ -658,7 +643,7 @@ def distance_to_probability(distance: float, phi: float) -> float:
     """Traversal success probability of ``distance`` units, ``phi**d``."""
     if not (0.0 < phi < 1.0):
         raise DomainError(f"phi must lie strictly inside (0, 1), got {phi!r}")
-    if distance < 0:
+    if not distance >= 0:  # NaN too
         raise DomainError(f"distance must be non-negative, got {distance!r}")
     return phi ** distance
 

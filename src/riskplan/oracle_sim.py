@@ -36,6 +36,7 @@ import numpy as np
 from .errors import (
     InfiniteHorizonError,
     SearchSpaceTooLargeError,
+    TooManyTrialsError,
     UnboundedSimulationError,
 )
 from .expectation import _fold_epoch, _resolve_epoch, _resolve_plan, evaluate_mission
@@ -48,11 +49,13 @@ __all__ = [
     "simulate_mission",
     "MAX_SEARCH_SPACE",
     "MAX_CATALOG_SEQUENCES",
+    "MAX_TRIALS",
     "STATIONARY_EPOCH_CAP",
 ]
 
 MAX_SEARCH_SPACE = 10_000_000
 MAX_CATALOG_SEQUENCES = 1_000_000  # per catalog: 9 packages have 986,410
+MAX_TRIALS = 10_000_000  # at about 60 bytes per trial, 0.6 GB
 STATIONARY_EPOCH_CAP = 100_000
 
 
@@ -265,14 +268,6 @@ def trial_keys(seed: int, trial_ids: np.ndarray) -> np.ndarray:
     return _mix64(seed_u + _GOLDEN * (trial_ids.astype(np.uint64) + np.uint64(1)))
 
 
-def leg_uniforms(keys: np.ndarray, draw_index: int) -> np.ndarray:
-    """Uniforms in [0, 1) for one leg across trials: mix(key, draw_index)."""
-    # Scalar offset computed in Python ints to wrap mod 2^64 silently.
-    offset = np.uint64(((draw_index + 1) * 0x9E3779B97F4A7C15) % _U64)
-    raw = _mix64(keys + offset)
-    return (raw >> np.uint64(11)) * (2.0 ** -53)
-
-
 #: Most draws in one block of :func:`_first_failures` (its two uint64
 #: arrays then take 1 MB), and most legs one block spans, since legs drawn
 #: after a trial's death are wasted; at most 255, the kernel's uint8 weights.
@@ -289,10 +284,11 @@ def _first_failures(keys: np.ndarray, offsets: np.ndarray, thresholds: np.ndarra
     """Each trial's first failed leg in one block, or ``len(offsets)``.
 
     Row j of the (legs x trials) block holds the raw draws
-    ``mix(keys + offsets[j])`` of :func:`leg_uniforms`.  Leg j fails where
-    ``raw >> 11 >= thresholds[j]``.  With thresholds ``ceil(rho * 2^53)``
-    that is exactly ``leg_uniforms(...) >= rho``: ``u = k * 2^-53 < rho``
-    holds exactly when ``k < ceil(rho * 2^53)``.
+    ``mix(keys + offsets[j])``; draw index d has the offset ``(d + 1) *
+    0x9E3779B97F4A7C15 mod 2^64`` and the uniform ``u = (raw >> 11) *
+    2^-53`` in [0, 1).  Leg j fails where ``raw >> 11 >= thresholds[j]``.
+    With thresholds ``ceil(rho * 2^53)`` that is exactly ``u >= rho``:
+    ``u = k * 2^-53 < rho`` holds exactly when ``k < ceil(rho * 2^53)``.
     """
     raw = _mix64(offsets[:, None] + keys)
     raw >>= np.uint64(11)
@@ -319,7 +315,7 @@ def _failed_legs(keys: np.ndarray, first_draw: int, thresholds: np.ndarray, legs
     while start < legs and live.size:
         n = min(legs - start, _BLOCK_LEGS, max(1, _DRAW_BLOCK // live.size))
         d = first_draw + start
-        offsets = np.arange(d + 1, d + n + 1, dtype=np.uint64) * _GOLDEN  # wraps as leg_uniforms
+        offsets = np.arange(d + 1, d + n + 1, dtype=np.uint64) * _GOLDEN  # wraps mod 2^64
         marks = thresholds[np.arange(start, start + n) % thresholds.size]
         block = _first_failures(keys[live], offsets, marks)
         first[live] = start + block
@@ -333,7 +329,11 @@ def _failed_legs(keys: np.ndarray, first_draw: int, thresholds: np.ndarray, legs
 
 def _pass_keys(config: SimConfig):
     """Each pass's trial keys: at most ``min(parallel_shards, trials)``
-    passes, none empty, in trial order."""
+    passes, none empty, in trial order.  Raises
+    :class:`TooManyTrialsError` for more than :data:`MAX_TRIALS` trials
+    before it makes any key."""
+    if config.trials > MAX_TRIALS:
+        raise TooManyTrialsError(f"{config.trials:,} trials exceed the limit of {MAX_TRIALS:,}")
     passes = min(config.parallel_shards, config.trials)
     for s in range(passes):
         lo, hi = s * config.trials // passes, (s + 1) * config.trials // passes

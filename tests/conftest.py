@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from riskplan import Horizon, Instance, MissionPlan
+from riskplan import Horizon, Instance, MissionPlan, PackageSpec, UnknownPackageIdError
 from riskplan.cli import GeneratorSpec, generate_instance
 
 
@@ -37,6 +37,15 @@ def make_instance(
         seed=rng.randrange(2**63),
     )
     return generate_instance(spec)
+
+
+def package_of(instance: Instance, pkg_id: int) -> PackageSpec:
+    """The package with id ``pkg_id``, by ``PackageTable.rows``; raises
+    what the library raises for a plan's unknown id."""
+    (row,) = instance.packages.rows([int(pkg_id)]).tolist()
+    if row < 0:
+        raise UnknownPackageIdError(f"unknown package id {pkg_id}")
+    return instance.packages[row]
 
 
 def random_epoch_plan(rng: random.Random, ids: list[int], max_len: int | None = None) -> tuple[int, ...]:

@@ -33,7 +33,7 @@ from riskplan import (
 )
 from riskplan.cli import GeneratorSpec, generate_instance
 
-from conftest import make_instance, random_mission_plan, with_horizon
+from conftest import make_instance, package_of, random_mission_plan, with_horizon
 from test_multiagent import team_optimum
 
 
@@ -122,7 +122,7 @@ def test_criterion_04_ordering_lemma(oracle_suite):
     pairs = 0
     for inst, _, _, oracle_plan in records:
         for epoch in oracle_plan.plans:
-            gammas = [reward_to_risk(inst.package_by_id(i)) for i in epoch]
+            gammas = [reward_to_risk(package_of(inst, i)) for i in epoch]
             for a, b in zip(gammas, gammas[1:]):
                 pairs += 1
                 if a < b - 1e-9:
@@ -286,7 +286,6 @@ def test_criterion_09_submodularity_and_greedy_bound():
 def test_criterion_10_performance():
     big = generate_instance(GeneratorSpec(
         n=1_000_000, epochs=1000, theta_range=(1.0, 5.0), seed=20_240_601))
-    big._arrays()
     validate_instance(big)
     start = time.perf_counter()
     report = solve_finite(big)
@@ -295,7 +294,6 @@ def test_criterion_10_performance():
     assert report.total > 0
 
     infinite = Instance(theta=big.theta, horizon=Horizon.infinite(), packages=big.packages)
-    infinite._arrays()
     validate_instance(infinite)
     start = time.perf_counter()
     inf_report = solve_infinite(infinite)

@@ -186,6 +186,15 @@ class TestSimulateAndOracle:
         assert code == 2
         assert "scale limit" in err
 
+    def test_trials_beyond_the_limit_exit_code(self, tmp_path, capsys):
+        ipath = write_instance(tmp_path, FINITE2)
+        ppath = write_instance(tmp_path, {"plans": [[0], [0]]}, name="plan.json")
+        limit = oracle_sim.MAX_TRIALS
+        message = f"riskplan: scale limit: {limit + 1:,} trials exceed the limit of {limit:,}\n"
+        for argv in (["simulate", "-p", ppath], ["team", "greedy", "--agents", "2"]):
+            got = run(capsys, *argv, "-i", ipath, "--trials", str(limit + 1), "--seed", "1")
+            assert got == (2, "", message)
+
 
 class TestOtherCommands:
     def test_mdp_eval_single_action(self, tmp_path, capsys):
@@ -211,6 +220,10 @@ class TestOtherCommands:
         code, out, _ = run(capsys, "convert", "--distance", str(doc["distance"]), "--phi", "0.9")
         assert code == 0
         assert math.isclose(json.loads(out)["rho"], 0.7, rel_tol=0, abs_tol=1e-12)
+
+    def test_convert_rejects_a_nan_distance(self, capsys):
+        assert run(capsys, "convert", "--distance", "nan", "--phi", "0.5") == (
+            1, "", "riskplan: error: distance must be non-negative, got nan\n")
 
     def test_convert_needs_exactly_one_input(self, capsys):
         code, _, _ = run(capsys, "convert", "--phi", "0.9")
@@ -740,8 +753,7 @@ class TestInstanceWriter:
     @settings(deadline=None, max_examples=50)
     @given(inst=edge_instances())
     def test_finite_documents_read_back_equal(self, inst):
-        ids, rewards, rhos = inst._arrays()
-        assume(np.isfinite(rewards).all() and math.isfinite(inst.theta))
+        assume(np.isfinite(inst.packages.rewards).all() and math.isfinite(inst.theta))
         assert instance_from_dict(json.loads(dump_json(instance_to_dict(inst)))) == inst
 
 

@@ -18,9 +18,8 @@ from riskplan import (
     evaluate_mission,
     reward_to_risk,
 )
-from riskplan.expectation import mission_evaluation_to_dict
 
-from conftest import make_instance, random_mission_plan
+from conftest import make_instance, package_of, random_mission_plan
 
 
 def inst_of(theta, k, *pkgs, infinite=False):
@@ -121,9 +120,6 @@ class TestEvaluateMission:
         inst = inst_of(1.0, None, PackageSpec(0, 5, 1.0), infinite=True)
         out = evaluate_mission(MissionPlan.from_stationary((0,)), inst)
         assert out.total is UNBOUNDED
-        doc = mission_evaluation_to_dict(out)
-        assert doc["total"] == "unbounded"
-        assert doc["epochs"][0].keys() == {"E", "survival", "cumulative_survival"}
 
     def test_stationary_riskless_zero_reward_is_worth_nothing(self):
         inst = inst_of(1.0, None, PackageSpec(0, 0, 1.0), infinite=True)
@@ -162,7 +158,7 @@ class TestOrderingSwapProperty:
                 continue
             rng.shuffle(ids)
             i = rng.randrange(len(ids) - 1)
-            g = [reward_to_risk(inst.package_by_id(x)) for x in ids]
+            g = [reward_to_risk(package_of(inst, x)) for x in ids]
             before = evaluate_epoch(tuple(ids), inst).expected_reward
             swapped = list(ids)
             swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]

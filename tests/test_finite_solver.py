@@ -15,15 +15,15 @@ from riskplan import (
     InvalidInstanceError,
     PackageSpec,
     brute_force_finite,
-    canonical_delivery_order,
     evaluate_mission,
     reward_to_risk,
     solve_finite,
 )
 from riskplan import finite_solver, model
 from riskplan.errors import TooManyEpochsError
+from riskplan.model import canonical_sort_key
 
-from conftest import make_instance
+from conftest import make_instance, package_of
 
 
 def inst_of(theta, k, *pkgs, per_epoch=None):
@@ -172,7 +172,7 @@ def per_epoch_loop(instance):
     canonical order by its catalog and its threshold, O(K n) in Python."""
     k = instance.horizon.epochs
     theta = instance.theta
-    ordered = canonical_delivery_order(instance.packages)
+    ordered = sorted(instance.packages, key=canonical_sort_key)
     ordered_gammas = [reward_to_risk(p) for p in ordered]
 
     values = [0.0] * (k + 1)
@@ -303,7 +303,7 @@ class TestEpochSurvivals:
             for plan, got, ev in zip(report.plan.plans, report.epoch_survivals, evaluation.epoch_evals):
                 assert type(got) is float
                 assert got == ev.epoch_survival
-                rhos = {inst.package_by_id(int(i)).leg_success for i in plan}
+                rhos = {package_of(inst, int(i)).leg_success for i in plan}
                 seen.add("per-epoch" if inst.per_epoch_packages else "homogeneous")
                 seen.update(kind for kind, hit in (
                     ("empty", not len(plan)),
@@ -372,7 +372,7 @@ class TestInvariants:
             inst = make_instance(rng.randrange(2**31), n_max=8, k_max=4)
             report = solve_finite(inst)
             for epoch in report.plan.plans:
-                gammas = [reward_to_risk(inst.package_by_id(int(i))) for i in epoch]
+                gammas = [reward_to_risk(package_of(inst, int(i))) for i in epoch]
                 for a, b in zip(gammas, gammas[1:]):
                     assert a >= b
 

@@ -1,5 +1,6 @@
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,6 +20,7 @@ from riskplan import (
 )
 from riskplan import mdp
 from riskplan.mdp import action_from_bits, bits_from_action
+from riskplan.model import canonical_sort_key
 
 from conftest import make_instance
 
@@ -27,24 +29,75 @@ def inst_of(theta, *pkgs):
     return Instance(theta=theta, horizon=Horizon.infinite(), packages=tuple(pkgs))
 
 
+def action_outcomes(model, action):
+    """One action's transition row out of the alive state, built one
+    package at a time: the reference that ``mdp.policy_values``'s array
+    pass must match bit for bit.
+
+    ``failure_probs[j]`` is the probability of reaching the failure state
+    whose delivered prefix is the first ``j`` packages of ``ordered_ids``;
+    that state pays the prefix reward minus theta.  ``success_prob`` and
+    ``success_reward`` describe the full-success state that loops back to
+    the alive state, and ``expected_epoch_reward`` is E_a, the one-epoch
+    expected reward out of the alive state.
+    """
+    ordered = sorted((p for i, p in enumerate(model.instance.packages) if action >> i & 1),
+                     key=canonical_sort_key)
+    q = len(ordered)
+    rhos = [p.leg_success for p in ordered]
+
+    # psi[j] = probability of delivering the j-th package (1-based).
+    psis = []
+    rho_bar = 1.0
+    for rho in rhos:
+        psis.append(rho_bar * rho)
+        rho_bar *= rho * rho
+
+    # failure with exactly j packages delivered, j = 0..q
+    failure_probs = []
+    if q:
+        failure_probs.append(1.0 - rhos[0])
+        for j in range(1, q):
+            failure_probs.append(psis[j - 1] * (1.0 - rhos[j - 1] * rhos[j]))
+        failure_probs.append(psis[q - 1] * (1.0 - rhos[q - 1]))
+
+    prefix_rewards = [0.0]
+    acc = 0.0
+    for p in ordered:
+        acc += p.reward
+        prefix_rewards.append(acc)
+
+    # E_a: the success term first, then the failure terms j = 0..q.
+    expected = rho_bar * prefix_rewards[q]
+    for p, r in zip(failure_probs, prefix_rewards):
+        expected += p * (r - model.instance.theta)
+    return SimpleNamespace(
+        ordered_ids=tuple(p.id for p in ordered),
+        failure_probs=tuple(failure_probs),
+        success_prob=rho_bar,
+        success_reward=prefix_rewards[q],
+        expected_epoch_reward=expected,
+    )
+
+
 class TestTransitionRows:
     def test_single_package_example(self):
         model = build_model(inst_of(1.0, PackageSpec(0, 1, 0.5)))
-        out = model.action_outcomes(0b1)
+        out = action_outcomes(model, 0b1)
         assert out.failure_probs == (0.5, 0.25)
         assert out.success_prob == 0.25
         assert math.isclose(sum(out.failure_probs) + out.success_prob, 1.0, rel_tol=1e-12)
 
     def test_idle_action_loops_home(self):
         model = build_model(inst_of(1.0, PackageSpec(0, 1, 0.5)))
-        out = model.action_outcomes(0)
+        out = action_outcomes(model, 0)
         assert out.failure_probs == ()
         assert out.success_prob == 1.0
         assert out.success_reward == 0.0
 
     def test_two_package_derived_example(self):
         model = build_model(inst_of(0.5, PackageSpec(0, 1, 0.9), PackageSpec(1, 1, 0.8)))
-        out = model.action_outcomes(0b11)
+        out = action_outcomes(model, 0b11)
         assert out.ordered_ids == (0, 1)  # gamma order: 0.9 first
         assert math.isclose(out.failure_probs[0], 0.1, rel_tol=1e-12)
         assert math.isclose(out.failure_probs[1], 0.252, rel_tol=1e-12)
@@ -58,7 +111,7 @@ class TestTransitionRows:
             inst = make_instance(rng.randrange(2**31), n_max=6, infinite=True)
             model = build_model(inst)
             for action in model.actions():
-                out = model.action_outcomes(action)
+                out = action_outcomes(model, action)
                 assert math.isclose(
                     sum(out.failure_probs) + out.success_prob, 1.0, rel_tol=1e-12)
                 assert all(p >= -1e-15 for p in out.failure_probs)
@@ -69,7 +122,7 @@ class TestTransitionRows:
             inst = make_instance(rng.randrange(2**31), n_max=6, infinite=True)
             model = build_model(inst)
             for action in model.actions():
-                out = model.action_outcomes(action)
+                out = action_outcomes(model, action)
                 direct = evaluate_epoch(out.ordered_ids, inst).expected_reward
                 assert math.isclose(out.expected_epoch_reward, direct,
                                     rel_tol=1e-12, abs_tol=1e-12)
@@ -162,7 +215,7 @@ def scalar_policy_value(model, action):
     """The per-action evaluation the array pass replaced, kept as its
     reference: the action's transition row, its closed form and a
     fixed-point loop in plain floats."""
-    out = model.action_outcomes(action)
+    out = action_outcomes(model, action)
     rho_bar = out.success_prob
     e_a = out.expected_epoch_reward
     if rho_bar == 1.0:
@@ -269,7 +322,7 @@ class TestPolicyArrayPass:
             model = build_model(random_mdp_instance(rng))
             values = mdp.policy_values(model)
             for action in model.actions():
-                out = model.action_outcomes(action)
+                out = action_outcomes(model, action)
                 assert values.success_prob[action].hex() == out.success_prob.hex()
                 assert float(values.epoch_reward[action]).hex() == out.expected_epoch_reward.hex()
 

@@ -17,7 +17,6 @@ from riskplan import (
     SimConfig,
     ViolationCode,
     brute_force_finite,
-    canonical_delivery_order,
     distance_to_probability,
     ensure_valid,
     greedy_rtpd,
@@ -307,20 +306,19 @@ class TestColumns:
     def test_instance_owns_read_only_columns(self):
         inst = Instance(theta=1.0, horizon=Horizon.finite(1),
                         packages=(PackageSpec(4, 1.5, 0.5), PackageSpec(2, 3, 0.25)))
-        ids, rewards, rhos = inst._arrays()
+        ids, rewards, rhos = inst.packages.ids, inst.packages.rewards, inst.packages.rhos
         assert ids.dtype == np.int64 and rewards.dtype == rhos.dtype == np.float64
         assert ids.tolist() == [4, 2] and rewards.tolist() == [1.5, 3.0] and rhos.tolist() == [0.5, 0.25]
-        assert inst._arrays()[0] is ids
         with pytest.raises(ValueError):
             rewards[0] = 2.0
         assert inst.packages[1] == PackageSpec(2, 3.0, 0.25)
-        assert inst.package_by_id(2) is inst.package_by_id(2)
+        assert inst.packages[1] is inst.packages[1]
         assert len(inst.packages) == 2 and list(inst.packages[1:]) == [PackageSpec(2, 3.0, 0.25)]
 
     def test_sharing_a_table_shares_the_columns(self):
         inst = one_package_instance()
         other = Instance(theta=2.0, horizon=Horizon.infinite(), packages=inst.packages)
-        assert other._arrays()[1] is inst._arrays()[1]
+        assert other.packages.rewards is inst.packages.rewards
 
     def test_content_equality(self):
         a = one_package_instance(r=3.0)
@@ -434,7 +432,7 @@ class TestCanonicalOrder:
             PackageSpec(3, 7, 1.0),    # riskless, higher reward
             PackageSpec(4, 1, 0.6),    # tie with id 0
         ]
-        ordered = canonical_delivery_order(pkgs)
+        ordered = sorted(pkgs, key=canonical_sort_key)
         assert [p.id for p in ordered] == [3, 2, 1, 0, 4]
 
 
@@ -464,6 +462,11 @@ class TestConversion:
     def test_phi_domain(self, phi):
         with pytest.raises(DomainError):
             probability_to_distance(0.5, phi)
+
+    @pytest.mark.parametrize("distance", [-1.0, -math.inf, math.nan])
+    def test_distance_domain(self, distance):
+        with pytest.raises(DomainError, match="distance must be non-negative"):
+            distance_to_probability(distance, 0.5)
 
     @settings(deadline=None)
     @given(

@@ -2,7 +2,6 @@ import itertools
 import json
 import math
 import random
-import time
 
 import numpy as np
 import pytest
@@ -36,9 +35,10 @@ from riskplan import multiagent
 from riskplan.cli import run_cli
 from riskplan.model import canonical_sort_key
 from riskplan.multiagent import _survivor_pmf
-from riskplan.oracle_sim import SimResult, leg_uniforms, trial_keys
+from riskplan.oracle_sim import MAX_TRIALS, SimResult, trial_keys
 
-from conftest import make_instance
+from conftest import make_instance, package_of
+from test_oracle_sim import count_passes, leg_uniforms
 
 
 def inst_of(theta, k, *pkgs):
@@ -237,7 +237,7 @@ class TestMarginalGain:
                 continue
             rng.shuffle(ids)
             tour = tuple(ids[:-1][: rng.randint(0, len(ids) - 1)])
-            pkg = inst.package_by_id(ids[-1])
+            pkg = package_of(inst, ids[-1])
             team = TeamEpochPlan.of([tour])
             delta = marginal_gain(team, 0, pkg, None, inst)
             rho_bar = evaluate_epoch(tour, inst).epoch_survival
@@ -300,7 +300,7 @@ def enum_greedy_epoch_plan(instance, epoch, beta, continuation):
     minus that at survival 0, and the expected failures come from the
     enumerated pmf.  The quotient is taken once per agent and step instead of
     once per (agent, package) pair; it does not depend on the package."""
-    available = {pkg_id: instance.package_by_id(pkg_id) for pkg_id in instance.allowed_ids(epoch)}
+    available = {pkg_id: package_of(instance, pkg_id) for pkg_id in instance.allowed_ids(epoch)}
     tours = [[] for _ in range(beta)]
     theta = instance.theta
     while available:
@@ -319,7 +319,7 @@ def enum_greedy_epoch_plan(instance, epoch, beta, continuation):
             break
         m, pkg_id = best_pick
         tours[m].append(pkg_id)
-        tours[m].sort(key=lambda i: canonical_sort_key(instance.package_by_id(i)))
+        tours[m].sort(key=lambda i: canonical_sort_key(package_of(instance, i)))
         del available[pkg_id]
 
     survivals = [evaluate_epoch(t, instance).epoch_survival for t in tours]
@@ -327,7 +327,7 @@ def enum_greedy_epoch_plan(instance, epoch, beta, continuation):
     rewards = 0.0
     for tour in tours:
         for pkg_id, psi in zip(tour, evaluate_epoch(tour, instance).delivery_probs):
-            rewards += instance.package_by_id(pkg_id).reward * psi
+            rewards += package_of(instance, pkg_id).reward * psi
     expected = rewards - theta * dist.expected_failures
     return tours, expected + sum(p * continuation[b] for b, p in enumerate(dist.pmf))
 
@@ -470,13 +470,19 @@ class TestGreedy:
         ]
         assert results[0] == results[1]
 
-    def test_shards_beyond_the_trial_count_cost_nothing(self):
+    def test_shards_beyond_the_trial_count_cost_nothing(self, monkeypatch):
         inst = inst_of(1.0, 2, PackageSpec(0, 4, 0.9), PackageSpec(1, 2, 0.8))
         report = greedy_rtpd(inst, 2, sim_config=SimConfig(trials=10, seed=3))
-        start = time.perf_counter()
+        passes = count_passes(monkeypatch, multiagent)
         res = simulate_team_mission(report.plans, inst, 2, SimConfig(trials=10, seed=3, parallel_shards=10**7))
-        assert time.perf_counter() - start < 1.0
+        assert passes == [1] * 10
         assert res == simulate_team_mission(report.plans, inst, 2, SimConfig(trials=10, seed=3))
+
+    def test_trials_beyond_the_limit(self):
+        inst = inst_of(1.0, 2, PackageSpec(0, 4, 0.9), PackageSpec(1, 2, 0.8))
+        report = greedy_rtpd(inst, 2, sim_config=SimConfig(trials=10, seed=3))
+        with pytest.raises(TooManyTrialsError, match="10,000,001 trials exceed the limit of 10,000,000"):
+            simulate_team_mission(report.plans, inst, 2, SimConfig(trials=MAX_TRIALS + 1, seed=3))
 
     def test_scale_and_horizon_errors(self):
         inst = inst_of(0.0, 1, PackageSpec(0, 1, 0.5))
@@ -646,7 +652,7 @@ def per_leg_simulate_team(plans, instance, agents, config):
                 for m, tour in enumerate(plan.tours):
                     ok = np.ones(sel.size, dtype=bool)
                     for pos, pkg_id in enumerate(tour):
-                        pkg = instance.package_by_id(int(pkg_id))
+                        pkg = package_of(instance, int(pkg_id))
                         rho = pkg.leg_success
                         u_out = leg_uniforms(group_keys, draw_index(h, m, pos, 0))
                         died = ok & ~(u_out < rho)

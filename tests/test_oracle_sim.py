@@ -2,7 +2,6 @@ import ast
 import itertools
 import math
 import random
-import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -18,6 +17,7 @@ from riskplan import (
     PackageSpec,
     SearchSpaceTooLargeError,
     SimConfig,
+    TooManyTrialsError,
     UnboundedSimulationError,
     brute_force_finite,
     evaluate_epoch,
@@ -28,15 +28,39 @@ from riskplan import (
 from riskplan import expectation, oracle_sim
 from riskplan.cli import GeneratorSpec, generate_instance
 from riskplan.errors import HorizonMismatchError, InvalidPlanError, UnknownPackageIdError
-from riskplan.oracle_sim import STATIONARY_EPOCH_CAP, SimResult, _epoch_sequences, leg_uniforms, trial_keys
+from riskplan.oracle_sim import STATIONARY_EPOCH_CAP, SimResult, _epoch_sequences, trial_keys
 
-from conftest import make_instance, random_mission_plan, with_horizon
+from conftest import make_instance, package_of, random_mission_plan, with_horizon
 
 import numpy as np
 
 
 def inst_of(theta, k, *pkgs):
     return Instance(theta=theta, horizon=Horizon.finite(k), packages=tuple(pkgs))
+
+
+def leg_uniforms(keys: np.ndarray, draw_index: int) -> np.ndarray:
+    """Uniforms in [0, 1) for one leg across trials, ``mix(key + (draw_index
+    + 1) * golden)``: the per-leg draw that the simulators' block kernel
+    makes many of at once, kept as its reference."""
+    # Scalar offset computed in Python ints to wrap mod 2^64 silently.
+    offset = np.uint64(((draw_index + 1) * 0x9E3779B97F4A7C15) % 2**64)
+    raw = oracle_sim._mix64(keys + offset)
+    return (raw >> np.uint64(11)) * (2.0 ** -53)
+
+
+def count_passes(monkeypatch, module) -> list[int]:
+    """The trial count of each pass that ``module``'s simulator takes from
+    ``_pass_keys``, filled in as it runs."""
+    sizes = []
+    pass_keys = oracle_sim._pass_keys
+
+    def counted(config):
+        for keys in pass_keys(config):
+            sizes.append(keys.size)
+            yield keys
+    monkeypatch.setattr(module, "_pass_keys", counted)
+    return sizes
 
 
 class TestBruteForce:
@@ -101,7 +125,7 @@ class TestBruteForce:
             inst = make_instance(rng.randrange(2**31))
             _, plan = brute_force_finite(inst)
             for epoch in plan.plans:
-                gammas = [reward_to_risk(inst.package_by_id(i)) for i in epoch]
+                gammas = [reward_to_risk(package_of(inst, i)) for i in epoch]
                 for a, b in zip(gammas, gammas[1:]):
                     assert a >= b - 1e-9
 
@@ -158,13 +182,19 @@ class TestSimulateMission:
         ]
         assert results[0] == results[1] == results[2]
 
-    def test_shards_beyond_the_trial_count_cost_nothing(self):
+    def test_shards_beyond_the_trial_count_cost_nothing(self, monkeypatch):
         inst = inst_of(1.0, 2, PackageSpec(0, 4, 0.9), PackageSpec(1, 2, 0.8))
         plan = MissionPlan.finite([(0, 1), (1,)])
-        start = time.perf_counter()
+        passes = count_passes(monkeypatch, oracle_sim)
         res = simulate_mission(plan, inst, SimConfig(trials=10, seed=3, parallel_shards=10**7))
-        assert time.perf_counter() - start < 1.0
+        assert passes == [1] * 10
         assert res == simulate_mission(plan, inst, SimConfig(trials=10, seed=3))
+
+    def test_trials_beyond_the_limit(self):
+        inst = inst_of(1.0, 1, PackageSpec(0, 4, 0.9))
+        config = SimConfig(trials=oracle_sim.MAX_TRIALS + 1, seed=3)
+        with pytest.raises(TooManyTrialsError, match="10,000,001 trials exceed the limit of 10,000,000"):
+            simulate_mission(MissionPlan.finite([(0,)]), inst, config)
 
     def test_seed_determinism(self):
         inst = inst_of(1.0, 1, PackageSpec(0, 4, 0.9))
@@ -455,7 +485,7 @@ def per_leg_simulate(plan, inst, config):
         plan = MissionPlan.finite([plan.stationary] * inst.horizon.epochs)
     stationary = plan.is_stationary
     plans = [plan.stationary] if stationary else plan.plans
-    epochs = [[inst.package_by_id(int(i)) for i in p] for p in plans]
+    epochs = [[package_of(inst, int(i)) for i in p] for p in plans]
     truncation_bias = 0.0
     if stationary:
         if not epochs[0]:
@@ -672,7 +702,7 @@ def reference_plan_epochs_for_sim(plan: MissionPlan, instance: Instance) -> tupl
     if plan.is_stationary:
         if len(set(map(int, plan.stationary))) != len(plan.stationary):
             raise InvalidPlanError("stationary plan repeats a package id")
-        epoch = [instance.package_by_id(i) for i in plan.stationary]
+        epoch = [package_of(instance, i) for i in plan.stationary]
         return [epoch], True
     # The checks and messages of ``evaluate_mission``; a valid instance
     # has one catalog per epoch, so they cover per-epoch catalogs too.
@@ -690,7 +720,7 @@ def reference_plan_epochs_for_sim(plan: MissionPlan, instance: Instance) -> tupl
         allowed = instance.allowed_ids(h) if pep is not None else None
         pkgs = []
         for pkg_id in epoch_plan:
-            pkg = instance.package_by_id(int(pkg_id))
+            pkg = package_of(instance, int(pkg_id))
             if allowed is not None and pkg.id not in allowed:
                 raise UnknownPackageIdError(
                     f"package {pkg.id} is not available in epoch {h}")

@@ -74,9 +74,9 @@ EXPORTS = {
     "mdp": ["MdpModel", "best_stationary_policy", "build_model", "evaluate_policy"],
     "model": [
         "MAX_EPOCHS", "UNBOUNDED", "Horizon", "Instance", "MissionPlan", "PackageSpec",
-        "Violation", "ViolationCode", "canonical_delivery_order", "distance_to_probability",
-        "ensure_valid", "instance_from_dict", "instance_to_dict", "plan_from_dict",
-        "plan_to_dict", "probability_to_distance", "reward_to_risk", "validate_instance",
+        "Violation", "ViolationCode", "distance_to_probability", "ensure_valid",
+        "instance_from_dict", "instance_to_dict", "plan_from_dict", "plan_to_dict",
+        "probability_to_distance", "reward_to_risk", "validate_instance",
     ],
     "multiagent": [
         "PoissonBinomial", "TeamEpochPlan", "TeamSolveReport", "greedy_rtpd", "marginal_gain",
