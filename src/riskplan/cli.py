@@ -14,6 +14,7 @@ bare ratios), never as a bare JSON Infinity.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -75,6 +76,8 @@ def generate_instance(spec: GeneratorSpec) -> Instance:
         raise InvalidRangeError(f"n must be non-negative, got {spec.n}")
     if spec.epochs is not None and spec.epochs < 1:
         raise InvalidRangeError(f"epochs must be positive, got {spec.epochs}")
+    if spec.seed < 0:
+        raise InvalidRangeError(f"seed must be non-negative, got {spec.seed}")
     for name, (lo, hi), bounds in (
         ("theta", spec.theta_range, (0.0, float("inf"))),
         ("reward", spec.reward_range, (0.0, float("inf"))),
@@ -534,7 +537,20 @@ def run_cli(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run_cli(sys.argv[1:]))
+    """The console script and ``python -m riskplan.cli``: run, then exit.
+
+    Before exit the heap is frozen, so the collections that end the
+    interpreter skip every object numpy, the stdlib and riskplan loaded:
+    shutdown takes about 10 ms instead of 30 to 37.  This is safe because
+    every file a command writes is closed inside :func:`run_cli` (``with``
+    blocks), so no output waits on a collection to be flushed.  The rest of
+    shutdown still runs: atexit handlers (``logging`` under RISKPLAN_LOG)
+    and the flush of stdout and stderr.  ``run_cli`` itself never freezes,
+    since tests and the benchmark's tracer call it in-process.
+    """
+    code = run_cli(sys.argv[1:])
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

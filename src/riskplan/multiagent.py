@@ -47,7 +47,15 @@ from .model import (
     ensure_valid,
     gamma_values,
 )
-from .oracle_sim import SimConfig, SimResult, _failed_legs, _leg_thresholds, _pass_keys, _sim_result
+from .oracle_sim import (
+    SimConfig,
+    SimResult,
+    _check_trials,
+    _failed_legs,
+    _leg_thresholds,
+    _pass_keys,
+    _sim_result,
+)
 
 __all__ = [
     "PoissonBinomial",
@@ -361,7 +369,8 @@ def greedy_rtpd(
     gain (ties to the lowest agent index, then lowest package id), keeping
     each tour in canonical order.  For multi-epoch missions the headline
     ``value`` is a Monte Carlo estimate, so ``sim_config`` is required
-    when the horizon exceeds one epoch.
+    when the horizon exceeds one epoch; it and its trial limit are checked
+    before any plan is built.
     """
     ensure_valid(instance)
     if not instance.horizon.is_finite:
@@ -374,8 +383,12 @@ def greedy_rtpd(
         raise ScaleLimitExceededError(
             f"team solver is limited to {_MAX_TEAM_PACKAGES} packages, got {len(instance.packages)}")
     check_epoch_limit(instance)
-
     k = instance.horizon.epochs
+    if k > 1:  # the value is simulated: refuse its settings before any greedy work
+        if sim_config is None:
+            raise ValidationError("multi-epoch team value is estimated by simulation; pass sim_config")
+        _check_trials(sim_config)
+
     plans: dict[tuple[int, int], TeamEpochPlan] = {}
     values: dict[tuple[int, int], float] = {}
     v_next = [0.0] * (agents + 1)  # V_{h+1}(beta) for beta = 0..agents
@@ -393,8 +406,6 @@ def greedy_rtpd(
     analytic = values[(1, agents)]
     if k == 1:
         return TeamSolveReport(plans=plans, values=values, value=analytic)
-    if sim_config is None:
-        raise ValidationError("multi-epoch team value is estimated by simulation; pass sim_config")
     sim = simulate_team_mission(plans, instance, agents, sim_config)
     return TeamSolveReport(plans=plans, values=values, value=sim.mean, sim=sim)
 

@@ -327,13 +327,17 @@ def _failed_legs(keys: np.ndarray, first_draw: int, thresholds: np.ndarray, legs
 # --- Monte Carlo -------------------------------------------------------------
 
 
-def _pass_keys(config: SimConfig):
-    """Each pass's trial keys: at most ``min(parallel_shards, trials)``
-    passes, none empty, in trial order.  Raises
-    :class:`TooManyTrialsError` for more than :data:`MAX_TRIALS` trials
-    before it makes any key."""
+def _check_trials(config: SimConfig) -> None:
+    """Raise :class:`TooManyTrialsError` for more than :data:`MAX_TRIALS` trials."""
     if config.trials > MAX_TRIALS:
         raise TooManyTrialsError(f"{config.trials:,} trials exceed the limit of {MAX_TRIALS:,}")
+
+
+def _pass_keys(config: SimConfig):
+    """Each pass's trial keys: at most ``min(parallel_shards, trials)``
+    passes, none empty, in trial order.  Runs :func:`_check_trials` before
+    it makes any key."""
+    _check_trials(config)
     passes = min(config.parallel_shards, config.trials)
     for s in range(passes):
         lo, hi = s * config.trials // passes, (s + 1) * config.trials // passes

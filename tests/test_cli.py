@@ -21,7 +21,7 @@ from riskplan import (
     instance_from_dict,
     plan_from_dict,
 )
-from riskplan import cli, mdp, oracle_sim
+from riskplan import cli, mdp, multiagent, oracle_sim
 from riskplan.cli import GeneratorSpec, dump_json, generate_instance, run_cli
 from riskplan.errors import InvalidRangeError
 from riskplan.model import UNBOUNDED, PackageTable, instance_to_dict
@@ -81,6 +81,12 @@ class TestGenerate:
             generate_instance(GeneratorSpec(n=1, epochs=1, rho_range=(0.5, 1.5), seed=0))
         with pytest.raises(InvalidRangeError):
             generate_instance(GeneratorSpec(n=1, epochs=1, theta_range=(3.0, 2.0), seed=0))
+
+    def test_negative_seed_rejected(self, capsys):
+        with pytest.raises(InvalidRangeError, match="seed must be non-negative, got -5"):
+            generate_instance(GeneratorSpec(n=3, epochs=2, seed=-5))
+        assert run(capsys, "gen", "-n", "3", "-K", "2", "--seed", "-5") == (
+            1, "", "riskplan: error: seed must be non-negative, got -5\n")
 
     def test_gen_requires_horizon_choice(self, capsys, tmp_path):
         code, _, err = run(capsys, "gen", "-n", "2", "--seed", "1")
@@ -186,7 +192,11 @@ class TestSimulateAndOracle:
         assert code == 2
         assert "scale limit" in err
 
-    def test_trials_beyond_the_limit_exit_code(self, tmp_path, capsys):
+    def test_trials_beyond_the_limit_exit_code(self, tmp_path, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("a team epoch plan was built")
+
+        monkeypatch.setattr(multiagent, "_greedy_epoch_plan", never)  # team greedy refuses first
         ipath = write_instance(tmp_path, FINITE2)
         ppath = write_instance(tmp_path, {"plans": [[0], [0]]}, name="plan.json")
         limit = oracle_sim.MAX_TRIALS

@@ -484,6 +484,24 @@ class TestGreedy:
         with pytest.raises(TooManyTrialsError, match="10,000,001 trials exceed the limit of 10,000,000"):
             simulate_team_mission(report.plans, inst, 2, SimConfig(trials=MAX_TRIALS + 1, seed=3))
 
+    @pytest.mark.parametrize("config, error", [
+        (SimConfig(trials=MAX_TRIALS + 1, seed=3), TooManyTrialsError),
+        (None, ValidationError),
+    ], ids=["too-many-trials", "no-sim-config"])
+    def test_simulation_settings_are_checked_before_any_plan(self, monkeypatch, config, error):
+        def never(*args):
+            raise AssertionError("an epoch plan was built")
+
+        monkeypatch.setattr(multiagent, "_greedy_epoch_plan", never)
+        inst = inst_of(1.0, 2, PackageSpec(0, 4, 0.9), PackageSpec(1, 2, 0.8))
+        with pytest.raises(error):
+            greedy_rtpd(inst, 2, sim_config=config)
+
+    def test_one_epoch_needs_no_simulation(self):
+        inst = inst_of(1.0, 1, PackageSpec(0, 4, 0.9), PackageSpec(1, 2, 0.8))
+        report = greedy_rtpd(inst, 2, sim_config=SimConfig(trials=MAX_TRIALS + 1, seed=3))
+        assert report.sim is None and report.value == report.values[(1, 2)]
+
     def test_scale_and_horizon_errors(self):
         inst = inst_of(0.0, 1, PackageSpec(0, 1, 0.5))
         with pytest.raises(ScaleLimitExceededError):

@@ -5,7 +5,9 @@ module some earlier test happened to import.  Here each command runs in
 its own interpreter, as the console script does: its output must still
 match the golden bytes, and it must load only the riskplan modules it
 executes.  By default that leaves out ``logging`` too: it is imported
-only when ``RISKPLAN_LOG`` names a level.
+only when ``RISKPLAN_LOG`` names a level.  ``main``, the console script's
+entry point, freezes the heap before exit; its written files and exit
+codes are checked here as well.
 """
 
 from __future__ import annotations
@@ -34,6 +36,19 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "ris
 
 #: The console script's entry point.
 MAIN = "from riskplan.cli import main; main()"
+
+#: Runs ``main`` or ``run_cli`` (the first argument) on the rest of the
+#: arguments, then prints its exit code and the count of frozen objects.
+FREEZE = """\
+import gc, json, sys
+from riskplan.cli import main, run_cli
+entry = sys.argv.pop(1)
+try:
+    code = run_cli(sys.argv[1:]) if entry == "run_cli" else main()
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, gc.get_freeze_count()]))
+"""
 
 #: riskplan modules each subcommand loads beyond ``cli``, ``errors`` and ``model``.
 LOADS = {
@@ -152,6 +167,42 @@ def test_log_lines_go_to_stderr_only(argv, golden, line, log):
         assert proc.stderr.startswith(line) and proc.stderr.count("\n") == 1
     else:
         assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("case", ["gen_finite", "solve_finite"])
+def test_main_writes_the_golden_bytes(case, tmp_path):
+    argv, written = case_argv(case, tmp_path)
+    proc = fresh(MAIN, *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("argv, code, error", [
+    (["convert", "--rho", "0.5", "--phi", "0.5"], 0, ""),
+    (["convert", "--distance", "nan", "--phi", "0.5"], 1,
+     "riskplan: error: distance must be non-negative, got nan\n"),
+    (["simulate", "-i", "gen_finite.json", "-p", "solve_finite.json", "--trials", "10000001", "--seed", "1"], 2,
+     "riskplan: scale limit: 10,000,001 trials exceed the limit of 10,000,000\n"),
+    (["convert", "--phi", "0.5", "--bogus"], 64, None),
+], ids=["ok", "error", "scale-limit", "usage"])
+def test_main_exit_codes(argv, code, error):
+    argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
+    proc = fresh(MAIN, *argv)
+    assert proc.returncode == code, proc.stderr
+    if error is None:
+        assert proc.stderr.splitlines()[-1].startswith("riskplan: error: unrecognized arguments: --bogus")
+    else:
+        assert proc.stderr == error
+
+
+@pytest.mark.parametrize("entry, frozen", [("main", True), ("run_cli", False)])
+def test_only_main_freezes_the_heap(entry, frozen, tmp_path):
+    proc = fresh(FREEZE, entry, "convert", "--rho", "0.5", "--phi", "0.5", "-o", str(tmp_path / "out.json"))
+    assert proc.returncode == 0, proc.stderr
+    code, count = json.loads(proc.stdout)
+    assert code == 0
+    assert (count > 0) == frozen
 
 
 def test_every_subcommand_is_run():
