@@ -87,7 +87,8 @@ class UnboundedSimulationError(ScaleLimitError):
 
 
 class TooManyPackagesError(ScaleLimitError):
-    """Package count exceeds the 2^n action-enumeration limit."""
+    """Package count exceeds the 2^n action-enumeration limit, or the
+    instance generator's (``cli.MAX_GENERATED_PACKAGES``)."""
 
 
 class TooManyTrialsError(ScaleLimitError):

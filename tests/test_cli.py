@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +93,16 @@ class TestGenerate:
         code, _, err = run(capsys, "gen", "-n", "2", "--seed", "1")
         assert code == 1
         assert "epochs" in err or "infinite" in err
+
+    def test_package_count_beyond_the_limit_is_a_scale_limit(self, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("the generator drew")
+
+        monkeypatch.setattr(np.random, "default_rng", never)
+        limit = cli.MAX_GENERATED_PACKAGES
+        for n in (limit + 1, 10**11):
+            assert run(capsys, "gen", "-n", str(n), "-K", "1", "--seed", "1") == (
+                2, "", f"riskplan: scale limit: {n:,} packages exceed the generator's limit of {limit:,}\n")
 
     def test_gen_rejects_both_horizons(self, capsys):
         code, out, err = run(capsys, "gen", "-n", "2", "-K", "2", "--infinite", "--seed", "1")
@@ -825,3 +836,110 @@ def test_emit_to_a_file_holds_one_chunk_not_the_document(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < path.stat().st_size / 4
+
+
+def rows_text(rows: np.ndarray) -> list:
+    """The text of each row of a NUL-padded byte matrix."""
+    lines = np.concatenate((rows, np.full((len(rows), 1), ord("\n"), np.uint8)), axis=1)
+    return lines.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
+
+
+def float_texts(values) -> list:
+    return rows_text(cli._float_slots(np.asarray(values, dtype=np.float64)))
+
+
+class TestFloatKernel:
+    """``cli._float_slots`` formats values in [1e-4, 1e16) with numpy passes;
+    its text must equal ``'%.17g' %`` (``_fmt_float`` elsewhere) exactly."""
+
+    def check(self, values):
+        values = np.asarray(values, dtype=np.float64)
+        for start in range(0, len(values), 1 << 16):
+            chunk = values[start:start + (1 << 16)]
+            assert float_texts(chunk) == [cli._fmt_float(v) for v in chunk.tolist()]
+
+    def test_every_exponent_of_the_fast_domain(self):
+        rng = np.random.default_rng(20240601)
+        exponents = np.repeat(np.arange(-4, 16), 25_000)
+        scattered = rng.uniform(1, 10, exponents.size) * 10.0 ** exponents
+        # and doubles uniform over their bit patterns, each exponent by its count of doubles
+        bits = rng.integers(np.float64(1e-4).view(np.int64), np.float64(1e16).view(np.int64), 500_000)
+        values = np.concatenate((scattered, bits.view(np.float64)))
+        assert ((values >= 1e-4) & (values < 1e16)).all()
+        assert set(np.floor(np.log10(values)).astype(int)) == set(range(-4, 16))
+        self.check(values)
+
+    def test_few_significant_bits_and_exact_ties(self):
+        rng = np.random.default_rng(7)
+        short = np.ldexp(rng.integers(1, 2**12, 100_000) | 1, rng.integers(-25, 50, 100_000)).astype(np.float64)
+        short = short[(short >= 1e-4) & (short < 1e16)]
+        # odd / 2**(p + 1) times 10**p is odd * 5**p / 2, a tie at the 17th digit
+        ties = []
+        for p in range(1, 21):
+            low, high = -(-2 * 10**16 // 5**p), 2 * 10**17 // 5**p
+            odd = np.unique(rng.integers(low, min(high, 2**53), 500)) | 1
+            ties.extend(math.ldexp(int(m), -(p + 1)) for m in odd)
+        assert all((Fraction(x) * 10**(16 - math.floor(math.log10(x)))).denominator == 2 for x in ties)
+        self.check(np.concatenate((short, ties)))
+        assert float_texts([1e15 + 0.25, 1e15 + 0.75]) == ["1000000000000000.2", "1000000000000000.8"]
+
+    def test_powers_of_ten_integers_and_domain_edges(self):
+        powers = np.array([float(f"1e{k}") for k in range(-6, 18)])
+        values = np.concatenate((
+            powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+            np.arange(1.0, 1000.0), [3.0, 1e15, 2.0**53, 0.5, 0.25, 0.1, 1 / 3, 2 / 3],
+            [1e-4, np.nextafter(1e-4, 0), np.nextafter(1e-4, 1), 1e16, np.nextafter(1e16, 0),
+             np.nextafter(1e16, np.inf)],
+        ))
+        self.check(values)
+        self.check(-values)
+        assert float_texts([1.0, 3.0, 1e15, 0.0, -0.0]) == ["1", "3", "1000000000000000", "0", "-0"]
+
+    @settings(deadline=None, max_examples=300)
+    @given(values=st.lists(st.one_of(
+        st.floats(),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, float("nan"),
+                         float("inf"), float("-inf"), 1e-4, 1e16]),
+        st.floats(1e-4, 1e16, exclude_max=True)), min_size=1, max_size=40))
+    def test_any_floats(self, values):
+        self.check(values)
+
+
+class TestIntKernel:
+    @settings(deadline=None, max_examples=300)
+    @given(ids=st.lists(st.one_of(st.integers(-(2**63), 2**63 - 1), st.integers(0, 10**6),
+                                  st.sampled_from([0, 9, 10, 2**63 - 1, -(2**63)])), min_size=1, max_size=40))
+    def test_ids_are_written_as_str(self, ids):
+        assert rows_text(cli._int_slots(np.array(ids, dtype=np.int64))) == list(map(str, ids))
+
+
+class TestEmitWholeInstances:
+    """``_emit`` at the default chunk size against the per-item writer."""
+
+    @pytest.mark.parametrize("seed", [5, 20240601])
+    def test_generated_instance(self, seed, tmp_path):
+        doc = instance_to_dict(generate_instance(GeneratorSpec(n=50_000, epochs=10, seed=seed)))
+        path = tmp_path / "instance.json"
+        cli._emit(doc, str(path))
+        assert path.read_text(encoding="utf-8") == generic_dump(doc) + "\n"
+
+    def test_values_below_one_only(self):
+        # no value has an integer digit, so no chunk has a column for a point
+        spec = GeneratorSpec(n=3000, epochs=2, reward_range=(0.0, 0.05), rho_range=(0.0, 0.05), seed=2)
+        doc = instance_to_dict(generate_instance(spec))
+        assert dump_json(doc) == generic_dump(doc)
+
+    def test_edge_rows_in_the_first_and_the_last_chunk(self, capsys):
+        n = 2 * cli.PACKAGE_CHUNK_ROWS + 5
+        ids, rewards, rhos = np.arange(n) + 1, np.linspace(0.5, 9.5, n), np.linspace(0.1, 0.9, n)
+        for row in (0, 1, n - 2, n - 1):
+            ids[row] = (0, 2**63 - 1)[row % 2]
+            rewards[row] = (0.0, 3e-5)[row % 2]
+            rhos[row] = (0.0, 1.0)[row % 2]
+        inst = Instance(theta=1.0, horizon=Horizon.finite(2), packages=PackageTable(ids, rewards, rhos))
+        doc = instance_to_dict(inst)
+        cli._emit(doc, None)
+        out = capsys.readouterr().out
+        assert out == generic_dump(doc) + "\n"
+        assert out.count(f'"id": {2**63 - 1},') == 2 and out.count('"reward": 3.0000000000000001e-05,') == 2
+        assert out.count('"reward": 0,') == 2 and out.count('"rho": 1\n') == 2
