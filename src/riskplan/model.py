@@ -154,6 +154,8 @@ def _listed_ids(raw: Sequence) -> tuple[Optional[np.ndarray], list]:
     """The ids a catalog or plan lists, as an int64 array in their order,
     and the items of ``raw`` that fail :func:`_is_int64` (the array is None
     if any do)."""
+    if isinstance(raw, np.ndarray) and raw.dtype == np.int64 and raw.ndim == 1:  # as docscan reads them
+        return raw, []
     # Parsed JSON holds exact ints: a C-speed type scan, and numpy raises
     # OverflowError for an id beyond int64.
     if isinstance(raw, list) and set(map(type, raw)) <= {int}:
@@ -184,7 +186,7 @@ def _catalog_arrays(catalogs: Iterable[Iterable]) -> tuple[np.ndarray, ...]:
     hold."""
     out, bad = [], []
     for h, raw in enumerate(catalogs, start=1):
-        ids, rejected = _listed_ids(raw if isinstance(raw, list) else list(raw))
+        ids, rejected = _listed_ids(raw if isinstance(raw, (list, np.ndarray)) else list(raw))
         bad += [Violation(ViolationCode.INVALID_ID,
                           f"epoch {h} catalog id must be an integer in 0..{MAX_PACKAGE_ID}, got {x!r}")
                 for x in rejected]

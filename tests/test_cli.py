@@ -22,7 +22,7 @@ from riskplan import (
     instance_from_dict,
     plan_from_dict,
 )
-from riskplan import cli, mdp, multiagent, oracle_sim
+from riskplan import cli, coltext, mdp, multiagent, oracle_sim
 from riskplan.cli import GeneratorSpec, dump_json, generate_instance, run_cli
 from riskplan.errors import InvalidRangeError
 from riskplan.model import UNBOUNDED, PackageTable, instance_to_dict
@@ -845,11 +845,11 @@ def rows_text(rows: np.ndarray) -> list:
 
 
 def float_texts(values) -> list:
-    return rows_text(cli._float_slots(np.asarray(values, dtype=np.float64)))
+    return rows_text(coltext.float_slots(np.asarray(values, dtype=np.float64), cli._fmt_float))
 
 
 class TestFloatKernel:
-    """``cli._float_slots`` formats values in [1e-4, 1e16) with numpy passes;
+    """``coltext.float_slots`` formats values in [1e-4, 1e16) with numpy passes;
     its text must equal ``'%.17g' %`` (``_fmt_float`` elsewhere) exactly."""
 
     def check(self, values):
@@ -910,7 +910,7 @@ class TestIntKernel:
     @given(ids=st.lists(st.one_of(st.integers(-(2**63), 2**63 - 1), st.integers(0, 10**6),
                                   st.sampled_from([0, 9, 10, 2**63 - 1, -(2**63)])), min_size=1, max_size=40))
     def test_ids_are_written_as_str(self, ids):
-        assert rows_text(cli._int_slots(np.array(ids, dtype=np.int64))) == list(map(str, ids))
+        assert rows_text(coltext.int_slots(np.array(ids, dtype=np.int64))) == list(map(str, ids))
 
 
 class TestEmitWholeInstances:

@@ -52,7 +52,7 @@ print(json.dumps([code, gc.get_freeze_count()]))
 
 #: riskplan modules each subcommand loads beyond ``cli``, ``errors`` and ``model``.
 LOADS = {
-    "gen": set(),
+    "gen": {"coltext"},
     "convert": set(),
     "solve finite": {"finite_solver"},
     "solve infinite": {"infinite_solver"},
