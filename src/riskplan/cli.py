@@ -14,12 +14,15 @@ bare ratios), never as a bare JSON Infinity.
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import io
 import json
 import math
 import os
+import stat
 import sys
+from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -317,12 +320,62 @@ def _emit(doc, output: Optional[str]):
     piece by piece as it is serialized."""
     if output:
         # Not the module's ``open``: that name is left to the --csv report.
-        with Path(output).open("w", encoding="utf-8") as fh:
+        with _output_file(output, io.open, encoding="utf-8") as fh:
             fh.writelines(_json_pieces(doc))
             fh.write("\n")
     else:
         sys.stdout.writelines(_json_pieces(doc))
         sys.stdout.write("\n")
+
+
+#: Errors that mean a directory takes no new file beside an output path
+#: (read-only, missing, or the new file's name too long), so that the path
+#: is written directly; on any other error (a full disk, say) it is kept.
+_NO_NEW_FILE = frozenset({errno.EACCES, errno.EPERM, errno.ENOENT, errno.EROFS, errno.ENAMETOOLONG})
+
+
+@contextmanager
+def _output_file(path: str, opener, **kwargs):
+    """A text file for writing, opened by ``opener`` (``open``) with
+    ``kwargs``, whose text becomes ``path`` only if the ``with`` block ends
+    without an error.
+
+    Where ``path`` is a regular file, or names nothing yet, the text goes
+    to a new file beside it, which replaces ``path`` (``os.replace``) once
+    it is written and closed; on an error that file is removed, and
+    ``path`` keeps what it held.  Any other target (a symlink such as
+    ``/dev/stdout``, a FIFO, a device), and a path whose directory takes no
+    new file, is written directly."""
+    try:
+        mode = os.lstat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is None or stat.S_ISREG(mode):
+        if mode is not None and not os.access(path, os.W_OK):  # as opening it to write would fail
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+        folder, name = os.path.split(path)
+        temp = os.path.join(folder, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+        stack = ExitStack()
+        try:
+            # ``opener`` may return a context manager that opens on entry.
+            fh = stack.enter_context(opener(temp, "x", **kwargs))  # a new file, made under the umask
+        except OSError as err:
+            if err.errno not in _NO_NEW_FILE:
+                raise
+        else:
+            try:
+                with stack:
+                    if mode is not None:
+                        os.chmod(temp, stat.S_IMODE(mode))
+                    yield fh
+                os.replace(temp, path)
+            except BaseException:
+                with suppress(FileNotFoundError):
+                    os.unlink(temp)
+                raise
+            return
+    with opener(path, "w", **kwargs) as fh:
+        yield fh
 
 
 def _parse_range(text: str) -> tuple[float, float]:
@@ -352,7 +405,7 @@ def _cmd_solve_finite(args) -> int:
     if args.csv:
         import csv
 
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
+        with _output_file(args.csv, open, newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["epoch", "V_h", "threshold", "plan_size", "epoch_survival"])
             for h in range(instance.horizon.epochs):

@@ -6,7 +6,9 @@ into columns; on ``riskplan gen``'s output that took most of a ``solve``
 command's time.  :func:`read_instance` reads the two arrays that grow with
 an instance, ``packages`` and ``per_epoch_packages``, into numpy columns
 with a fixed number of numpy passes, and only the small rest of the
-document goes through ``json``.
+document goes through ``json``.  The catalogs are read by
+:mod:`riskplan.catalogscan`, a block of their bytes at a time, with the
+layout checks and number kernels of this module.
 
 It takes a document only where it can prove that the result is what
 ``json.loads`` followed by ``instance_from_dict`` gives, bit for bit: where
@@ -55,8 +57,6 @@ from .model import PackageRecords, PackageTable
 __all__ = ["read_instance"]
 
 _WHITESPACE = re.compile(rb"[ \t\n\r]*")
-#: The end of a list of lists: a close bracket, then the next one.
-_LISTS_END = re.compile(rb"\][ \t\n\r]*\]")
 
 _COMMA, _OPEN, _CLOSE, _MINUS, _PLUS, _POINT, _ZERO = b",[]-+.0"
 
@@ -98,7 +98,9 @@ def read_instance(data: bytes, object_pairs_hook) -> Optional[dict]:
         if key == "packages" and data[pos:pos + 1] == b"[":
             got = _packages(data, buf, pos)
         elif key == "per_epoch_packages" and data[pos:pos + 1] == b"[":
-            got = _catalogs(data, buf, pos)
+            from . import catalogscan
+
+            got = catalogscan.read_catalogs(data, buf, pos)
         else:
             got = _value(data, pos, decoder)
         if got is None:
@@ -149,10 +151,7 @@ def _numbers(span: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     edges, last = [], False
     index = np.int32 if span.size < 2**31 else np.int64
     for at in range(0, span.size, _BLOCK):
-        part = span[at:at + _BLOCK]
-        number = part - np.uint8(_PLUS) < 15
-        number &= part != _COMMA
-        number |= (part | 0x20) == ord("e")
+        number = _number_bytes(span[at:at + _BLOCK])
         if number[0] != last:
             edges.append(np.array([at], index))
         change = np.flatnonzero(number[1:] != number[:-1]).astype(index)
@@ -160,7 +159,19 @@ def _numbers(span: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         edges.append(change)
         last = number[-1]
     edges = np.concatenate(edges)
-    starts, ends = edges[0::2], edges[1::2]
+    return _without_keys(span, edges[0::2], edges[1::2])
+
+
+def _number_bytes(part: np.ndarray) -> np.ndarray:
+    """Whether each byte of ``part`` is one that :func:`_numbers` reads."""
+    number = part - np.uint8(_PLUS) < 15
+    number &= part != _COMMA
+    number |= (part | 0x20) == ord("e")
+    return number
+
+
+def _without_keys(span: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """The runs ``starts``, ``ends`` but those that start with ``e`` or ``E``."""
     keep = (span[starts] | 0x20) != ord("e")
     if keep.all():
         return starts, ends
@@ -174,12 +185,17 @@ def _layout(span: np.ndarray, gaps: list):
     pieces = []
     for after, before in gaps:
         piece = span[after[0]:before[0]].tobytes()
-        if not (before - after == len(piece)).all():
-            return None
-        if piece and not (sliding_window_view(span, len(piece))[after] == np.frombuffer(piece, np.uint8)).all():
+        if not _holds(span, after, before, piece):
             return None
         pieces.append(piece)
     return pieces
+
+
+def _holds(span: np.ndarray, after: np.ndarray, before: np.ndarray, piece: bytes) -> bool:
+    """Whether each gap ``span[after[i]:before[i]]`` holds the bytes ``piece``."""
+    if not (before - after == len(piece)).all():
+        return False
+    return not piece or bool((sliding_window_view(span, len(piece))[after] == np.frombuffer(piece, np.uint8)).all())
 
 
 def _parses_as(pieces: list, expected) -> bool:
@@ -235,69 +251,6 @@ def _packages(data: bytes, buf: np.ndarray, pos: int):
     if ids is None or rhos is None:
         return None
     return PackageRecords(PackageTable(ids, rewards, rhos)), end
-
-
-def _catalogs(data: bytes, buf: np.ndarray, pos: int):
-    """The ``per_epoch_packages`` array at ``pos`` as a list of int64
-    arrays, and the position after it; None unless it is a list of lists
-    of integers, all laid out alike.
-
-    The span runs to the first ``]`` that follows a ``]``, and its other
-    brackets must open and close one list after another.  Its layout is
-    the bytes before the first list, from a list's ``[`` to its first id,
-    between two ids, from a list's last id to its ``]``, of an empty list,
-    between two lists, and after the last list.  A list of each length
-    that the span holds (two or more ids, one, none), or two lists if it
-    holds several of one length, must parse as such in that layout."""
-    empty = _WHITESPACE.match(data, pos + 1).end()
-    if data[empty:empty + 1] == b"]":
-        return [], empty + 1
-    found = _LISTS_END.search(data, pos)
-    if found is None:
-        return None
-    span = buf[pos:found.end()]
-    # Without the outer "[" and "]".
-    opens, closes = np.flatnonzero(span == _OPEN)[1:], np.flatnonzero(span == _CLOSE)[:-1]
-    lists = opens.size
-    if not lists or closes.size != lists or not ((opens < closes).all() and (closes[:-1] < opens[1:]).all()):
-        return None
-    starts, ends = _numbers(span)
-    owner = np.searchsorted(opens, starts) - 1  # the list of each id
-    if starts.size and ((owner < 0).any() or (ends > closes[owner]).any()):
-        return None
-    sizes = np.bincount(owner, minlength=lists)
-    firsts = np.cumsum(sizes) - sizes
-    full, none = np.flatnonzero(sizes), np.flatnonzero(sizes == 0)
-    later = np.ones(starts.size, bool)
-    later[firsts[full]] = False
-    later = np.flatnonzero(later)  # ids after an id of their own list
-    kinds = {
-        "head": (np.zeros(1, np.intp), opens[:1]),
-        "open": (opens[full], starts[firsts[full]]),
-        "between": (ends[later - 1], starts[later]),
-        "close": (ends[firsts[full] + sizes[full] - 1], closes[full] + 1),
-        "empty": (opens[none], closes[none] + 1),
-        "next": (closes[:-1] + 1, opens[1:]),
-        "tail": (closes[-1:] + 1, np.full(1, span.size)),
-    }
-    kinds = {kind: gaps for kind, gaps in kinds.items() if gaps[0].size}
-    pieces = _layout(span, list(kinds.values()))
-    if pieces is None:
-        return None
-    piece = dict(zip(kinds, pieces))
-    shown = [size for size in (2, 1, 0) if (np.minimum(sizes, 2) == size).any()]
-    if lists > 1 and len(shown) == 1:
-        shown *= 2
-    text = {2: piece.get("open", b"") + b"0" + piece.get("between", b"") + b"0" + piece.get("close", b""),
-            1: piece.get("open", b"") + b"0" + piece.get("close", b""),
-            0: piece.get("empty", b"")}
-    shown_text = piece["head"] + piece.get("next", b"").join(text[size] for size in shown) + piece["tail"]
-    if not _parses_as([shown_text], [[0] * size for size in shown]):
-        return None
-    ids = _integers(span, starts, ends)
-    if ids is None:
-        return None
-    return np.split(ids, np.cumsum(sizes)[:-1]), pos + len(span)
 
 
 #: 10**k for k = 0..18, each an exact double, and its halves by Veltkamp's

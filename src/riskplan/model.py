@@ -168,7 +168,11 @@ def _listed_ids(raw: Sequence) -> tuple[Optional[np.ndarray], list]:
 
 
 def _sorted_unique(ids: np.ndarray) -> np.ndarray:
-    """``ids`` sorted, with repeats dropped, as a read-only array."""
+    """``ids`` sorted, with repeats dropped, as a read-only array: ``ids``
+    itself where it is read-only and already strictly increasing, as the
+    catalogs that riskplan's document reader makes are."""
+    if not ids.flags.writeable and (ids[1:] > ids[:-1]).all():
+        return ids
     # Sort and compare neighbours: np.unique hashes on numpy 2.x, which
     # costs more on many small catalogs.
     ids = np.sort(ids)
@@ -334,7 +338,8 @@ class Instance:
     the catalog; when present its length must equal the finite horizon.
     It may be given as any iterable of iterables of ids (frozensets, say)
     and is stored as a tuple of sorted, duplicate-free, read-only int64
-    arrays, one per epoch; repeated ids collapse.
+    arrays, one per epoch; repeated ids collapse.  A read-only, strictly
+    increasing int64 array is kept as it is, without a copy.
 
     Instances compare by content.
     """
@@ -545,16 +550,18 @@ def _reward_overflow(rewards: np.ndarray, epochs: int) -> list[Violation]:
 
 def _unknown_catalog_ids(catalogs: tuple[np.ndarray, ...], known: np.ndarray) -> list[Violation]:
     """Catalog ids that name no package, by epoch and then ascending id,
-    from one membership test over every catalog."""
-    listed = np.concatenate(catalogs) if catalogs else np.empty(0, dtype=np.int64)
-    unknown = np.flatnonzero(~np.isin(listed, known))
-    if not unknown.size:
-        return []
-    # Epoch h's entries start at ends[h - 1]; each catalog is sorted.
-    ends = np.cumsum([c.size for c in catalogs])
-    epochs = np.searchsorted(ends, unknown, side="right") + 1
-    return [Violation(ViolationCode.UNKNOWN_PACKAGE_ID, f"epoch {h} references unknown package id {pkg_id}")
-            for h, pkg_id in zip(epochs.tolist(), listed[unknown].tolist())]
+    each catalog looked up on its own by binary search of the known ids."""
+    out = []
+    known = np.sort(known)
+    for h, catalog in enumerate(catalogs, start=1):
+        if not known.size:
+            listed = np.zeros(catalog.size, dtype=bool)
+        else:
+            listed = known[np.minimum(np.searchsorted(known, catalog), known.size - 1)] == catalog
+        if not listed.all():
+            out += [Violation(ViolationCode.UNKNOWN_PACKAGE_ID, f"epoch {h} references unknown package id {pkg_id}")
+                    for pkg_id in catalog[~listed].tolist()]
+    return out
 
 
 def ensure_valid(instance: Instance) -> Instance:

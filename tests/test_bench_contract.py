@@ -110,7 +110,12 @@ def test_solve_finite_routes_through_wrapped_names(calls, tmp_path):
         assert "expectation.evaluate_mission" not in names
         assert names.count("finite_solver.solve_finite") == 1
         assert "finite_solver.solve_finite_heterogeneous" not in names
-        assert [args for name, args, _ in calls if name == "cli.open"] == [(str(csv_path), "w")]
+        # The report is opened once through the module's ``open``: as a new
+        # file beside the CSV, which then replaces it (``cli._output_file``).
+        (opened,) = [args for name, args, _ in calls if name == "cli.open"]
+        assert opened[1] == "x" and Path(opened[0]).parent == csv_path.parent
+        assert csv_path.read_text().startswith("epoch,") and sorted(p.name for p in tmp_path.iterdir()) == [
+            "instance.json", "out.json", "report.csv"]
         instance = next(result for name, _, result in calls if name == "cli.instance_from_dict")
         assert len(instance.packages) == n
         report = next(result for name, _, result in calls if name == "finite_solver.solve_finite")

@@ -1,10 +1,13 @@
+import errno
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -943,3 +946,159 @@ class TestEmitWholeInstances:
         assert out == generic_dump(doc) + "\n"
         assert out.count(f'"id": {2**63 - 1},') == 2 and out.count('"reward": 3.0000000000000001e-05,') == 2
         assert out.count('"reward": 0,') == 2 and out.count('"rho": 1\n') == 2
+
+
+#: Runs the CLI with its regular-file writes capped at argv[1] bytes: a write
+#: past the cap fails with EFBIG, as on a full disk, instead of raising SIGXFSZ.
+CAPPED = ("import resource, signal, sys; signal.signal(signal.SIGXFSZ, signal.SIG_IGN); "
+          "cap = int(sys.argv.pop(1)); resource.setrlimit(resource.RLIMIT_FSIZE, (cap, cap)); "
+          "from riskplan.cli import main; main()")
+
+
+class TestOutputFiles:
+    """``-o`` and ``--csv`` write a regular file to a new file beside it,
+    which replaces it only once it is whole; other targets are written
+    directly."""
+
+    @staticmethod
+    def run_capped(cap, *argv):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        return subprocess.run([sys.executable, "-c", CAPPED, str(cap), *argv], env=env, capture_output=True)
+
+    @pytest.mark.parametrize("cap", [0, 1, 8192, 20_000])
+    def test_a_write_that_fails_part_way_keeps_the_old_file(self, cap, tmp_path):
+        out = tmp_path / "instance.json"
+        out.write_text("old\n")
+        proc = self.run_capped(cap, "gen", "-n", "300", "-K", "2", "--seed", "1", "-o", str(out))
+        assert proc.returncode == 1 and proc.stderr == b"riskplan: error: [Errno 27] File too large\n"
+        assert out.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["instance.json"]
+        proc = self.run_capped(10**6, "gen", "-n", "300", "-K", "2", "--seed", "1", "-o", str(out))
+        assert proc.returncode == 0 and out.stat().st_size > 20_000
+        assert os.listdir(tmp_path) == ["instance.json"]
+
+    @pytest.mark.parametrize("cap", [0, 5000])
+    def test_a_csv_that_fails_part_way_keeps_the_old_file(self, cap, tmp_path):
+        instance = write_instance(tmp_path, instance_to_dict(generate_instance(GeneratorSpec(n=3, epochs=400, seed=2))))
+        csv_path = tmp_path / "report.csv"
+        csv_path.write_text("old\n")
+        proc = self.run_capped(cap, "solve", "finite", "-i", instance, "-o", os.devnull, "--csv", str(csv_path))
+        assert proc.returncode == 1 and proc.stderr == b"riskplan: error: [Errno 27] File too large\n"
+        assert csv_path.read_text() == "old\n"
+        assert sorted(os.listdir(tmp_path)) == ["instance.json", "report.csv"]
+
+    def test_a_replaced_file_keeps_its_mode_and_a_new_one_follows_the_umask(self, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        out.write_text("old\n")
+        out.chmod(0o640)
+        assert run_cli(["gen", "-n", "2", "-K", "1", "--seed", "1", "-o", str(out)]) == 0
+        assert out.stat().st_mode & 0o777 == 0o640 and out.read_text().startswith("{")
+        umask = os.umask(0o027)
+        try:
+            assert run_cli(["gen", "-n", "2", "-K", "1", "--seed", "1", "-o", str(tmp_path / "new.json")]) == 0
+        finally:
+            os.umask(umask)
+        assert (tmp_path / "new.json").stat().st_mode & 0o777 == 0o640
+        assert sorted(os.listdir(tmp_path)) == ["new.json", "out.json"]
+
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root may write any file")
+    def test_a_read_only_file_is_not_replaced(self, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        out.write_text("old\n")
+        out.chmod(0o444)
+        assert run_cli(["gen", "-n", "2", "-K", "1", "--seed", "1", "-o", str(out)]) == 1
+        assert capsys.readouterr().err == f"riskplan: error: [Errno 13] Permission denied: '{out}'\n"
+        assert out.read_text() == "old\n" and os.listdir(tmp_path) == ["out.json"]
+
+    def test_a_missing_directory_is_named_as_given(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "out.json"
+        assert run_cli(["gen", "-n", "2", "-K", "1", "--seed", "1", "-o", str(out)]) == 1
+        assert capsys.readouterr().err == f"riskplan: error: [Errno 2] No such file or directory: '{out}'\n"
+        assert os.listdir(tmp_path) == []
+
+    @staticmethod
+    def refusing(code, on_entry):
+        """``open``, but a new file (mode ``x``) fails with ``code``; with
+        ``on_entry``, a context manager that opens on entry, as a tracer's
+        replacement for ``open`` may be."""
+        def opener(name, mode, **kwargs):
+            if mode == "x" and code is not None:
+                raise OSError(code, os.strerror(code), name)
+            return open(name, mode, **kwargs)
+
+        @contextmanager
+        def opener_on_entry(*args, **kwargs):
+            with opener(*args, **kwargs) as fh:
+                yield fh
+        return opener_on_entry if on_entry else opener
+
+    @pytest.mark.parametrize("on_entry", [False, True])
+    def test_a_file_is_replaced_through_either_kind_of_opener(self, on_entry, tmp_path):
+        out = tmp_path / "out.json"
+        out.write_text("old\n")
+        with cli._output_file(str(out), self.refusing(None, on_entry), encoding="utf-8") as fh:
+            fh.write("new\n")
+        assert out.read_text() == "new\n" and os.listdir(tmp_path) == ["out.json"]
+        with pytest.raises(ZeroDivisionError):
+            with cli._output_file(str(out), self.refusing(None, on_entry), encoding="utf-8") as fh:
+                fh.write("torn")
+                1 / 0
+        assert out.read_text() == "new\n" and os.listdir(tmp_path) == ["out.json"]
+
+    @pytest.mark.parametrize("on_entry", [False, True])
+    @pytest.mark.parametrize("code", [errno.EACCES, errno.EPERM, errno.ENOENT, errno.EROFS, errno.ENAMETOOLONG])
+    def test_a_directory_that_takes_no_new_file_is_written_directly(self, code, on_entry, tmp_path):
+        out = tmp_path / "out.json"
+        out.write_text("old\n")
+        with cli._output_file(str(out), self.refusing(code, on_entry), encoding="utf-8") as fh:
+            fh.write("new\n")
+        assert out.read_text() == "new\n" and os.listdir(tmp_path) == ["out.json"]
+
+    @pytest.mark.parametrize("on_entry", [False, True])
+    def test_a_full_disk_keeps_the_old_file(self, on_entry, tmp_path):
+        out = tmp_path / "out.json"
+        out.write_text("old\n")
+        with pytest.raises(OSError) as err:
+            with cli._output_file(str(out), self.refusing(errno.ENOSPC, on_entry), encoding="utf-8") as fh:
+                fh.write("new\n")
+        assert err.value.errno == errno.ENOSPC
+        assert out.read_text() == "old\n" and os.listdir(tmp_path) == ["out.json"]
+
+    def test_a_name_too_long_for_a_new_file_beside_it_is_written_directly(self, tmp_path):
+        out = tmp_path / ("n" * (os.pathconf(tmp_path, "PC_NAME_MAX") - 5) + ".json")
+        assert run_cli(["gen", "-n", "2", "-K", "1", "--seed", "1", "-o", str(out)]) == 0
+        assert out.read_text().startswith("{") and os.listdir(tmp_path) == [out.name]
+
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root may write in any directory")
+    def test_a_writable_file_in_a_read_only_directory_is_written_directly(self, tmp_path, capsys):
+        folder = tmp_path / "shared"
+        folder.mkdir()
+        out = folder / "out.json"
+        out.write_text("old\n")
+        folder.chmod(0o555)
+        try:
+            assert run_cli(["gen", "-n", "2", "-K", "1", "--seed", "1", "-o", str(out)]) == 0
+        finally:
+            folder.chmod(0o755)
+        assert out.read_text().startswith("{") and os.listdir(folder) == ["out.json"]
+
+    def test_targets_that_are_not_regular_files_are_written_directly(self, tmp_path, capsys):
+        expected = (GOLDEN / "gen_finite.json").read_bytes()
+        target = tmp_path / "target.json"
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        assert run_cli(["gen", "-n", "6", "-K", "3", "--seed", "42", "-o", str(link)]) == 0
+        assert link.is_symlink() and target.read_bytes() == expected
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()))
+        reader.start()
+        assert run_cli(["gen", "-n", "6", "-K", "3", "--seed", "42", "-o", str(fifo)]) == 0
+        reader.join(timeout=60)
+        assert got == [expected]
+        assert sorted(os.listdir(tmp_path)) == ["fifo", "link.json", "target.json"]
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.run([sys.executable, "-m", "riskplan.cli", "gen", "-n", "6", "-K", "3", "--seed", "42",
+                               "-o", "/dev/stdout"], env=env, capture_output=True)
+        assert (proc.returncode, proc.stdout) == (0, expected)

@@ -182,6 +182,50 @@ class TestVectorizedValidation:
         ]
 
 
+def unknown_ids_reference(catalogs, known) -> list[str]:
+    """The unknown-id messages as one membership test over every catalog
+    found them, before each catalog was looked up on its own."""
+    listed = np.concatenate(catalogs) if catalogs else np.empty(0, dtype=np.int64)
+    unknown = np.flatnonzero(~np.isin(listed, known))
+    ends = np.cumsum([c.size for c in catalogs])
+    epochs = np.searchsorted(ends, unknown, side="right") + 1
+    return [f"epoch {h} references unknown package id {pkg_id}"
+            for h, pkg_id in zip(epochs.tolist(), listed[unknown].tolist())]
+
+
+EDGE_IDS = st.sampled_from([0, 1, 2**62, 2**63 - 1, -1, -(2**63)])
+
+
+class TestUnknownCatalogIds:
+    """Each catalog is looked up on its own by binary search of the known
+    ids; the messages are those of one ``np.isin`` over every catalog, by
+    epoch and then ascending id."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(known=st.one_of(st.lists(st.integers(0, 40), max_size=30),
+                           st.lists(st.one_of(st.integers(0, 10**6), EDGE_IDS), max_size=30)),
+           catalogs=st.lists(st.lists(st.one_of(st.integers(-3, 45), st.integers(-10**7, 10**7), EDGE_IDS),
+                                      max_size=12), max_size=6))
+    def test_matches_one_membership_test_over_every_catalog(self, known, catalogs):
+        known = np.array(known, dtype=np.int64)
+        catalogs = tuple(np.unique(np.array(c, dtype=np.int64)) for c in catalogs)
+        got = [v.message for v in model._unknown_catalog_ids(catalogs, known)]
+        assert got == unknown_ids_reference(catalogs, known)
+
+    @pytest.mark.parametrize("ids", [np.arange(50), np.arange(50) * 1000, np.array([7, 2**63 - 1]), np.empty(0)],
+                             ids=["dense", "sparse", "extremes", "none"])
+    def test_unknown_ids_spread_over_epochs(self, ids):
+        ids = ids.astype(np.int64)
+        pep = [np.array([-1, 3, 49, 50, 2**62], dtype=np.int64), np.empty(0, dtype=np.int64),
+               ids[::7], np.array([6000, 2**63 - 1], dtype=np.int64)]
+        inst = Instance(theta=0.0, horizon=Horizon.finite(4),
+                        packages=PackageTable(ids, np.ones(ids.size), np.full(ids.size, 0.5)),
+                        per_epoch_packages=pep)
+        got = [v.message for v in validate_instance(inst) if v.code == ViolationCode.UNKNOWN_PACKAGE_ID]
+        assert got == unknown_ids_reference(inst.per_epoch_packages, ids)
+        assert len(got) >= 3
+
+
 class TestRewardOverflow:
     """``sum(rewards) * K`` must be a finite double (K = 1 on an infinite
     horizon): it bounds every value of a finite horizon."""
@@ -269,6 +313,37 @@ class TestCatalogs:
         assert mine.flags.writeable and not inst.per_epoch_packages[0].flags.writeable
         again = catalog_instance(inst.per_epoch_packages)
         assert again == inst and not again.per_epoch_packages[0].flags.writeable
+
+    @staticmethod
+    def increasing_catalogs():
+        return [np.array([2, 5, 9], dtype=np.int64), np.arange(30, dtype=np.int64), np.array([4], dtype=np.int64),
+                np.empty(0, dtype=np.int64)]
+
+    def test_a_read_only_strictly_increasing_catalog_is_kept_without_a_copy(self):
+        mine = self.increasing_catalogs()
+        for given in mine:
+            given.flags.writeable = False
+        inst = catalog_instance(mine)
+        for kept, given in zip(inst.per_epoch_packages, mine):
+            assert kept.tolist() == given.tolist() and not kept.flags.writeable
+            assert np.shares_memory(kept, given) or not given.size  # an empty array shares no memory
+
+    def test_a_writable_catalog_is_copied_so_the_caller_may_change_it(self):
+        mine = self.increasing_catalogs()
+        inst = catalog_instance(mine)
+        for kept, given in zip(inst.per_epoch_packages, mine):
+            assert kept.tolist() == given.tolist() and not kept.flags.writeable and given.flags.writeable
+            assert not np.shares_memory(kept, given)
+        mine[0][:] = [9, 5, 2]
+        assert inst.catalog(1).tolist() == [2, 5, 9]
+
+    @pytest.mark.parametrize("raw, want", [([5, 2, 9], [2, 5, 9]), ([3, 3], [3]), ([1, 2, 2, 3], [1, 2, 3]),
+                                           ([4, 4, 1, 1], [1, 4]), ([2, 1], [1, 2])])
+    def test_other_catalogs_are_sorted_and_deduplicated(self, raw, want):
+        given = np.array(raw, dtype=np.int64)
+        kept = catalog_instance([given]).per_epoch_packages[0]
+        assert kept.tolist() == want and not kept.flags.writeable
+        assert not np.shares_memory(kept, given) and given.tolist() == raw
 
     def test_ids_the_column_cannot_hold_are_invalid(self):
         with pytest.raises(InvalidInstanceError) as err:
