@@ -4,11 +4,10 @@
 document, and :func:`~riskplan.model.instance_from_dict` then gathers them
 into columns; on ``riskplan gen``'s output that took most of a ``solve``
 command's time.  :func:`read_instance` reads the two arrays that grow with
-an instance, ``packages`` and ``per_epoch_packages``, into numpy columns
-with a fixed number of numpy passes, and only the small rest of the
-document goes through ``json``.  The catalogs are read by
-:mod:`riskplan.catalogscan`, a block of their bytes at a time, with the
-layout checks and number kernels of this module.
+an instance into numpy columns: ``packages`` with a fixed number of numpy
+passes, and each list of ids of ``per_epoch_packages`` decoded by ``json``
+on its own (:func:`_catalogs`).  Only the small rest of the document goes
+through ``json`` whole.
 
 It takes a document only where it can prove that the result is what
 ``json.loads`` followed by ``instance_from_dict`` gives, bit for bit: where
@@ -17,17 +16,17 @@ It takes a document only where it can prove that the result is what
 * each array is the single top-level value of its key;
 * every package object has exactly the keys ``id``, ``reward`` and
   ``rho``, in that order, and every catalog is a list of ids;
-* every value in the arrays is a JSON number, and every id an integer of
-  at most 18 digits;
-* the bytes around the numbers repeat, as a program lays them out: the
-  same between each id and its reward, each reward and its rho, and each
-  rho and the next id; the same between two ids of a catalog, between two
-  catalogs, and so on.
+* every value in ``packages`` is a JSON number, and every package id an
+  integer of at most 18 digits; every catalog id is an integer that int64
+  holds;
+* the bytes around the numbers of ``packages`` repeat, as a program lays
+  them out: the same between each id and its reward, each reward and its
+  rho, and each rho and the next id.
 
 On any other document it returns None, and the caller parses it with
-``json``.  The structure is proved with ``json`` itself: those bytes,
-with zeros for the numbers of two packages (or of a few catalogs), must
-parse as such.
+``json``.  The structure of ``packages`` is proved with ``json`` itself:
+those bytes, with zeros for the numbers of two packages, must parse as
+such.
 
 Numbers convert as ``json`` and numpy convert them: an integer token is a
 Python int (so ``-0`` is +0.0) made a double by rounding, and a token with
@@ -58,7 +57,7 @@ __all__ = ["read_instance"]
 
 _WHITESPACE = re.compile(rb"[ \t\n\r]*")
 
-_COMMA, _OPEN, _CLOSE, _MINUS, _PLUS, _POINT, _ZERO = b",[]-+.0"
+_COMMA, _MINUS, _PLUS, _POINT, _ZERO = b",-+.0"
 
 #: The longest number token read in bulk; a longer one makes the reader decline.
 _MAX_TOKEN = 40
@@ -98,9 +97,7 @@ def read_instance(data: bytes, object_pairs_hook) -> Optional[dict]:
         if key == "packages" and data[pos:pos + 1] == b"[":
             got = _packages(data, buf, pos)
         elif key == "per_epoch_packages" and data[pos:pos + 1] == b"[":
-            from . import catalogscan
-
-            got = catalogscan.read_catalogs(data, buf, pos)
+            got = _catalogs(data, pos, decoder)
         else:
             got = _value(data, pos, decoder)
         if got is None:
@@ -136,6 +133,43 @@ def _value(data: bytes, pos: int, decoder: json.JSONDecoder):
         size *= 4
 
 
+def _catalogs(data: bytes, pos: int, decoder: json.JSONDecoder):
+    """The ``per_epoch_packages`` array whose ``[`` is at ``pos``, as a
+    list of read-only int64 arrays, and the position after it; None unless
+    it is a list of lists of integers that int64 holds.
+
+    A list of ids holds no ``]``, so each list is the bytes from its ``[``
+    to the first ``]``, and ``json`` decodes it alone: the memory that grows
+    with the ids is their arrays and one list's Python ints.  A list must
+    decode to its last byte, with every item exactly an ``int`` (no bool,
+    no float), and only whitespace and commas may lie between lists."""
+    skip = _WHITESPACE.match
+    catalogs = []
+    pos = skip(data, pos + 1).end()
+    if data[pos:pos + 1] == b"]":
+        return catalogs, pos + 1
+    while True:
+        close = data.find(b"]", pos) + 1
+        if data[pos:pos + 1] != b"[" or not close:
+            return None
+        text = data[pos:close].decode("ascii")
+        try:
+            ids, end = decoder.raw_decode(text)
+            if end < len(text) or not set(map(type, ids)) <= {int}:
+                return None
+            column = np.array(ids, dtype=np.int64)
+        except (ValueError, RecursionError, OverflowError):
+            return None
+        column.flags.writeable = False  # so that Instance keeps it without a copy
+        catalogs.append(column)
+        pos = skip(data, close).end()
+        if data[pos:pos + 1] == b"]":
+            return catalogs, pos + 1
+        if data[pos:pos + 1] != b",":
+            return None
+        pos = skip(data, pos + 1).end()
+
+
 #: Bytes of a span classified per pass of :func:`_numbers`, which bounds
 #: the memory of its masks.
 _BLOCK = 1 << 18
@@ -151,7 +185,10 @@ def _numbers(span: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     edges, last = [], False
     index = np.int32 if span.size < 2**31 else np.int64
     for at in range(0, span.size, _BLOCK):
-        number = _number_bytes(span[at:at + _BLOCK])
+        part = span[at:at + _BLOCK]
+        number = part - np.uint8(_PLUS) < 15
+        number &= part != _COMMA
+        number |= (part | 0x20) == ord("e")
         if number[0] != last:
             edges.append(np.array([at], index))
         change = np.flatnonzero(number[1:] != number[:-1]).astype(index)
@@ -159,19 +196,7 @@ def _numbers(span: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         edges.append(change)
         last = number[-1]
     edges = np.concatenate(edges)
-    return _without_keys(span, edges[0::2], edges[1::2])
-
-
-def _number_bytes(part: np.ndarray) -> np.ndarray:
-    """Whether each byte of ``part`` is one that :func:`_numbers` reads."""
-    number = part - np.uint8(_PLUS) < 15
-    number &= part != _COMMA
-    number |= (part | 0x20) == ord("e")
-    return number
-
-
-def _without_keys(span: np.ndarray, starts: np.ndarray, ends: np.ndarray):
-    """The runs ``starts``, ``ends`` but those that start with ``e`` or ``E``."""
+    starts, ends = edges[0::2], edges[1::2]
     keep = (span[starts] | 0x20) != ord("e")
     if keep.all():
         return starts, ends
@@ -185,17 +210,12 @@ def _layout(span: np.ndarray, gaps: list):
     pieces = []
     for after, before in gaps:
         piece = span[after[0]:before[0]].tobytes()
-        if not _holds(span, after, before, piece):
+        if not (before - after == len(piece)).all():
+            return None
+        if piece and not (sliding_window_view(span, len(piece))[after] == np.frombuffer(piece, np.uint8)).all():
             return None
         pieces.append(piece)
     return pieces
-
-
-def _holds(span: np.ndarray, after: np.ndarray, before: np.ndarray, piece: bytes) -> bool:
-    """Whether each gap ``span[after[i]:before[i]]`` holds the bytes ``piece``."""
-    if not (before - after == len(piece)).all():
-        return False
-    return not piece or bool((sliding_window_view(span, len(piece))[after] == np.frombuffer(piece, np.uint8)).all())
 
 
 def _parses_as(pieces: list, expected) -> bool:

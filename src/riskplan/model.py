@@ -732,9 +732,16 @@ def instance_from_dict(doc: dict) -> Instance:
         theta = doc["theta"]
         if not _is_real(theta):  # the rule for ``reward``: no bools, no strings
             raise TypeError(f"theta must be a real number, got {theta!r}")
-        # Instance turns the catalogs into arrays; their ids follow the package-id rule.
-        return Instance(theta=float(theta), horizon=horizon, packages=packages,
-                        per_epoch_packages=doc.get("per_epoch_packages"))
+        # Instance turns the catalogs into arrays, from any iterables of ids;
+        # a document's are lists (or int64 arrays from docscan), never a
+        # string or an object that would iterate as characters or keys.
+        catalogs = doc.get("per_epoch_packages")
+        if catalogs is not None and not isinstance(catalogs, list):
+            raise TypeError(f"per_epoch_packages must be a list of catalogs, got {type(catalogs).__name__}")
+        for h, ids in enumerate(catalogs or (), start=1):
+            if not (isinstance(ids, list) or isinstance(ids, np.ndarray) and ids.dtype == np.int64):
+                raise TypeError(f"epoch {h} catalog must be a list of ids, got {type(ids).__name__}")
+        return Instance(theta=float(theta), horizon=horizon, packages=packages, per_epoch_packages=catalogs)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInstanceError([Violation(ViolationCode.MALFORMED_DOCUMENT, f"malformed instance document: {exc}")]) from exc
 

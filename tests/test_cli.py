@@ -340,6 +340,28 @@ class TestErrorPaths:
         assert "malformed_document: malformed instance document" in err
         assert "horizon_mismatch" not in err and "Traceback" not in err
 
+    # A document's catalogs are lists of ids; a string or an object would
+    # iterate as characters or keys, which are not ids.
+    @pytest.mark.parametrize("catalogs, message", [
+        ("x", "per_epoch_packages must be a list of catalogs, got str"),
+        ({"0": [0]}, "per_epoch_packages must be a list of catalogs, got dict"),
+        ([{"a": 1}, [0]], "epoch 1 catalog must be a list of ids, got dict"),
+        ([[0], "01"], "epoch 2 catalog must be a list of ids, got str"),
+        ([None, [0]], "epoch 1 catalog must be a list of ids, got NoneType"),
+        ([[0], 3], "epoch 2 catalog must be a list of ids, got int"),
+    ], ids=["string", "object", "catalog-object", "catalog-string", "catalog-null", "catalog-number"])
+    def test_catalogs_that_are_not_lists_are_malformed(self, tmp_path, capsys, catalogs, message):
+        path = write_instance(tmp_path, dict(FINITE2, per_epoch_packages=catalogs))
+        code, out, err = run(capsys, "solve", "finite", "-i", path)
+        assert (code, out) == (1, "")
+        assert f"malformed_document: malformed instance document: {message}" in err
+        assert "invalid_id" not in err and "Traceback" not in err
+
+    def test_null_catalogs_are_no_catalogs(self, tmp_path, capsys):
+        null = run(capsys, "solve", "finite", "-i", write_instance(tmp_path, dict(FINITE2, per_epoch_packages=None)))
+        assert null[0] == 0
+        assert null == run(capsys, "solve", "finite", "-i", write_instance(tmp_path, FINITE2, "plain.json"))
+
     def test_theta_beyond_the_float_range_is_malformed(self, tmp_path, capsys):
         path = write_instance(tmp_path, dict(FINITE2, theta=10**400))
         code, out, err = run(capsys, "solve", "finite", "-i", path)
