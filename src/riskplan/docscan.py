@@ -26,7 +26,10 @@ It takes a document only where it can prove that the result is what
 On any other document it returns None, and the caller parses it with
 ``json``.  The structure of ``packages`` is proved with ``json`` itself:
 those bytes, with zeros for the numbers of two packages, must parse as
-such.
+such.  That a list of ids holds only integers is proved from its bytes:
+digits, ``-``, commas, brackets and whitespace, of which no float, bool,
+null or string can be made, so ``json``'s ints go straight into an int64
+column.
 
 Numbers convert as ``json`` and numpy convert them: an integer token is a
 Python int (so ``-0`` is +0.0) made a double by rounding, and a token with
@@ -133,6 +136,13 @@ def _value(data: bytes, pos: int, decoder: json.JSONDecoder):
         size *= 4
 
 
+#: The bytes of a JSON list of integers.  A list holding no other byte can
+#: decode only to integers: a float needs ``.``, ``e`` or ``E``, and
+#: ``true``, ``false``, ``null``, ``NaN``, ``Infinity`` and strings need
+#: letters or ``"``.  Nor can it nest, as its one ``]`` is its last byte.
+_INT_LIST_BYTES = b"0123456789-,[] \t\n\r"
+
+
 def _catalogs(data: bytes, pos: int, decoder: json.JSONDecoder):
     """The ``per_epoch_packages`` array whose ``[`` is at ``pos``, as a
     list of read-only int64 arrays, and the position after it; None unless
@@ -141,8 +151,8 @@ def _catalogs(data: bytes, pos: int, decoder: json.JSONDecoder):
     A list of ids holds no ``]``, so each list is the bytes from its ``[``
     to the first ``]``, and ``json`` decodes it alone: the memory that grows
     with the ids is their arrays and one list's Python ints.  A list must
-    decode to its last byte, with every item exactly an ``int`` (no bool,
-    no float), and only whitespace and commas may lie between lists."""
+    hold only the bytes of :data:`_INT_LIST_BYTES` and decode to its last
+    byte, and only whitespace and commas may lie between lists."""
     skip = _WHITESPACE.match
     catalogs = []
     pos = skip(data, pos + 1).end()
@@ -152,12 +162,15 @@ def _catalogs(data: bytes, pos: int, decoder: json.JSONDecoder):
         close = data.find(b"]", pos) + 1
         if data[pos:pos + 1] != b"[" or not close:
             return None
-        text = data[pos:close].decode("ascii")
+        chunk = data[pos:close]
+        if chunk.translate(None, _INT_LIST_BYTES):
+            return None
+        text = chunk.decode("ascii")
         try:
             ids, end = decoder.raw_decode(text)
-            if end < len(text) or not set(map(type, ids)) <= {int}:
+            if end < len(text):
                 return None
-            column = np.array(ids, dtype=np.int64)
+            column = np.fromiter(ids, np.int64, count=len(ids))
         except (ValueError, RecursionError, OverflowError):
             return None
         column.flags.writeable = False  # so that Instance keeps it without a copy

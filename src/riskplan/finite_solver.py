@@ -11,19 +11,24 @@ that epoch's catalog with reward-to-risk ratio strictly above the threshold
 Packages whose ratio equals the threshold leave the value unchanged; they
 are excluded so the returned plan is canonical.
 
-One O(n log n) sort puts the whole catalog in canonical order.  An epoch's
-catalog, taken in that order, has prefix tables of survival and reward, and
-its plan is the prefix of packages above the threshold, found by binary
-search.  Thresholds are non-decreasing going backwards in time, so within
-one catalog the prefix only ever shrinks.  A homogeneous instance has one
-catalog, the whole sorted array, and each epoch plan is a numpy view into
-it: O(n log n + K log n) time and O(n + K) memory, even for
-million-package, thousand-epoch problems.  Per-epoch catalogs arrive as
-the instance's sorted int64 id arrays, which index the canonical order
-directly.  A new table is built only where an epoch's catalog differs from
-the next epoch's (compared as arrays), for O(n log n + C n + K log n) time
-over C distinct consecutive catalogs; such plans are copies of just the
-chosen ids.
+One O(n log n) sort puts the whole catalog in canonical order.  Thresholds
+are non-decreasing going backwards in time, so within a run of epochs that
+share one catalog each plan is a prefix of the run's first (latest) plan.
+That plan is the catalog's members among the ``top`` packages of the whole
+order above the run's first threshold.  The run's prefix tables of survival
+and reward cover just those members, and each later plan is a shorter
+prefix, found by binary search.  ``cumprod`` and ``cumsum`` build each
+prefix in order from its own entries, so these tables hold the values that
+tables over the whole catalog would.
+
+A homogeneous instance has one catalog, the whole sorted array, and each
+epoch plan is a numpy view into it: O(n log n + K log n) time and O(n + K)
+memory, even for million-package, thousand-epoch problems.  Per-epoch
+catalogs arrive as the instance's sorted int64 id arrays.  A new table is
+built only where an epoch's catalog differs from the next epoch's
+(compared as arrays), from ``top`` binary searches into the catalog:
+O(n log n + K log n) time plus ``top * log |catalog|`` per distinct
+consecutive catalog.  Such plans are copies of just the chosen ids.
 """
 
 from __future__ import annotations
@@ -95,12 +100,10 @@ def solve_finite(instance: Instance) -> SolveReport:
     k = instance.horizon.epochs
     theta = instance.theta
     ids, rewards, rhos, gammas = _sorted_package_arrays(instance)
+    neg_gammas = -gammas  # ascending; -inf entries (riskless packages) sort first
     catalogs = instance.per_epoch_packages
     if catalogs is None:
         catalogs = (None,) * k  # None: the whole catalog
-    else:
-        by_id = np.argsort(ids)  # canonical positions in ascending id order
-        ids_by_id = ids[by_id]
 
     values = [0.0] * (k + 1)
     thresholds = [0.0] * k
@@ -109,23 +112,29 @@ def solve_finite(instance: Instance) -> SolveReport:
     v_next = 0.0
     for h in range(k - 1, -1, -1):
         catalog = catalogs[h]
+        threshold = theta + v_next
+        thresholds[h] = threshold
         # ``is`` settles the homogeneous case (None every epoch) without a call.
         if h == k - 1 or (catalog is not catalogs[h + 1] and not np.array_equal(catalog, catalogs[h + 1])):
+            # Thresholds only grow going backwards, so every plan of this
+            # run is among the ``top`` packages above its first threshold.
+            top = int(np.searchsorted(neg_gammas, -threshold, side="left"))
             # Ids are unique and every catalog id is known, so a catalog as
             # large as the instance is the whole sorted array.
             whole = catalog is None or catalog.size == ids.size
             if whole:
-                at = slice(None)
+                at = slice(top)
+            elif catalog.size:  # the catalog's members among them, by binary search
+                head = ids[:top]
+                found = catalog.take(np.searchsorted(catalog, head), mode="clip")
+                at = np.flatnonzero(found == head)
             else:
-                at = np.sort(by_id[np.searchsorted(ids_by_id, catalog)])
-            table_ids, neg_gammas = ids[at], -gammas[at]
+                at = slice(0)
+            table_ids, table_neg_gammas = ids[at], neg_gammas[at]
             survival, reward_sum = _prefix_tables(rewards[at], rhos[at])
-            q = table_ids.size  # prefix pointer; thresholds only grow going backwards
-        threshold = theta + v_next
-        thresholds[h] = threshold
-        # Ascending keys; -inf entries (riskless packages) sort first and
-        # are included at any finite threshold.
-        q = int(np.searchsorted(neg_gammas[:q], -threshold, side="left"))
+            q = table_ids.size  # the plan is the whole table
+        else:
+            q = int(np.searchsorted(table_neg_gammas[:q], -threshold, side="left"))
         plans[h] = table_ids[:q] if whole else table_ids[:q].copy()
         rho_bar = survivals[h] = float(survival[q])
         values[h] = float(reward_sum[q] - theta * (1.0 - rho_bar) + rho_bar * v_next)

@@ -539,6 +539,24 @@ def test_ids_without_commas_are_declined(catalogs):
     assert read_catalogs(text) is None
 
 
+def test_minus_zero_reads_as_zero():
+    text = catalog_text([[0, 4], [4]], "compact").replace("[0,4]", "[-0,4]")
+    assert "[-0,4]" in text
+    assert [c.tolist() for c in read_catalogs(text).per_epoch_packages] == [[0, 4], [4]]
+
+
+def test_ids_beyond_int64_pass_the_byte_check_and_decline():
+    """Digits alone prove a list's ids integers; an id int64 cannot hold
+    then declines in ``np.fromiter``, and the least int64 still reads."""
+    decoder = json.JSONDecoder()
+    for big in (2**63, -2**63 - 1):
+        chunk = f"[0, {big}]".encode()
+        assert not chunk.translate(None, docscan._INT_LIST_BYTES)
+        assert docscan._catalogs(b"[" + chunk + b"]", 0, decoder) is None
+    [column], _ = docscan._catalogs(f"[[{-2**63}, {2**63 - 1}]]".encode(), 0, decoder)
+    assert column.dtype == np.int64 and column.tolist() == [-2**63, 2**63 - 1]
+
+
 def load_outcome(path: Path, scan: bool):
     """What ``cli._load_instance`` makes of a file: the instance, or the error."""
     with scan_limit(0 if scan else 1 << 62):
@@ -551,8 +569,11 @@ def load_outcome(path: Path, scan: bool):
 @pytest.mark.parametrize("catalogs", [
     "[null]", "[[0], 3]", '[{"a": 1}]', "[[[0]]]", '[[0, "1]"]]', "[[true]]", "[[0, 1.0]]", f"[[{2**63}]]",
     "[[0],]", "[[0] [1]]", "[[0]: [1]]", "[[0], [1]", '[[0], {"b": [1]}]', '[[{"a": 1, "a": 2}]]',
+    "[[0, 1e2, 1]]", "[[0, -1.5, 1]]", "[[0, NaN, 1]]", "[[0, Infinity, 1]]", '[[0, "7", 1]]', "[[0, true, 1]]",
 ], ids=["null", "number", "object", "nested", "string-with-close", "true", "float", "2^63",
-        "trailing-comma", "no-comma", "colon", "unclosed", "object-after-a-list", "repeated-key"])
+        "trailing-comma", "no-comma", "colon", "unclosed", "object-after-a-list", "repeated-key",
+        "exponent-among-ints", "fraction-among-ints", "nan-among-ints", "infinity-among-ints",
+        "string-among-ints", "true-among-ints"])
 def test_what_the_catalog_reader_declines_loads_as_json_loads_it(catalogs, tmp_path):
     """Each of these goes to ``json``, and ``_load_instance`` ends alike
     with the reader offered the document or not."""

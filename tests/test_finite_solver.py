@@ -263,6 +263,80 @@ class TestAgainstPerEpochLoop:
         assert got.plan.as_tuples() == expected.plan.as_tuples()
 
 
+def whole_catalog_sweep(instance):
+    """(values, thresholds, epoch_survivals, plans) by the sweep that built
+    each catalog run's prefix tables over every id of its catalog, kept as a
+    reference for the solver's tables, which cover only the run's first
+    plan."""
+    k = instance.horizon.epochs
+    theta = instance.theta
+    ids, rewards, rhos, gammas = finite_solver._sorted_package_arrays(instance)
+    catalogs = instance.per_epoch_packages or (None,) * k
+    by_id = np.argsort(ids)  # canonical positions in ascending id order
+    values, thresholds, survivals, plans = [0.0] * (k + 1), [0.0] * k, [0.0] * k, [()] * k
+    v_next = 0.0
+    for h in range(k - 1, -1, -1):
+        catalog = catalogs[h]
+        if h == k - 1 or not np.array_equal(catalog, catalogs[h + 1]):
+            at = slice(None) if catalog is None else np.sort(by_id[np.searchsorted(ids[by_id], catalog)])
+            table_ids, neg_gammas = ids[at], -gammas[at]
+            survival, reward_sum = finite_solver._prefix_tables(rewards[at], rhos[at])
+            q = table_ids.size
+        threshold = thresholds[h] = theta + v_next
+        q = int(np.searchsorted(neg_gammas[:q], -threshold, side="left"))
+        plans[h] = tuple(table_ids[:q].tolist())
+        rho_bar = survivals[h] = float(survival[q])
+        values[h] = v_next = float(reward_sum[q] - theta * (1.0 - rho_bar) + rho_bar * v_next)
+    return values, thresholds, survivals, plans
+
+
+@st.composite
+def sweep_instances(draw, per_epoch: bool) -> Instance:
+    """Rewards and rhos from small sets, so that gammas tie, with riskless
+    (rho = 1) and zero-reward packages; theta 0, or a package's own gamma,
+    which ties at the last epoch's threshold; catalogs that are empty, hold
+    every id, repeat the next epoch's, or hold some ids."""
+    ids = draw(st.lists(st.integers(0, 10**6), max_size=12, unique=True))
+    packages = [PackageSpec(pkg_id, draw(st.sampled_from([0.0, 1.0, 2.5, 6.0]) | st.floats(0.0, 10.0)),
+                            draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]) | st.floats(0.0, 1.0)))
+                for pkg_id in ids]
+    gammas = [g for g in map(reward_to_risk, packages) if math.isfinite(g)]
+    theta = draw(st.sampled_from([0.0, *gammas]) | st.floats(0.0, 5.0))
+    k = draw(st.integers(1, 6))
+    catalogs = None
+    if per_epoch:
+        catalogs = []
+        for _ in range(k):
+            kind = draw(st.sampled_from(["empty", "every", "repeat", "some"]))
+            if kind == "repeat" and catalogs:
+                catalogs.append(catalogs[-1])
+            elif kind == "every":
+                catalogs.append(frozenset(ids))
+            elif kind == "some" and ids:
+                catalogs.append(frozenset(draw(st.sets(st.sampled_from(ids)))))
+            else:
+                catalogs.append(frozenset())
+    return inst_of(theta, k, *packages, per_epoch=catalogs)
+
+
+def bits(values) -> bytes:
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+class TestAgainstWholeCatalogSweep:
+    @pytest.mark.parametrize("per_epoch", [True, False], ids=["per-epoch", "homogeneous"])
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_bit_identical(self, per_epoch, data):
+        inst = data.draw(sweep_instances(per_epoch))
+        values, thresholds, survivals, plans = whole_catalog_sweep(inst)
+        report = solve_finite(inst)
+        assert bits(report.values) == bits(values)
+        assert bits(report.thresholds) == bits(thresholds)
+        assert bits(report.epoch_survivals) == bits(survivals)
+        assert report.plan.as_tuples() == ("plans", tuple(plans))
+
+
 def survival_edge_instance(rng: random.Random) -> Instance:
     """Packages with rho = 0, 1 - 1e-9 and 1, zero rewards, and in one
     instance of four a long run of low-rho, high-reward packages whose plan
