@@ -27,13 +27,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-# riskplan makes no BLAS call, so a CLI process need not start OpenBLAS's
-# worker thread, which spins for about 0.1 s of CPU after start-up.  A
-# value in the environment is kept, and a process that imported numpy
-# first is left as it is.
-if "numpy" not in sys.modules:
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
 import numpy as np
 
 from .errors import (

@@ -26,9 +26,13 @@ epoch plan is a numpy view into it: O(n log n + K log n) time and O(n + K)
 memory, even for million-package, thousand-epoch problems.  Per-epoch
 catalogs arrive as the instance's sorted int64 id arrays.  A new table is
 built only where an epoch's catalog differs from the next epoch's
-(compared as arrays), from ``top`` binary searches into the catalog:
-O(n log n + K log n) time plus ``top * log |catalog|`` per distinct
-consecutive catalog.  Such plans are copies of just the chosen ids.
+(compared as arrays), from whichever side is smaller: the ``top``
+packages are looked up in the catalog, or, once a catalog holds no more
+ids than ``top``, its ids are mapped to canonical positions through one
+O(n log n) argsort by id, made at most once.  That is O(n log n + K log n)
+time plus ``m log n`` per distinct consecutive catalog, where ``m`` is
+the smaller of ``top`` and the catalog's size.  Such plans are copies of
+just the chosen ids.
 """
 
 from __future__ import annotations
@@ -104,6 +108,7 @@ def solve_finite(instance: Instance) -> SolveReport:
     catalogs = instance.per_epoch_packages
     if catalogs is None:
         catalogs = (None,) * k  # None: the whole catalog
+    by_id = ids_by_id = None  # built for the first catalog no larger than its ``top``
 
     values = [0.0] * (k + 1)
     thresholds = [0.0] * k
@@ -124,12 +129,16 @@ def solve_finite(instance: Instance) -> SolveReport:
             whole = catalog is None or catalog.size == ids.size
             if whole:
                 at = slice(top)
-            elif catalog.size:  # the catalog's members among them, by binary search
+            elif catalog.size <= top:  # the catalog's ids at their canonical positions
+                if by_id is None:
+                    by_id = np.argsort(ids)  # canonical positions in ascending id order
+                    ids_by_id = ids[by_id]
+                at = by_id[np.searchsorted(ids_by_id, catalog)]
+                at = np.sort(at[at < top])
+            else:  # the top packages that the catalog holds
                 head = ids[:top]
                 found = catalog.take(np.searchsorted(catalog, head), mode="clip")
                 at = np.flatnonzero(found == head)
-            else:
-                at = slice(0)
             table_ids, table_neg_gammas = ids[at], neg_gammas[at]
             survival, reward_sum = _prefix_tables(rewards[at], rhos[at])
             q = table_ids.size  # the plan is the whole table

@@ -319,16 +319,36 @@ def sweep_instances(draw, per_epoch: bool) -> Instance:
     return inst_of(theta, k, *packages, per_epoch=catalogs)
 
 
+@st.composite
+def small_catalog_instances(draw) -> Instance:
+    """Catalogs of up to three ids drawn from a pool of 20 to 60 packages,
+    with theta 0 or small, so that many packages of the whole order lie above
+    each threshold and the catalogs are smaller than that count."""
+    ids = draw(st.lists(st.integers(0, 10**6), min_size=20, max_size=60, unique=True))
+    packages = [PackageSpec(pkg_id, draw(st.sampled_from([0.0, 1.0, 6.0]) | st.floats(0.0, 10.0)),
+                            draw(st.sampled_from([0.5, 0.9, 1.0]) | st.floats(0.0, 1.0)))
+                for pkg_id in ids]
+    k = draw(st.integers(1, 8))
+    catalogs = []
+    for _ in range(k):
+        if catalogs and draw(st.booleans()):
+            catalogs.append(catalogs[-1])
+        else:
+            catalogs.append(frozenset(draw(st.sets(st.sampled_from(ids), max_size=3))))
+    return inst_of(draw(st.sampled_from([0.0]) | st.floats(0.0, 0.5)), k, *packages, per_epoch=catalogs)
+
+
 def bits(values) -> bytes:
     return np.array(values, dtype=np.float64).tobytes()
 
 
 class TestAgainstWholeCatalogSweep:
-    @pytest.mark.parametrize("per_epoch", [True, False], ids=["per-epoch", "homogeneous"])
+    @pytest.mark.parametrize("kind", ["per-epoch", "homogeneous", "small-catalogs"])
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
-    def test_bit_identical(self, per_epoch, data):
-        inst = data.draw(sweep_instances(per_epoch))
+    def test_bit_identical(self, kind, data):
+        inst = data.draw(small_catalog_instances() if kind == "small-catalogs" else
+                         sweep_instances(kind == "per-epoch"))
         values, thresholds, survivals, plans = whole_catalog_sweep(inst)
         report = solve_finite(inst)
         assert bits(report.values) == bits(values)

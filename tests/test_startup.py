@@ -7,8 +7,7 @@ match the golden bytes, and it must load only the riskplan modules it
 executes.  By default that leaves out ``logging`` too: it is imported
 only when ``RISKPLAN_LOG`` names a level.  ``main``, the console script's
 entry point, freezes the heap before exit; its written files and exit
-codes are checked here as well.  So is the OpenBLAS thread count that
-``riskplan.cli`` sets before numpy starts.
+codes are checked here as well.
 """
 
 from __future__ import annotations
@@ -103,16 +102,14 @@ EXPORTS = {
 }
 
 
-def fresh(*args: str, log: str = "", blas: str = "") -> subprocess.CompletedProcess:
+def fresh(*args: str, log: str = "") -> subprocess.CompletedProcess:
     """Run ``python -c ARGS...`` in a new interpreter that imports riskplan
-    from this tree, with ``RISKPLAN_LOG`` set to ``log`` and
-    ``OPENBLAS_NUM_THREADS`` to ``blas`` (each unset if empty)."""
+    from this tree, with ``RISKPLAN_LOG`` set to ``log`` (unset if empty)."""
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
-    for name, value in (("RISKPLAN_LOG", log), ("OPENBLAS_NUM_THREADS", blas)):
-        env.pop(name, None)
-        if value:
-            env[name] = value
+    env.pop("RISKPLAN_LOG", None)
+    if log:
+        env["RISKPLAN_LOG"] = log
     return subprocess.run([sys.executable, "-c", *args], env=env, capture_output=True,
                           text=True, timeout=120)
 
@@ -234,38 +231,3 @@ def test_unknown_name_raises_attribute_error():
     from riskplan import cli  # a submodule, not an export
 
     assert cli is sys.modules["riskplan.cli"]
-
-
-#: Prints ``OPENBLAS_NUM_THREADS`` after the imports given as arguments, and
-#: the threads of the process where Linux lists them.
-BLAS = """\
-import importlib, os, sys
-for name in sys.argv[1:]:
-    importlib.import_module(name)
-tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
-print(os.environ.get("OPENBLAS_NUM_THREADS"), tasks)
-"""
-
-
-def blas_after(*modules: str, blas: str = "") -> tuple[str, str]:
-    proc = fresh(BLAS, *modules, blas=blas)
-    assert proc.returncode == 0, proc.stderr
-    value, tasks = proc.stdout.split()
-    return value, tasks
-
-
-def test_the_cli_starts_no_openblas_worker():
-    value, tasks = blas_after("riskplan.cli")
-    assert value == "1"
-    if sys.platform.startswith("linux"):
-        assert tasks == "1"
-
-
-def test_a_users_openblas_setting_is_kept():
-    assert blas_after("riskplan.cli", blas="3")[0] == "3"
-
-
-@pytest.mark.parametrize("modules", [("numpy", "riskplan.cli"), ("riskplan.model", "riskplan.finite_solver")],
-                         ids=["numpy-first", "library-only"])
-def test_other_processes_are_left_as_they_are(modules):
-    assert blas_after(*modules)[0] == "None"
