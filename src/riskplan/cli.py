@@ -1,7 +1,7 @@
 """Command-line surface, instance generation, and report files.
 
 stdout carries machine-readable JSON only; human-readable logging goes to
-stderr, gated by the RISKPLAN_LOG environment variable (off/info/debug).
+stderr under RISKPLAN_LOG=info, and is off by default.
 Exit codes: 0 success, 1 validation or numerical error, 2 scale-limit
 error, 64 usage error.  Every randomized subcommand requires an explicit
 --seed.
@@ -231,18 +231,13 @@ def _package_pieces(table: PackageTable, indent: int):
 
 def _setup_logging():
     global _log
-    level = os.environ.get("RISKPLAN_LOG", "off").strip().lower()
-    if level in ("", "off"):
+    if os.environ.get("RISKPLAN_LOG", "off").strip().lower() in ("", "off"):
         _log = None
         return
     import logging
 
     logging.disable(logging.NOTSET)
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.DEBUG if level == "debug" else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     _log = logging.getLogger("riskplan")
 
 
@@ -388,6 +383,13 @@ def _parse_range(text: str) -> tuple[float, float]:
 # --- subcommands ---------------------------------------------------------------
 
 
+def _checked_sim(result):
+    """A Monte Carlo ``result``; ArithmeticError if its mean overflowed to inf."""
+    if not math.isfinite(result.mean):
+        raise ArithmeticError("simulated mission totals pass the largest double")
+    return result
+
+
 def _cmd_solve_finite(args) -> int:
     from . import finite_solver
 
@@ -435,9 +437,7 @@ def _cmd_simulate(args) -> int:
     instance = _load_instance(args.input)
     plan = plan_from_dict(_load_json(args.plan))
     config = oracle_sim.SimConfig(trials=args.trials, seed=args.seed, parallel_shards=args.shards)
-    result = oracle_sim.simulate_mission(plan, instance, config)
-    if not math.isfinite(result.mean):
-        raise ArithmeticError("simulated mission totals pass the largest double")
+    result = _checked_sim(oracle_sim.simulate_mission(plan, instance, config))
     _info("simulated %d trials: mean=%g +- %g", args.trials, result.mean, result.std_error)
     _emit({
         "mean": result.mean,
@@ -494,6 +494,8 @@ def _cmd_team_greedy(args) -> int:
     instance = _load_instance(args.input)
     config = oracle_sim.SimConfig(trials=args.trials, seed=args.seed)
     report = multiagent.greedy_rtpd(instance, args.agents, sim_config=config)
+    if report.sim is not None:
+        _checked_sim(report.sim)
     plans_doc = [
         {"epoch": h, "alive": beta, "tours": [list(t) for t in plan.tours]}
         for (h, beta), plan in sorted(report.plans.items())

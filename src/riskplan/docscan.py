@@ -6,14 +6,17 @@ into columns; on ``riskplan gen``'s output that took most of a ``solve``
 command's time.  :func:`read_instance` reads the two arrays that grow with
 an instance into numpy columns: ``packages`` with a fixed number of numpy
 passes, and each list of ids of ``per_epoch_packages`` decoded by ``json``
-on its own (:func:`_catalogs`).  Only the small rest of the document goes
-through ``json`` whole.
+on its own (:func:`_catalogs`).  ``json`` decodes the rest of the document
+in one call, with ``[]`` in place of each array taken.
 
 It takes a document only where it can prove that the result is what
 ``json.loads`` followed by ``instance_from_dict`` gives, bit for bit: where
 
-* the bytes are ASCII, with no backslash;
-* each array is the single top-level value of its key;
+* the bytes are ASCII, with no backslash, so that no string holds a ``"``
+  and each occurrence of a quoted key name is that whole string;
+* the first ``"packages"`` is followed by an array (the first
+  ``"per_epoch_packages"`` outside it is taken only if it is), and each
+  name taken is once in the rest, a top-level key with ``[]``;
 * every package object has exactly the keys ``id``, ``reward`` and
   ``rho``, in that order, and every catalog is a list of ids;
 * every value in ``packages`` is a JSON number, and every package id an
@@ -65,75 +68,55 @@ _COMMA, _MINUS, _PLUS, _POINT, _ZERO = b",-+.0"
 #: The longest number token read in bulk; a longer one makes the reader decline.
 _MAX_TOKEN = 40
 
-#: Bytes of the first window from which :func:`_value` decodes a value
-#: that is not one of the arrays.
-_FIRST_WINDOW = 1 << 12
-
 
 def read_instance(data: bytes, object_pairs_hook) -> Optional[dict]:
     """``json.loads(data, object_pairs_hook=object_pairs_hook)``, with the
     top-level ``packages`` as :class:`~riskplan.model.PackageRecords` over
     int64 and float64 columns, and ``per_epoch_packages`` as a list of
-    int64 arrays; or None where this reader cannot prove that result.
-
-    The hook sees every object of the rest of the document; a repeated
-    top-level key makes the reader decline."""
-    if not data.isascii() or b"\\" in data or b'"packages"' not in data:
+    int64 arrays; or None where this reader cannot prove that result,
+    which includes any error of the hook."""
+    if not data.isascii() or b"\\" in data:
         return None
-    buf = np.frombuffer(data, np.uint8)
     decoder = json.JSONDecoder(object_pairs_hook=object_pairs_hook)
-    skip = _WHITESPACE.match
-    pos = skip(data).end()
-    if data[pos:pos + 1] != b"{":
+    start = _array_after(data, b'"packages"', data.find(b'"packages"'))
+    got = None if start is None else _packages(data, np.frombuffer(data, np.uint8), start)
+    if got is None:
         return None
-    doc: dict = {}
-    while True:
-        pos = skip(data, pos + 1).end()
-        close = data.find(b'"', pos + 1)
-        if data[pos:pos + 1] != b'"' or close < 0:
-            return None
-        key = data[pos + 1:close].decode("ascii")
-        pos = skip(data, close + 1).end()
-        if key in doc or not key.isprintable() or data[pos:pos + 1] != b":":
-            return None
-        pos = skip(data, pos + 1).end()
-        if key == "packages" and data[pos:pos + 1] == b"[":
-            got = _packages(data, buf, pos)
-        elif key == "per_epoch_packages" and data[pos:pos + 1] == b"[":
-            got = _catalogs(data, pos, decoder)
-        else:
-            got = _value(data, pos, decoder)
+    packages, end = got
+    taken = {"packages": (start, packages, end)}
+    name = b'"per_epoch_packages"'
+    at = data.find(name, 0, start)
+    start = _array_after(data, name, at if at >= 0 else data.find(name, end))
+    if start is not None:  # else json reads the key, if there is one
+        got = _catalogs(data, start, decoder)
         if got is None:
             return None
-        doc[key], pos = got
-        pos = skip(data, pos).end()
-        if data[pos:pos + 1] == b"}":
-            break
-        if data[pos:pos + 1] != b",":
-            return None
-    return doc if skip(data, pos + 1).end() == len(data) else None
+        taken["per_epoch_packages"] = (start, *got)
+    rest, pos = b"", 0
+    for start, _, end in sorted(taken.values(), key=lambda span: span[0]):
+        rest += data[pos:start] + b"[]"
+        pos = end
+    rest += data[pos:]
+    try:
+        doc = decoder.decode(rest.decode("ascii"))
+    except (ValueError, RecursionError):  # the hook's errors included
+        return None
+    # A name that is once in the rest is the key json read, so its [] is the array taken.
+    if not isinstance(doc, dict) or any(doc.get(key) != [] or rest.count(f'"{key}"'.encode()) != 1 for key in taken):
+        return None
+    doc.update((key, value) for key, (_, value, _) in taken.items())
+    return doc
 
 
-def _value(data: bytes, pos: int, decoder: json.JSONDecoder):
-    """The JSON value at ``pos`` and the position after it, as ``json``
-    parses it, or None if it does not parse.
+#: The bytes from a key to the ``[`` of an array value.
+_TO_ARRAY = re.compile(rb"[ \t\n\r]*:[ \t\n\r]*\[")
 
-    It is decoded from a window of the bytes, widened while the value runs
-    to the window's end: a value that ends before the end of its window
-    reads the same as in the whole document."""
-    size = _FIRST_WINDOW
-    while True:
-        window = data[pos:pos + size]
-        whole = pos + size >= len(data)
-        try:
-            value, end = decoder.raw_decode(window.decode("ascii"))
-        except (ValueError, RecursionError):
-            if whole:
-                return None
-        else:
-            if end < len(window) or whole:
-                return value, pos + end
-        size *= 4
+
+def _array_after(data: bytes, name: bytes, at: int) -> Optional[int]:
+    """Where the ``[`` is of the array after the key ``name`` at ``at``, or
+    None if ``at`` is negative or no array follows."""
+    match = _TO_ARRAY.match(data, at + len(name)) if at >= 0 else None
+    return match and match.end() - 1
 
 
 #: The bytes of a JSON list of integers.  A list holding no other byte can

@@ -162,7 +162,10 @@ def evaluate_epoch(plan: EpochPlan, instance: Instance, *, epoch: int | None = N
 
     ``epoch`` (1-based) restricts ids to that epoch's catalog when the
     instance is heterogeneous; leave it ``None`` to allow the full catalog.
+    An epoch outside the horizon is a :class:`DomainError`.
     """
+    if epoch is not None:
+        instance.check_epoch(epoch)
     return _fold_epoch(*_resolve_epoch(plan, instance, epoch), instance.theta)
 
 

@@ -372,8 +372,15 @@ class Instance:
     def __hash__(self):
         return hash((self.theta, self.horizon, len(self.packages)))
 
+    def check_epoch(self, epoch: int) -> None:
+        """:class:`DomainError` unless 1-based ``epoch`` is in 1..K (any positive epoch if K is infinite)."""
+        k = self.horizon.epochs
+        if epoch < 1 or k is not None and epoch > k:
+            raise DomainError(f"epoch {epoch} is outside 1..{'infinity' if k is None else k}")
+
     def catalog(self, epoch: int) -> np.ndarray:
         """Ids deliverable in 1-based ``epoch``, as a sorted int64 array."""
+        self.check_epoch(epoch)
         if self.per_epoch_packages is None:
             return np.sort(self.packages.ids)
         return self.per_epoch_packages[epoch - 1]

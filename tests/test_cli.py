@@ -568,6 +568,9 @@ class TestErrorPaths:
     # the totals pass the largest double: `simulate` used to report a mean
     # of "inf" and a std_error of "nan", with a numpy warning.
     ONE_LARGE = [{"id": 0, "reward": 1e307, "rho": 0.9999}]
+    # Two riskless rewards of 4e307 make a finite mission total of 1.6e308:
+    # `team greedy` used to report its Monte Carlo mean of 100 trials as "inf".
+    TWO_LARGE = [{"id": 0, "reward": 4e307, "rho": 1}, {"id": 1, "reward": 4e307, "rho": 1}]
 
     @pytest.mark.parametrize("command, horizon, packages, message", [
         (["solve", "finite"], {"finite": 2}, OVERFLOWING, REWARD_OVERFLOW),
@@ -575,7 +578,9 @@ class TestErrorPaths:
         (["mdp-eval"], "infinite", OVERFLOWING, REWARD_OVERFLOW),
         (["simulate", "-p", "{plan}", "--trials", "20", "--seed", "1"], "infinite", ONE_LARGE,
          "simulated mission totals pass the largest double"),
-    ], ids=["solve-finite", "oracle", "mdp-eval", "simulate-stationary"])
+        (["team", "greedy", "--agents", "1", "--seed", "1", "--trials", "100"], {"finite": 2}, TWO_LARGE,
+         "simulated mission totals pass the largest double"),
+    ], ids=["solve-finite", "oracle", "mdp-eval", "simulate-stationary", "team-greedy"])
     def test_rewards_that_overflow_are_rejected(self, tmp_path, capsys, command, horizon, packages, message):
         path = write_instance(tmp_path, {"theta": 1.0, "horizon": horizon, "packages": packages})
         plan = tmp_path / "plan.json"

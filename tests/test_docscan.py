@@ -372,6 +372,42 @@ def test_golden_outputs_with_every_input_offered_to_the_scan(case, tmp_path):
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
+#: The top-level members of a small instance, around which the documents
+#: below place the quoted key names.
+HEAD = '"theta": 1.5, "horizon": {"finite": 2}'
+PACKAGES = '"packages": [{"id": 0, "reward": 1.0, "rho": 0.5}, {"id": 1, "reward": 2.5, "rho": 0.25}]'
+
+
+@pytest.mark.parametrize("text, scanned", [
+    ('{"note": "packages", ' + HEAD + ", " + PACKAGES + "}", False),
+    ("{" + HEAD + ", " + PACKAGES + ', "note": "packages"}', False),
+    ('{"meta": {' + PACKAGES + "}, " + HEAD + ", " + PACKAGES + "}", False),
+    ('{"meta": {' + PACKAGES + "}, " + HEAD + ', "packages": []}', False),
+    ("{" + HEAD + ", " + PACKAGES + ', "meta": {' + PACKAGES + "}}", False),
+    ("{" + HEAD + ', "meta": {' + PACKAGES + "}}", False),
+    ("[{" + HEAD + ", " + PACKAGES + "}]", False),
+    ("{" + HEAD + ", " + PACKAGES + "} 0", False),
+    ("{" + HEAD + ", " + PACKAGES + "}{}", False),
+    ("{" + HEAD + ", " + PACKAGES + ', "per_epoch_packages": null}', True),
+    ('{"per_epoch_packages": null, ' + HEAD + ", " + PACKAGES + "}", True),
+    ("{" + HEAD + ', "theta": 2, ' + PACKAGES + "}", False),
+    ("{" + HEAD + ", " + PACKAGES + ', "horizon": {"finite": 1}}', False),
+    ('{"note": "per_epoch_packages", ' + HEAD + ", " + PACKAGES + ', "per_epoch_packages": [[0], [1]]}', True),
+    ("{" + HEAD + ", " + PACKAGES + ', "per_epoch_packages": [[0], [1]], "note": "per_epoch_packages"}', False),
+], ids=["packages-string-before-the-key", "packages-string-after-the-key", "nested-key-before-the-key",
+        "nested-key-before-an-empty-key", "nested-key-after-the-key", "nested-key-alone", "top-level-list", "a-number-after-the-object",
+        "an-object-after-the-object", "null-catalogs-after", "null-catalogs-before", "repeated-theta",
+        "repeated-horizon", "catalogs-string-before-the-key", "catalogs-string-after-the-key"])
+def test_documents_around_the_arrays_read_as_json_reads_them(text, scanned, tmp_path):
+    """Quoted key names elsewhere than as the one top-level key, a document
+    that is not one object, and top-level members that ``json`` must read
+    or refuse: each reads as ``json`` reads it, and the scanner takes only
+    a document whose names it can place."""
+    path = tmp_path / "instance.json"
+    path.write_text(text)
+    assert same_either_way(path) == scanned
+
+
 def loaded_scanners(path) -> list:
     """The scanner modules that ``solve finite`` on ``path`` loads."""
     code = ("import json, sys; from riskplan.cli import run_cli; "
@@ -387,7 +423,7 @@ def test_small_documents_do_not_import_the_scanner():
     assert loaded_scanners(GOLDEN / "gen_finite.json") == []
 
 
-def test_only_documents_with_catalogs_import_the_catalog_reader(tmp_path):
+def test_documents_with_or_without_catalogs_load_only_docscan(tmp_path):
     path = tmp_path / "instance.json"
     inst = generate_instance(GeneratorSpec(n=5000, epochs=2, seed=3))
     cli._emit(instance_to_dict(inst), str(path))

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from riskplan import (
+    DomainError,
     EmptyPlanError,
     Horizon,
     HorizonMismatchError,
@@ -83,6 +84,15 @@ class TestEvaluateEpoch:
         evaluate_epoch((0,), inst, epoch=1)
         with pytest.raises(UnknownPackageIdError):
             evaluate_epoch((1,), inst, epoch=1)
+
+    @pytest.mark.parametrize("catalogs", [None, (frozenset({0}), frozenset({1}))])
+    @pytest.mark.parametrize("epoch", [0, -1, 3])
+    def test_an_epoch_outside_the_horizon_is_a_domain_error(self, catalogs, epoch):
+        """Epoch 0 once checked the plan against epoch K's catalog."""
+        inst = Instance(theta=0.0, horizon=Horizon.finite(2),
+                        packages=(PackageSpec(0, 1, 0.5), PackageSpec(1, 1, 0.5)), per_epoch_packages=catalogs)
+        with pytest.raises(DomainError, match=f"epoch {epoch} is outside 1..2"):
+            evaluate_epoch((1,), inst, epoch=epoch)
 
 
 class TestEvaluateMission:

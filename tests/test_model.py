@@ -376,6 +376,23 @@ class TestCatalogs:
         assert table.rows([5, 7, 4, 2**64, -(2**63) - 1, 3]).tolist() == [2, 0, -1, -1, -1, 1]
         assert PackageTable([], [], []).rows([0, 1]).tolist() == [-1, -1]
 
+    @pytest.mark.parametrize("epoch", [0, -1, 3])
+    def test_an_epoch_outside_the_horizon_is_a_domain_error(self, epoch):
+        """Epoch 0 once read epoch K's catalog, by Python's negative
+        indexing, and epoch K + 1 raised a bare IndexError."""
+        message = f"epoch {epoch} is outside 1..2"
+        for inst in (catalog_instance([[0], [1]]), catalog_instance(None, k=2)):
+            with pytest.raises(DomainError, match=message):
+                inst.catalog(epoch)
+            with pytest.raises(DomainError, match=message):
+                inst.in_catalog(epoch, np.array([0, 1], dtype=np.int64))
+        infinite = Instance(theta=1.0, horizon=Horizon.infinite(), packages=[PackageSpec(0, 1.0, 0.5)])
+        if epoch < 1:
+            with pytest.raises(DomainError, match=f"epoch {epoch} is outside 1..infinity"):
+                infinite.catalog(epoch)
+        else:
+            assert infinite.catalog(epoch).tolist() == [0]
+
 
 class TestColumns:
     def test_instance_owns_read_only_columns(self):
