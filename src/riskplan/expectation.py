@@ -15,7 +15,7 @@ psi values are needed individually anyway); underflow to exact 0 is
 acceptable semantics - an astronomically risky tail is worthless.
 
 Plan ids become package values in one place, :func:`_resolve_plan` (one
-binary search over the id column), which the simulator, brute force and
+binary search of the id index), which the simulator, brute force and
 the team module share with the evaluator, so each plan fault raises the
 same error everywhere.
 """
@@ -82,7 +82,7 @@ def _resolve(epochs: list[tuple[Optional[int], list[int]]], instance: Instance,
              stationary: bool = False) -> list[tuple[list[float], list[float]]]:
     """Each (epoch, ids) entry's (rewards, rhos), in plan order.
 
-    The ids of every entry are found in the id column by one binary search,
+    The ids of every entry are found by one binary search of the id index,
     and an entry whose epoch is not None in that epoch's catalog.  The
     first entry at fault raises: for repeated ids, else for its first id,
     in plan order, that is unknown or outside the catalog.

@@ -28,11 +28,11 @@ catalogs arrive as the instance's sorted int64 id arrays.  A new table is
 built only where an epoch's catalog differs from the next epoch's
 (compared as arrays), from whichever side is smaller: the ``top``
 packages are looked up in the catalog, or, once a catalog holds no more
-ids than ``top``, its ids are mapped to canonical positions through one
-O(n log n) argsort by id, made at most once.  That is O(n log n + K log n)
-time plus ``m log n`` per distinct consecutive catalog, where ``m`` is
-the smaller of ``top`` and the catalog's size.  Such plans are copies of
-just the chosen ids.
+ids than ``top``, its rows in the package table's id index are mapped to
+canonical positions by the canonical order's inverse, made once in O(n).
+That is O(n log n + K log n) time plus ``m log n`` per distinct
+consecutive catalog, where ``m`` is the smaller of ``top`` and the
+catalog's size.  Such plans are copies of just the chosen ids.
 """
 
 from __future__ import annotations
@@ -66,11 +66,11 @@ class SolveReport:
 
 
 def _sorted_package_arrays(instance: Instance):
-    """ids/rewards/rhos/gammas permuted into canonical delivery order."""
+    """The canonical order of the rows, and ids/rewards/rhos/gammas permuted into it."""
     table = instance.packages
     gammas = gamma_values(table.rewards, table.rhos)
     order = canonical_order(table.ids, table.rewards, gammas)
-    return table.ids[order], table.rewards[order], table.rhos[order], gammas[order]
+    return order, table.ids[order], table.rewards[order], table.rhos[order], gammas[order]
 
 
 def _prefix_tables(rewards: np.ndarray, rhos: np.ndarray):
@@ -103,12 +103,10 @@ def solve_finite(instance: Instance) -> SolveReport:
 
     k = instance.horizon.epochs
     theta = instance.theta
-    ids, rewards, rhos, gammas = _sorted_package_arrays(instance)
+    order, ids, rewards, rhos, gammas = _sorted_package_arrays(instance)
     neg_gammas = -gammas  # ascending; -inf entries (riskless packages) sort first
-    catalogs = instance.per_epoch_packages
-    if catalogs is None:
-        catalogs = (None,) * k  # None: the whole catalog
-    by_id = ids_by_id = None  # built for the first catalog no larger than its ``top``
+    catalogs = instance.per_epoch_packages or (instance.catalog(1),) * k
+    rank = None  # each row's canonical position, for the first catalog no larger than its ``top``
 
     values = [0.0] * (k + 1)
     thresholds = [0.0] * k
@@ -119,26 +117,24 @@ def solve_finite(instance: Instance) -> SolveReport:
         catalog = catalogs[h]
         threshold = theta + v_next
         thresholds[h] = threshold
-        # ``is`` settles the homogeneous case (None every epoch) without a call.
+        # ``is`` settles the homogeneous case (one shared array) without a call.
         if h == k - 1 or (catalog is not catalogs[h + 1] and not np.array_equal(catalog, catalogs[h + 1])):
             # Thresholds only grow going backwards, so every plan of this
             # run is among the ``top`` packages above its first threshold.
             top = int(np.searchsorted(neg_gammas, -threshold, side="left"))
             # Ids are unique and every catalog id is known, so a catalog as
             # large as the instance is the whole sorted array.
-            whole = catalog is None or catalog.size == ids.size
+            whole = catalog.size == ids.size
             if whole:
                 at = slice(top)
             elif catalog.size <= top:  # the catalog's ids at their canonical positions
-                if by_id is None:
-                    by_id = np.argsort(ids)  # canonical positions in ascending id order
-                    ids_by_id = ids[by_id]
-                at = by_id[np.searchsorted(ids_by_id, catalog)]
+                if rank is None:
+                    rank = np.empty_like(order)
+                    rank[order] = np.arange(order.size)
+                at = rank[instance.packages.rows(catalog)]
                 at = np.sort(at[at < top])
             else:  # the top packages that the catalog holds
-                head = ids[:top]
-                found = catalog.take(np.searchsorted(catalog, head), mode="clip")
-                at = np.flatnonzero(found == head)
+                at = np.flatnonzero(instance.in_catalog(h + 1, ids[:top]))
             table_ids, table_neg_gammas = ids[at], neg_gammas[at]
             survival, reward_sum = _prefix_tables(rewards[at], rhos[at])
             q = table_ids.size  # the plan is the whole table

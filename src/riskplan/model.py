@@ -150,23 +150,6 @@ def _is_int64(x) -> bool:
             and -MAX_PACKAGE_ID - 1 <= x <= MAX_PACKAGE_ID)
 
 
-def _listed_ids(raw: Sequence) -> tuple[Optional[np.ndarray], list]:
-    """The ids a catalog or plan lists, as an int64 array in their order,
-    and the items of ``raw`` that fail :func:`_is_int64` (the array is None
-    if any do)."""
-    if isinstance(raw, np.ndarray) and raw.dtype == np.int64 and raw.ndim == 1:  # as docscan reads them
-        return raw, []
-    # Parsed JSON holds exact ints: a C-speed type scan, and numpy raises
-    # OverflowError for an id beyond int64.
-    if isinstance(raw, list) and set(map(type, raw)) <= {int}:
-        try:
-            return np.array(raw, dtype=np.int64), []
-        except OverflowError:
-            pass
-    bad = [x for x in raw if not _is_int64(x)]
-    return (None if bad else np.array([int(x) for x in raw], dtype=np.int64)), bad
-
-
 def _sorted_unique(ids: np.ndarray) -> np.ndarray:
     """``ids`` sorted, with repeats dropped, as a read-only array: ``ids``
     itself where it is read-only and already strictly increasing, as the
@@ -226,6 +209,33 @@ def _column(raw: Sequence, dtype, fast_types: set, accepts) -> tuple[Optional[np
     return np.array(raw, dtype=dtype), []
 
 
+def _listed_ids(raw: Sequence) -> tuple[Optional[np.ndarray], list]:
+    """The ids a catalog or plan lists, as an int64 array in their order,
+    and the items of ``raw`` that fail :func:`_is_int64` (the array is None
+    if any do)."""
+    if isinstance(raw, np.ndarray) and raw.dtype == np.int64 and raw.ndim == 1:  # as docscan reads them
+        return raw, []
+    ids, rejected = _column(raw, np.int64, {int}, _is_int64)
+    return ids, [raw[i] for i in rejected]
+
+
+def _check_id_list(raw, where: str) -> None:
+    """TypeError unless ``raw`` is a list of ids (or an int64 array, as
+    docscan reads them), not a string or an object that would iterate as
+    characters or keys."""
+    if not (isinstance(raw, list) or isinstance(raw, np.ndarray) and raw.dtype == np.int64):
+        raise TypeError(f"{where} must be a list of ids, got {type(raw).__name__}")
+
+
+def _search(sorted_ids: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each of ``ids`` is, or would go, in ascending ``sorted_ids``
+    (the first of equal ids), by one binary search, and whether it is there."""
+    at = np.searchsorted(sorted_ids, ids)
+    if not sorted_ids.size:
+        return at, np.zeros(at.shape, dtype=bool)
+    return at, sorted_ids[np.minimum(at, sorted_ids.size - 1)] == ids
+
+
 class PackageTable(SequenceABC):
     """A package catalog stored as three columns, read as a sequence.
 
@@ -277,26 +287,29 @@ class PackageTable(SequenceABC):
         return cls(id_col, reward_col, rho_col)
 
     @cached_property
-    def _id_order(self) -> np.ndarray:
-        return np.argsort(self.ids, kind="stable")
+    def _id_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """Rows in ascending id order (equal ids in row order) and the ids in that order, read-only."""
+        order = np.argsort(self.ids, kind="stable")
+        ids = self.ids[order]
+        order.flags.writeable = ids.flags.writeable = False
+        return order, ids
 
     def rows(self, ids: Sequence[int]) -> np.ndarray:
-        """The row of each of ``ids`` (integers) by one binary search over
-        the id column, or -1 for an id the table does not hold."""
+        """The row of each of ``ids`` (integers; a repeated id's first) by one
+        binary search of the id index, or -1 for an id the table does not hold."""
         try:
-            wanted = np.array(ids, dtype=np.int64)
+            wanted = np.asarray(ids, dtype=np.int64)
             held = None
         except OverflowError:  # no table holds an id beyond int64
             held = np.array([_is_int64(i) for i in ids], dtype=bool)
             wanted = np.array([i if ok else 0 for i, ok in zip(ids, held.tolist())], dtype=np.int64)
-        if not self.ids.size:
-            return np.full(wanted.size, -1, dtype=np.intp)
-        order = self._id_order
-        at = order[np.minimum(np.searchsorted(self.ids, wanted, sorter=order), order.size - 1)]
-        found = self.ids[at] == wanted
+        order, sorted_ids = self._id_index
+        at, found = _search(sorted_ids, wanted)
         if held is not None:
             found &= held
-        return np.where(found, at, -1)
+        out = np.full(wanted.size, -1, dtype=np.intp)
+        out[found] = order[at[found]]
+        return out
 
     @cached_property
     def _specs(self) -> tuple[PackageSpec, ...]:
@@ -379,10 +392,11 @@ class Instance:
             raise DomainError(f"epoch {epoch} is outside 1..{'infinity' if k is None else k}")
 
     def catalog(self, epoch: int) -> np.ndarray:
-        """Ids deliverable in 1-based ``epoch``, as a sorted int64 array."""
+        """Ids deliverable in 1-based ``epoch``, as a sorted, read-only int64
+        array: without per-epoch catalogs, the id index's, shared by every epoch."""
         self.check_epoch(epoch)
         if self.per_epoch_packages is None:
-            return np.sort(self.packages.ids)
+            return self.packages._id_index[1]
         return self.per_epoch_packages[epoch - 1]
 
     def allowed_ids(self, epoch: int) -> frozenset[int]:
@@ -393,10 +407,7 @@ class Instance:
     def in_catalog(self, epoch: int, ids: np.ndarray) -> np.ndarray:
         """Whether each of ``ids`` (int64) is deliverable in 1-based
         ``epoch``: :meth:`catalog` as one binary search."""
-        catalog = self.catalog(epoch)
-        if not catalog.size:
-            return np.zeros(len(ids), dtype=bool)
-        return catalog[np.minimum(np.searchsorted(catalog, ids), catalog.size - 1)] == ids
+        return _search(self.catalog(epoch), ids)[1]
 
     @cached_property
     def _violations(self) -> tuple["Violation", ...]:
@@ -469,21 +480,21 @@ def _bad_rho(pkg_id, rho) -> Violation:
                      f"package {pkg_id}: leg_success must lie in [0, 1], got {rho!r}")
 
 
-def _package_violations(ids: np.ndarray, rewards: np.ndarray, rhos: np.ndarray) -> list[Violation]:
+def _package_violations(table: PackageTable) -> list[Violation]:
     """Per-package violations in catalog order, one vectorized pass.
 
     Per package the checks run in this order: a negative id (which skips
     the rest), an id seen earlier in the catalog, the reward, the
     probability.
     """
+    ids, rewards, rhos = table.ids, table.rewards, table.rhos
     valid_id = ids >= 0
     bad_reward = valid_id & ~(np.isfinite(rewards) & (rewards >= 0))
     bad_rho = valid_id & ~((rhos >= 0) & (rhos <= 1))  # False for nan
-    # Later occurrences of a valid id: a stable sort keeps catalog order
+    # Later occurrences of a valid id: the id index keeps catalog order
     # within each run of equal ids, so all but a run's first are repeats.
-    valid_pos = np.flatnonzero(valid_id)
-    by_id = valid_pos[np.argsort(ids[valid_pos], kind="stable")]
-    repeats = by_id[1:][ids[by_id[1:]] == ids[by_id[:-1]]]
+    order, sorted_ids = table._id_index
+    repeats = order[1:][(sorted_ids[1:] == sorted_ids[:-1]) & (sorted_ids[1:] >= 0)]
 
     # (position, rank of the check, violation), sorted into catalog order
     found = [(i, 0, Violation(ViolationCode.INVALID_ID, f"package id must be a non-negative integer, got {int(ids[i])!r}"))
@@ -522,7 +533,7 @@ def _find_violations(instance: Instance) -> list[Violation]:
         out.append(Violation(ViolationCode.HORIZON_MISMATCH, f"finite horizon must be a positive integer, got {epochs!r}"))
 
     table = instance.packages
-    out.extend(_package_violations(table.ids, table.rewards, table.rhos))
+    out.extend(_package_violations(table))
     out.extend(_reward_overflow(table.rewards, epochs if counted else 1))
 
     pep = instance.per_epoch_packages
@@ -533,7 +544,7 @@ def _find_violations(instance: Instance) -> list[Violation]:
             out.append(Violation(
                 ViolationCode.HORIZON_MISMATCH,
                 f"per_epoch_packages has {len(pep)} entries but horizon is {epochs}"))
-        out.extend(_unknown_catalog_ids(pep, table.ids[table.ids >= 0]))
+        out.extend(_unknown_catalog_ids(pep, table))
 
     return out
 
@@ -555,16 +566,14 @@ def _reward_overflow(rewards: np.ndarray, epochs: int) -> list[Violation]:
                       f"is beyond the double range")]
 
 
-def _unknown_catalog_ids(catalogs: tuple[np.ndarray, ...], known: np.ndarray) -> list[Violation]:
-    """Catalog ids that name no package, by epoch and then ascending id,
-    each catalog looked up on its own by binary search of the known ids."""
+def _unknown_catalog_ids(catalogs: tuple[np.ndarray, ...], table: PackageTable) -> list[Violation]:
+    """Catalog ids that name no valid (non-negative) package id, by epoch
+    and then ascending id: one binary search of the id index per catalog."""
+    sorted_ids = table._id_index[1]
+    known = sorted_ids[np.searchsorted(sorted_ids, 0):]  # negative ids sort first
     out = []
-    known = np.sort(known)
     for h, catalog in enumerate(catalogs, start=1):
-        if not known.size:
-            listed = np.zeros(catalog.size, dtype=bool)
-        else:
-            listed = known[np.minimum(np.searchsorted(known, catalog), known.size - 1)] == catalog
+        listed = _search(known, catalog)[1]
         if not listed.all():
             out += [Violation(ViolationCode.UNKNOWN_PACKAGE_ID, f"epoch {h} references unknown package id {pkg_id}")
                     for pkg_id in catalog[~listed].tolist()]
@@ -740,14 +749,12 @@ def instance_from_dict(doc: dict) -> Instance:
         if not _is_real(theta):  # the rule for ``reward``: no bools, no strings
             raise TypeError(f"theta must be a real number, got {theta!r}")
         # Instance turns the catalogs into arrays, from any iterables of ids;
-        # a document's are lists (or int64 arrays from docscan), never a
-        # string or an object that would iterate as characters or keys.
+        # a document's are lists.
         catalogs = doc.get("per_epoch_packages")
         if catalogs is not None and not isinstance(catalogs, list):
             raise TypeError(f"per_epoch_packages must be a list of catalogs, got {type(catalogs).__name__}")
         for h, ids in enumerate(catalogs or (), start=1):
-            if not (isinstance(ids, list) or isinstance(ids, np.ndarray) and ids.dtype == np.int64):
-                raise TypeError(f"epoch {h} catalog must be a list of ids, got {type(ids).__name__}")
+            _check_id_list(ids, f"epoch {h} catalog")
         return Instance(theta=float(theta), horizon=horizon, packages=packages, per_epoch_packages=catalogs)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInstanceError([Violation(ViolationCode.MALFORMED_DOCUMENT, f"malformed instance document: {exc}")]) from exc
@@ -766,19 +773,27 @@ def plan_to_dict(plan: MissionPlan) -> dict:
 
 
 def plan_from_dict(doc: dict) -> MissionPlan:
-    """A plan from its document; ids follow the package-id rule."""
+    """A plan from its document, which holds exactly one of ``plans`` and
+    ``stationary``; ids follow the package-id rule."""
     try:
+        if not isinstance(doc, dict):  # a string holds "plans" as a substring
+            raise TypeError(f"plan document must be an object, got {type(doc).__name__}")
+        if "plans" in doc and "stationary" in doc:
+            raise InvalidPlanError("plan document holds both 'plans' and 'stationary'; a plan is one or the other")
         if "stationary" in doc:
             return MissionPlan.from_stationary(_plan_ids(doc["stationary"], "stationary plan"))
         if "plans" in doc:
-            return MissionPlan.finite(_plan_ids(epoch, f"epoch {h} plan")
-                                      for h, epoch in enumerate(doc["plans"], start=1))
+            plans = doc["plans"]
+            if not isinstance(plans, list):
+                raise TypeError(f"plans must be a list of epoch plans, got {type(plans).__name__}")
+            return MissionPlan.finite(_plan_ids(epoch, f"epoch {h} plan") for h, epoch in enumerate(plans, start=1))
     except TypeError as exc:
         raise InvalidPlanError(f"malformed plan document: {exc}") from exc
     raise HorizonMismatchError("plan document needs a 'plans' or 'stationary' key")
 
 
-def _plan_ids(raw: Sequence, where: str) -> tuple[int, ...]:
+def _plan_ids(raw, where: str) -> tuple[int, ...]:
+    _check_id_list(raw, where)
     ids, bad = _listed_ids(raw)
     if bad:
         raise InvalidPlanError(f"{where} id must be an integer in 0..{MAX_PACKAGE_ID}, got {bad[0]!r}")

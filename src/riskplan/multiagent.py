@@ -170,13 +170,11 @@ class TeamEpochPlan:
         return frozenset(i for tour in self.tours for i in tour)
 
 
-def _tour_stats(rewards: list[float], rhos: list[float], theta: float) -> tuple[float, float]:
-    """(expected delivery reward, survival probability) of a tour, in tour order."""
-    ev = _fold_epoch(rewards, rhos, theta)
-    reward = 0.0
-    for r, psi in zip(rewards, ev.delivery_probs):
-        reward += r * psi
-    return reward, ev.epoch_survival
+def _tour_stats(rewards: list[float], rhos: list[float]) -> tuple[float, float]:
+    """(expected delivery reward, survival probability) of a tour, in tour
+    order: with no loss charged, the fold's expected reward is its reward sum."""
+    ev = _fold_epoch(rewards, rhos, 0.0)
+    return ev.expected_reward, ev.epoch_survival
 
 
 def _gain(reward, rho, loss):
@@ -238,7 +236,7 @@ def team_epoch_expectation(team_plan: TeamEpochPlan, instance: Instance) -> floa
     expected failed agent, ``sum_i (1 - s_i)`` by linearity.
     """
     theta = instance.theta
-    return _team_expectation([_tour_stats(*_resolve_epoch(t, instance), theta) for t in team_plan.tours], theta)
+    return _team_expectation([_tour_stats(*_resolve_epoch(t, instance)) for t in team_plan.tours], theta)
 
 
 def poisson_quotient_difference(
@@ -292,7 +290,7 @@ def marginal_gain(
             raise ValidationError(
                 f"continuation_values needs {alpha + 1} entries (counts 0..{alpha}), got {len(values)}")
 
-    survivals = [_tour_stats(*_resolve_epoch(t, instance), instance.theta)[1] for t in team_plan.tours]
+    survivals = [_tour_stats(*_resolve_epoch(t, instance))[1] for t in team_plan.tours]
     loss = _survivor_loss(survivals, agent_index, values, instance.theta)
     return _gain(package.reward, package.leg_success, loss)
 
@@ -348,7 +346,7 @@ def _greedy_epoch_plan(
             break
         free[at] = False
         bisect.insort(tours[m], int(rank[at]))
-        stats[m] = _tour_stats([ranked_rewards[j] for j in tours[m]], [ranked_rhos[j] for j in tours[m]], theta)
+        stats[m] = _tour_stats([ranked_rewards[j] for j in tours[m]], [ranked_rhos[j] for j in tours[m]])
 
     plan = TeamEpochPlan.of(ids[order[t]] for t in tours)
     value = _team_expectation(stats, theta) + sum(

@@ -511,8 +511,15 @@ class TestErrorPaths:
         where = "epoch 2 plan id" if key == "plans" else "stationary plan id"
         assert where in err and f"got {bad_id!r}" in err
 
-    @pytest.mark.parametrize("plan", [{"plans": [0, 1]}, {"stationary": 3}, [1, 2]])
-    def test_malformed_plan_is_rejected(self, tmp_path, capsys, plan):
+    @pytest.mark.parametrize("plan, message", [
+        ({"plans": [0, 1]}, "epoch 1 plan must be a list of ids, got int"),
+        ({"stationary": 3}, "stationary plan must be a list of ids, got int"),
+        ([1, 2], "plan document must be an object, got list"),
+        ({"plans": [[0], [0]], "stationary": [1]}, "plan document holds both 'plans' and 'stationary'"),
+        ({"plans": "abc"}, "plans must be a list of epoch plans, got str"),
+        ({"plans": [{"a": 1}, []]}, "epoch 1 plan must be a list of ids, got dict"),
+    ], ids=[f"plan{i}" for i in range(6)])
+    def test_malformed_plan_is_rejected(self, tmp_path, capsys, plan, message):
         ipath = write_instance(tmp_path, FINITE2)
         ppath = tmp_path / "plan.json"
         ppath.write_text(json.dumps(plan))
@@ -521,6 +528,7 @@ class TestErrorPaths:
         assert code == 1
         assert out == ""
         assert "Traceback" not in err
+        assert message in err
 
     def test_output_path_that_is_a_directory(self, tmp_path, capsys):
         code, out, err = run(capsys, "gen", "-n", "3", "-K", "1", "--seed", "1", "-o", str(tmp_path))

@@ -270,7 +270,7 @@ def whole_catalog_sweep(instance):
     plan."""
     k = instance.horizon.epochs
     theta = instance.theta
-    ids, rewards, rhos, gammas = finite_solver._sorted_package_arrays(instance)
+    _, ids, rewards, rhos, gammas = finite_solver._sorted_package_arrays(instance)
     catalogs = instance.per_epoch_packages or (None,) * k
     by_id = np.argsort(ids)  # canonical positions in ascending id order
     values, thresholds, survivals, plans = [0.0] * (k + 1), [0.0] * k, [0.0] * k, [()] * k

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from riskplan import (
     Horizon,
     Instance,
     InvalidInstanceError,
+    InvalidPlanError,
     MissionPlan,
     PackageSpec,
     SimConfig,
@@ -208,9 +210,10 @@ class TestUnknownCatalogIds:
                                       max_size=12), max_size=6))
     def test_matches_one_membership_test_over_every_catalog(self, known, catalogs):
         known = np.array(known, dtype=np.int64)
+        table = PackageTable(known, np.ones(known.size), np.full(known.size, 0.5))
         catalogs = tuple(np.unique(np.array(c, dtype=np.int64)) for c in catalogs)
-        got = [v.message for v in model._unknown_catalog_ids(catalogs, known)]
-        assert got == unknown_ids_reference(catalogs, known)
+        got = [v.message for v in model._unknown_catalog_ids(catalogs, table)]
+        assert got == unknown_ids_reference(catalogs, known[known >= 0])
 
     @pytest.mark.parametrize("ids", [np.arange(50), np.arange(50) * 1000, np.array([7, 2**63 - 1]), np.empty(0)],
                              ids=["dense", "sparse", "extremes", "none"])
@@ -375,6 +378,26 @@ class TestCatalogs:
         table = PackageTable([7, 3, 5], [1.0, 2.0, 3.0], [0.5] * 3)
         assert table.rows([5, 7, 4, 2**64, -(2**63) - 1, 3]).tolist() == [2, 0, -1, -1, -1, 1]
         assert PackageTable([], [], []).rows([0, 1]).tolist() == [-1, -1]
+
+    @settings(deadline=None, max_examples=300)
+    @given(ids=st.lists(st.one_of(st.integers(-4, 6), EDGE_IDS), max_size=12),
+           queries=st.lists(st.one_of(st.integers(-6, 8), EDGE_IDS,
+                                      st.sampled_from([2**63, 2**64, -(2**63) - 1])), max_size=12))
+    def test_rows_are_each_ids_first_row(self, ids, queries):
+        table = PackageTable(ids, np.ones(len(ids)), np.full(len(ids), 0.5))
+        first = {}
+        for row, pkg_id in enumerate(ids):
+            first.setdefault(pkg_id, row)
+        assert table.rows(queries).tolist() == [first.get(q, -1) for q in queries]
+
+    def test_catalog_without_per_epoch_catalogs_is_one_shared_read_only_array(self):
+        inst = Instance(theta=1.0, horizon=Horizon.finite(3),
+                        packages=PackageTable([7, 3, 5, 0], np.ones(4), np.full(4, 0.5)))
+        shared = inst.catalog(1)
+        assert all(inst.catalog(h) is shared for h in (1, 2, 3))
+        assert shared.tolist() == np.sort(inst.packages.ids).tolist() == [0, 3, 5, 7]
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0] = 9
 
     @pytest.mark.parametrize("epoch", [0, -1, 3])
     def test_an_epoch_outside_the_horizon_is_a_domain_error(self, epoch):
@@ -599,6 +622,18 @@ class TestJsonSchema:
         doc = plan_to_dict(stat)
         assert doc == {"stationary": [3]}
         assert plan_from_dict(doc).as_tuples() == stat.as_tuples()
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"plans": [[0], [0], [0]], "stationary": [5]}, "holds both 'plans' and 'stationary'"),
+        ({"plans": "abc"}, "plans must be a list of epoch plans, got str"),
+        ({"plans": [{"a": 1}, [], []]}, "epoch 1 plan must be a list of ids, got dict"),
+        ({"stationary": "07"}, "stationary plan must be a list of ids, got str"),
+        ({"plans": [[0], (1,)]}, "epoch 2 plan must be a list of ids, got tuple"),
+        ("plans and stationary", "plan document must be an object, got str"),
+    ])
+    def test_plan_from_dict_refuses_a_malformed_document(self, doc, message):
+        with pytest.raises(InvalidPlanError, match=re.escape(message)):
+            plan_from_dict(doc)
 
     def test_malformed_instance_document(self):
         with pytest.raises(InvalidInstanceError):
