@@ -15,9 +15,11 @@ psi values are needed individually anyway); underflow to exact 0 is
 acceptable semantics - an astronomically risky tail is worthless.
 
 Plan ids become package values in one place, :func:`_resolve_plan` (one
-binary search of the id index), which the simulator, brute force and
-the team module share with the evaluator, so each plan fault raises the
-same error everywhere.
+binary search of the id index), which the simulator, brute force and the
+team module share with the evaluator, so each plan fault raises the same
+error everywhere.  Every id, in a plan, an ``evaluate_epoch`` plan or a tour,
+must be an integer that int64 holds (no bools, floats or strings), else
+:class:`InvalidPlanError` as in :func:`riskplan.model.plan_from_dict`.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .model import (
     EpochPlan,
     Instance,
     MissionPlan,
-    _id_list,
+    _plan_ids,
     _UnboundedType,
 )
 
@@ -78,29 +80,28 @@ class MissionEvaluation:
     total: Union[float, _UnboundedType]
 
 
-def _resolve(epochs: list[tuple[Optional[int], list[int]]], instance: Instance,
-             stationary: bool = False) -> list[tuple[list[float], list[float]]]:
-    """Each (epoch, ids) entry's (rewards, rhos), in plan order.
+def _resolve(epochs: list[tuple[Optional[int], str, np.ndarray]],
+             instance: Instance) -> list[tuple[list[float], list[float]]]:
+    """Each (epoch, where, ids) entry's (rewards, rhos), in plan order.
 
-    The ids of every entry are found by one binary search of the id index,
-    and an entry whose epoch is not None in that epoch's catalog.  The
-    first entry at fault raises: for repeated ids, else for its first id,
-    in plan order, that is unknown or outside the catalog.
+    The ids (int64 arrays) of every entry are found by one binary search of
+    the id index, and an entry whose epoch is not None in that epoch's
+    catalog.  The first entry at fault raises, naming ``where``: for repeated
+    ids, else for its first id, in plan order, unknown or outside the catalog.
     """
     table = instance.packages
-    rows = table.rows([i for _, ids in epochs for i in ids])
+    rows = table.rows(epochs[0][2] if len(epochs) == 1 else np.concatenate([ids for _, _, ids in epochs]))
     out = []
     end = 0
-    for h, ids in epochs:
-        if len(set(ids)) != len(ids):
-            where = "stationary plan" if stationary else "epoch plan" if h is None else f"epoch {h} plan"
+    for h, where, ids in epochs:
+        if len(set(ids.tolist())) != ids.size:
             raise InvalidPlanError(f"{where} repeats a package id")
-        at = rows[end: end + len(ids)]
-        end += len(ids)
+        at = rows[end: end + ids.size]
+        end += ids.size
         bad = at < 0
         if h is not None and instance.per_epoch_packages is not None:
             known = ~bad
-            bad[known] = ~instance.in_catalog(h, table.ids[at[known]])
+            bad[known] = ~instance.in_catalog(h, ids[known])
         if bad.any():
             j = int(np.argmax(bad))
             if at[j] < 0:
@@ -114,7 +115,8 @@ def _resolve_epoch(plan: EpochPlan, instance: Instance,
                    epoch: Optional[int] = None) -> tuple[list[float], list[float]]:
     """One epoch plan's (rewards, rhos), checked against the catalog of
     1-based ``epoch``, or of the whole instance when it is None."""
-    return _resolve([(epoch, _id_list(plan))], instance)[0]
+    where = "epoch plan" if epoch is None else f"epoch {epoch} plan"
+    return _resolve([(epoch, where, _plan_ids(plan, where))], instance)[0]
 
 
 def _resolve_plan(plan: MissionPlan, instance: Instance) -> tuple[list[tuple[list[float], list[float]]], bool]:
@@ -125,18 +127,17 @@ def _resolve_plan(plan: MissionPlan, instance: Instance) -> tuple[list[tuple[lis
     each epoch's ids must lie in that epoch's catalog.
     """
     horizon = instance.horizon
-    if plan.is_stationary and not horizon.is_finite:
-        return _resolve([(None, _id_list(plan.stationary))], instance, stationary=True), True
     if plan.is_stationary:
-        id_lists = [_id_list(plan.stationary)] * horizon.epochs
-    else:
-        if not horizon.is_finite:
-            raise HorizonMismatchError("finite plan cannot be evaluated on an infinite horizon")
-        if len(plan.plans) != horizon.epochs:
-            raise HorizonMismatchError(
-                f"plan has {len(plan.plans)} epochs but horizon is {horizon.epochs}")
-        id_lists = [_id_list(p) for p in plan.plans]
-    return _resolve(list(enumerate(id_lists, start=1)), instance), False
+        ids = _plan_ids(plan.stationary, "stationary plan")
+        epochs = range(1, horizon.epochs + 1) if horizon.is_finite else [None]
+        return _resolve([(h, "stationary plan", ids) for h in epochs], instance), not horizon.is_finite
+    if not horizon.is_finite:
+        raise HorizonMismatchError("finite plan cannot be evaluated on an infinite horizon")
+    if len(plan.plans) != horizon.epochs:
+        raise HorizonMismatchError(
+            f"plan has {len(plan.plans)} epochs but horizon is {horizon.epochs}")
+    wheres = [(h, f"epoch {h} plan") for h in range(1, horizon.epochs + 1)]
+    return _resolve([(h, w, _plan_ids(p, w)) for (h, w), p in zip(wheres, plan.plans)], instance), False
 
 
 def _fold_epoch(rewards: list[float], rhos: list[float], theta: float) -> EpochEvaluation:
@@ -219,9 +220,9 @@ def epoch_risk_ratio(plan: EpochPlan, instance: Instance) -> float:
     plan is riskless (``rho_bar = 1``) the ratio diverges: returns
     ``+-math.inf`` matching the sign of ``E``, and 0.0 when ``E`` is also 0.
     """
-    if len(plan) == 0:
-        raise EmptyPlanError("epoch risk ratio requires a nonempty plan")
     ev = evaluate_epoch(plan, instance)
+    if not ev.delivery_probs:
+        raise EmptyPlanError("epoch risk ratio requires a nonempty plan")
     denom = 1.0 - ev.epoch_survival
     if denom == 0.0:
         if ev.expected_reward == 0.0:

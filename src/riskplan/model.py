@@ -72,10 +72,10 @@ __all__ = [
     "plan_from_dict",
 ]
 
-#: An epoch plan is an ordered sequence of package ids.  Hand-built plans
-#: are plain tuples; the finite solver hands back int64 arrays, which
-#: iterate identically: prefix views into one shared sorted-id array when
-#: every epoch has the whole catalog.
+#: An epoch plan is an ordered sequence of package ids, each an integer int64
+#: holds (no bools, floats or strings; :func:`_plan_ids` raises InvalidPlanError
+#: else): a tuple when hand-built, an int64 array from the finite solver (prefix
+#: views into one shared sorted-id array when every epoch has the whole catalog).
 EpochPlan = Sequence[int]
 
 
@@ -173,10 +173,14 @@ def _catalog_arrays(catalogs: Iterable[Iterable]) -> tuple[np.ndarray, ...]:
     hold."""
     out, bad = [], []
     for h, raw in enumerate(catalogs, start=1):
-        ids, rejected = _listed_ids(raw if isinstance(raw, (list, np.ndarray)) else list(raw))
+        if isinstance(raw, np.ndarray) and raw.dtype == np.int64 and raw.ndim == 1:  # as docscan reads them
+            ids, rejected = raw, []
+        else:
+            raw = raw if isinstance(raw, (list, np.ndarray)) else list(raw)
+            ids, rejected = _column(raw, np.int64, {int}, _is_int64)
         bad += [Violation(ViolationCode.INVALID_ID,
-                          f"epoch {h} catalog id must be an integer in 0..{MAX_PACKAGE_ID}, got {x!r}")
-                for x in rejected]
+                          f"epoch {h} catalog id must be an integer in 0..{MAX_PACKAGE_ID}, got {raw[i]!r}")
+                for i in rejected]
         if not bad:
             out.append(_sorted_unique(ids))
     if bad:
@@ -207,16 +211,6 @@ def _column(raw: Sequence, dtype, fast_types: set, accepts) -> tuple[Optional[np
     if rejected:
         return None, rejected
     return np.array(raw, dtype=dtype), []
-
-
-def _listed_ids(raw: Sequence) -> tuple[Optional[np.ndarray], list]:
-    """The ids a catalog or plan lists, as an int64 array in their order,
-    and the items of ``raw`` that fail :func:`_is_int64` (the array is None
-    if any do)."""
-    if isinstance(raw, np.ndarray) and raw.dtype == np.int64 and raw.ndim == 1:  # as docscan reads them
-        return raw, []
-    ids, rejected = _column(raw, np.int64, {int}, _is_int64)
-    return ids, [raw[i] for i in rejected]
 
 
 def _check_id_list(raw, where: str) -> None:
@@ -445,8 +439,8 @@ class MissionPlan:
     def as_tuples(self):
         """Canonical pure-tuple form, suitable for comparison."""
         if self.stationary is not None:
-            return ("stationary", tuple(int(i) for i in self.stationary))
-        return ("plans", tuple(tuple(int(i) for i in p) for p in self.plans))
+            return ("stationary", tuple(_plan_ids(self.stationary, "stationary plan").tolist()))
+        return ("plans", tuple(tuple(_plan_ids(p, "epoch plan").tolist()) for p in self.plans))
 
 
 class ViolationCode(str, enum.Enum):
@@ -523,7 +517,7 @@ def _find_violations(instance: Instance) -> list[Violation]:
     out: list[Violation] = []
 
     theta = instance.theta
-    if not (isinstance(theta, (int, float)) and math.isfinite(theta) and theta >= 0):
+    if not (_is_real(theta) and math.isfinite(theta) and theta >= 0):  # instance_from_dict's rule
         out.append(Violation(ViolationCode.NEGATIVE_THETA, f"theta must be a finite non-negative real, got {theta!r}"))
 
     horizon = instance.horizon
@@ -760,41 +754,45 @@ def instance_from_dict(doc: dict) -> Instance:
         raise InvalidInstanceError([Violation(ViolationCode.MALFORMED_DOCUMENT, f"malformed instance document: {exc}")]) from exc
 
 
-def _id_list(epoch: EpochPlan) -> list[int]:
-    if isinstance(epoch, np.ndarray) and epoch.dtype == np.int64:  # the solver's plans
-        return epoch.tolist()
-    return [int(i) for i in epoch]
-
-
 def plan_to_dict(plan: MissionPlan) -> dict:
     if plan.is_stationary:
-        return {"stationary": _id_list(plan.stationary)}
-    return {"plans": [_id_list(epoch) for epoch in plan.plans]}
+        return {"stationary": _plan_ids(plan.stationary, "stationary plan").tolist()}
+    return {"plans": [_plan_ids(epoch, "epoch plan").tolist() for epoch in plan.plans]}
 
 
 def plan_from_dict(doc: dict) -> MissionPlan:
     """A plan from its document, which holds exactly one of ``plans`` and
-    ``stationary``; ids follow the package-id rule."""
+    ``stationary``; each is a list of ids, held as :func:`_plan_ids` arrays."""
     try:
         if not isinstance(doc, dict):  # a string holds "plans" as a substring
             raise TypeError(f"plan document must be an object, got {type(doc).__name__}")
         if "plans" in doc and "stationary" in doc:
             raise InvalidPlanError("plan document holds both 'plans' and 'stationary'; a plan is one or the other")
         if "stationary" in doc:
-            return MissionPlan.from_stationary(_plan_ids(doc["stationary"], "stationary plan"))
+            return MissionPlan.from_stationary(_document_plan_ids(doc["stationary"], "stationary plan"))
         if "plans" in doc:
             plans = doc["plans"]
             if not isinstance(plans, list):
                 raise TypeError(f"plans must be a list of epoch plans, got {type(plans).__name__}")
-            return MissionPlan.finite(_plan_ids(epoch, f"epoch {h} plan") for h, epoch in enumerate(plans, start=1))
+            return MissionPlan.finite(_document_plan_ids(epoch, f"epoch {h} plan") for h, epoch in enumerate(plans, start=1))
     except TypeError as exc:
         raise InvalidPlanError(f"malformed plan document: {exc}") from exc
     raise HorizonMismatchError("plan document needs a 'plans' or 'stationary' key")
 
 
-def _plan_ids(raw, where: str) -> tuple[int, ...]:
-    _check_id_list(raw, where)
-    ids, bad = _listed_ids(raw)
+def _document_plan_ids(raw, where: str) -> np.ndarray:
+    _check_id_list(raw, where)  # a document's plans are lists
+    return _plan_ids(raw, where)
+
+
+def _plan_ids(raw: EpochPlan, where: str) -> np.ndarray:
+    """A plan's ids in plan order as an int64 array (an int64 array as it is), else InvalidPlanError
+    naming ``where``: for a plan not a list, tuple or 1-D array (a string, dict or set), or an id not int64."""
+    if isinstance(raw, np.ndarray) and raw.dtype.type is np.int64:  # the solver's plans
+        return raw
+    if not (isinstance(raw, (list, tuple)) or isinstance(raw, np.ndarray) and raw.ndim == 1):
+        raise InvalidPlanError(f"{where} must be a list of ids, got {type(raw).__name__}")
+    ids, bad = _column(raw, np.int64, {int}, _is_int64)
     if bad:
-        raise InvalidPlanError(f"{where} id must be an integer in 0..{MAX_PACKAGE_ID}, got {bad[0]!r}")
-    return tuple(ids.tolist())
+        raise InvalidPlanError(f"{where} id must be an integer in 0..{MAX_PACKAGE_ID}, got {raw[bad[0]]!r}")
+    return ids

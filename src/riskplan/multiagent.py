@@ -46,6 +46,7 @@ from .model import (
     check_epoch_limit,
     ensure_valid,
     gamma_values,
+    _plan_ids,
 )
 from .oracle_sim import (
     SimConfig,
@@ -164,7 +165,7 @@ class TeamEpochPlan:
 
     @classmethod
     def of(cls, tours: Sequence[EpochPlan]) -> "TeamEpochPlan":
-        return cls(tours=tuple(tuple(int(i) for i in t) for t in tours))
+        return cls(tours=tuple(tuple(_plan_ids(t, f"agent {m} tour").tolist()) for m, t in enumerate(tours)))
 
     def assigned_ids(self) -> frozenset[int]:
         return frozenset(i for tour in self.tours for i in tour)

@@ -1,6 +1,8 @@
 import math
 import random
+import re
 
+import numpy as np
 import pytest
 
 from riskplan import (
@@ -12,12 +14,19 @@ from riskplan import (
     InvalidPlanError,
     MissionPlan,
     PackageSpec,
+    SimConfig,
+    TeamEpochPlan,
     UNBOUNDED,
     UnknownPackageIdError,
     epoch_risk_ratio,
     evaluate_epoch,
     evaluate_mission,
+    marginal_gain,
+    plan_from_dict,
+    plan_to_dict,
     reward_to_risk,
+    simulate_mission,
+    team_epoch_expectation,
 )
 
 from conftest import make_instance, package_of, random_mission_plan
@@ -232,3 +241,63 @@ class TestEpochRiskRatio:
     def test_riskless_zero_reward_plan(self):
         inst = inst_of(1.0, 1, PackageSpec(0, 0, 1.0))
         assert epoch_risk_ratio((0,), inst) == 0.0
+
+
+# Every entry point that reads plan ids, as (where its message names the
+# plan, a call on one epoch plan).  Each reads the plan's ids by one rule,
+# plan_from_dict's.
+ID_RULE_PACKAGES = tuple(PackageSpec(i, 1.0 + i, 0.5 + 0.1 * i) for i in range(4))
+ID_RULE_FINITE = inst_of(0.75, 2, *ID_RULE_PACKAGES)
+ID_RULE_INFINITE = inst_of(0.75, None, *ID_RULE_PACKAGES, infinite=True)
+ID_RULE_ENTRY_POINTS = {
+    "evaluate_epoch": ("epoch plan", lambda p: evaluate_epoch(p, ID_RULE_FINITE)),
+    "evaluate_epoch(epoch=1)": ("epoch 1 plan", lambda p: evaluate_epoch(p, ID_RULE_FINITE, epoch=1)),
+    "epoch_risk_ratio": ("epoch plan", lambda p: epoch_risk_ratio(p, ID_RULE_FINITE)),
+    "evaluate_mission(finite)": ("epoch 1 plan", lambda p: evaluate_mission(MissionPlan.finite([p, ()]), ID_RULE_FINITE)),
+    "evaluate_mission(stationary)": (
+        "stationary plan", lambda p: evaluate_mission(MissionPlan.from_stationary(p), ID_RULE_INFINITE)),
+    "evaluate_mission(stationary, finite horizon)": (
+        "stationary plan", lambda p: evaluate_mission(MissionPlan.from_stationary(p), ID_RULE_FINITE)),
+    "simulate_mission": ("epoch 1 plan", lambda p: simulate_mission(
+        MissionPlan.finite([p, ()]), ID_RULE_FINITE, SimConfig(trials=16, seed=5))),
+    "plan_to_dict": ("epoch plan", lambda p: plan_to_dict(MissionPlan.finite([p, ()]))),
+    "plan_to_dict(stationary)": ("stationary plan", lambda p: plan_to_dict(MissionPlan.from_stationary(p))),
+    "as_tuples": ("epoch plan", lambda p: MissionPlan.finite([(), p]).as_tuples()),
+    "TeamEpochPlan.of": ("agent 1 tour", lambda p: TeamEpochPlan.of([(0,), p])),
+    "team_epoch_expectation": ("epoch plan", lambda p: team_epoch_expectation(TeamEpochPlan(tours=(p, ())), ID_RULE_FINITE)),
+    "marginal_gain": ("epoch plan", lambda p: marginal_gain(
+        TeamEpochPlan(tours=(p, ())), 1, ID_RULE_PACKAGES[0], [0.0, 0.5, 1.0], ID_RULE_FINITE)),
+    # A document's plans are lists.
+    "plan_from_dict": ("epoch 1 plan", lambda p: plan_from_dict(
+        {"plans": [list(p) if isinstance(p, (tuple, np.ndarray)) else p, []]})),
+}
+
+
+class TestOnePlanIdRule:
+    @pytest.mark.parametrize("entry", ID_RULE_ENTRY_POINTS)
+    @pytest.mark.parametrize("bad_id", [2.7, 1.0, True, "1", None, 2**64, np.float64(2.0)],
+                             ids=["2.7", "1.0", "True", "str", "None", "2**64", "np.float64"])
+    def test_an_id_int64_cannot_hold_is_invalid(self, entry, bad_id):
+        """No id is coerced: ``2.7`` once read as package 2, and ``True``,
+        ``1.0`` and ``"1"`` as package 1."""
+        where, call = ID_RULE_ENTRY_POINTS[entry]
+        message = f"{where} id must be an integer in 0..{2**63 - 1}, got {bad_id!r}"
+        with pytest.raises(InvalidPlanError, match=re.escape(message)):
+            call((3, bad_id))
+
+    @pytest.mark.parametrize("entry", ID_RULE_ENTRY_POINTS)
+    @pytest.mark.parametrize("plan", [frozenset({1, 2}), {1: 2}, "12", b"12"], ids=["frozenset", "dict", "str", "bytes"])
+    def test_a_plan_that_is_not_a_sequence_is_invalid(self, entry, plan):
+        """A set has no order, and a string, bytes or dict would be read as
+        characters, bytes or keys."""
+        where, call = ID_RULE_ENTRY_POINTS[entry]
+        with pytest.raises(InvalidPlanError, match=re.escape(f"{where} must be a list of ids, got {type(plan).__name__}")):
+            call(plan)
+
+    @pytest.mark.parametrize("entry", ID_RULE_ENTRY_POINTS)
+    def test_valid_ids_in_any_form_give_bit_identical_results(self, entry):
+        _, call = ID_RULE_ENTRY_POINTS[entry]
+        expected = repr(call((3, 1)))
+        for plan in ([3, 1], np.array([3, 1], dtype=np.int64), (np.int64(3), np.int32(1)),
+                     np.array([3, 1], dtype=np.uint8), [np.uint64(3), 1]):
+            assert repr(call(plan)) == expected

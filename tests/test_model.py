@@ -28,6 +28,7 @@ from riskplan import (
     plan_to_dict,
     probability_to_distance,
     reward_to_risk,
+    solve_finite,
     validate_instance,
 )
 from riskplan import model, multiagent, oracle_sim
@@ -64,6 +65,25 @@ class TestValidation:
         inst = one_package_instance(theta=-0.5)
         codes = {v.code for v in validate_instance(inst)}
         assert codes == {ViolationCode.NEGATIVE_THETA}
+
+    @pytest.mark.parametrize("theta", [True, -0.5, math.inf, math.nan, 10**400, "1"])
+    def test_theta_follows_the_document_rule(self, theta):
+        """``"theta": true`` in a document is refused; so is theta=True."""
+        codes = {v.code for v in validate_instance(one_package_instance(theta=theta))}
+        assert codes == {ViolationCode.NEGATIVE_THETA}
+
+    def test_a_numpy_integer_theta_solves_as_its_float(self):
+        rng = np.random.default_rng(26)
+        pkgs = tuple(PackageSpec(i, float(r), float(rho))
+                     for i, (r, rho) in enumerate(zip(rng.uniform(0, 10, 12), rng.uniform(0, 1, 12))))
+        as_int, as_float = (Instance(theta=theta, horizon=Horizon.finite(4), packages=pkgs)
+                            for theta in (np.int64(2), 2.0))
+        assert validate_instance(as_int) == []
+        ints, floats = solve_finite(as_int), solve_finite(as_float)
+        assert ints.plan.as_tuples() == floats.plan.as_tuples()
+        for a, b in [(ints.total, floats.total), *zip(ints.values, floats.values),
+                     *zip(ints.epoch_survivals, floats.epoch_survivals)]:
+            assert float(a).hex() == float(b).hex()
 
     def test_duplicate_ids(self):
         inst = Instance(

@@ -346,6 +346,50 @@ def enum_greedy(instance, agents):
     return plans, values
 
 
+def walk_epoch_plan(instance, epoch, beta, continuation):
+    """The paper's walk for one (epoch, beta) scenario, and its best prefix.
+
+    ``W_{m+1} = v(W_m, t_j)`` appends ``t_j``, the (agent, package) pair of
+    largest scaled gain over every package still free, as ``greedy_rtpd``
+    picks it (first maximum: lowest agent, then lowest id), until the
+    catalog runs out: past the greedy's stop at its first non-positive gain.
+    ``C_i(W_n)`` is the first prefix of largest value ``v``.  Returns its
+    tours (each in canonical order) and value, and the gain of every step.
+    """
+    theta = instance.theta
+    ids = sorted(instance.allowed_ids(epoch))
+    pkg = {i: package_of(instance, i) for i in ids}
+    key = {i: canonical_sort_key(pkg[i]) for i in ids}
+
+    def stats(tour):
+        return multiagent._tour_stats([pkg[i].reward for i in tour], [pkg[i].leg_success for i in tour])
+
+    def value(tours):
+        tour_stats = [stats(t) for t in tours]
+        pmf = _survivor_pmf([s for _, s in tour_stats])
+        return multiagent._team_expectation(tour_stats, theta) + sum(p * continuation[b] for b, p in enumerate(pmf))
+
+    tours = [[] for _ in range(beta)]
+    walk, gains = [(tuple(map(tuple, tours)), value(tours))], []
+    free = list(ids)
+    while free:
+        survivals = [stats(t)[1] for t in tours]
+        best = None
+        for m in range(beta):
+            loss = multiagent._survivor_loss(survivals, m, continuation, theta)
+            for i in free:
+                gain = survivals[m] * multiagent._gain(pkg[i].reward, pkg[i].leg_success, loss)
+                if best is None or gain > best[0]:
+                    best = (gain, m, i)
+        gain, m, i = best
+        gains.append(gain)
+        free.remove(i)
+        tours[m] = sorted(tours[m] + [i], key=key.get)
+        walk.append((tuple(map(tuple, tours)), value(tours)))
+    values = [v for _, v in walk]
+    return (*walk[values.index(max(values))], gains)
+
+
 def random_team_instance(rng, ties=False):
     """Up to 12 packages, K <= 3; some instances restrict each epoch to a
     random catalog.  rho is drawn continuously, or with ``ties`` each
@@ -573,6 +617,26 @@ class TestGreedyAgainstEnumeration:
             for key, tours in plans.items():
                 assert report.plans[key].tours == tours
                 assert math.isclose(report.values[key], values[key], rel_tol=1e-12, abs_tol=0.0)
+
+    def test_plans_are_the_best_prefixes_of_the_paper_walk(self):
+        """The greedy's plans are ``C_i(W_n)``, with bit-identical values: it
+        stops where the walk's best prefix ends.  The gains up to that stop
+        never rise; past it they may (a scaled loss shrinks with the survival
+        it scales), so the whole walk's gains are not asserted."""
+        rng = random.Random(7)
+        for ties in [False] * 150 + [True] * 150:
+            inst = random_team_instance(rng, ties)
+            agents = rng.randint(1, 3)
+            report = greedy_rtpd(inst, agents, sim_config=SimConfig(trials=2, seed=1))
+            for h in range(inst.horizon.epochs, 0, -1):
+                continuation = [0.0] + [report.values[(h + 1, b)] if h < inst.horizon.epochs else 0.0
+                                        for b in range(1, agents + 1)]
+                for beta in range(1, agents + 1):
+                    tours, value, gains = walk_epoch_plan(inst, h, beta, continuation)
+                    assert report.plans[(h, beta)].tours == tours
+                    assert report.values[(h, beta)].hex() == value.hex()
+                    taken = [g for g in gains if g > 0.0]
+                    assert gains[:len(taken)] == taken and sorted(taken, reverse=True) == taken
 
     def test_oracles_are_off_the_team_path(self, monkeypatch):
         def oracle(*args, **kwargs):

@@ -697,9 +697,19 @@ class TestBlockKernelMatchesPerLegLoop:
 # --- plan resolution for simulate --------------------------------------------
 
 
+def check_int64_ids(epoch_plan, where):
+    """The id rule of ``plan_from_dict``: an id int64 cannot hold is invalid."""
+    for pkg_id in epoch_plan:
+        if not -(2**63) <= pkg_id < 2**63:
+            raise InvalidPlanError(f"{where} id must be an integer in 0..{2**63 - 1}, got {pkg_id!r}")
+
+
 def reference_plan_epochs_for_sim(plan: MissionPlan, instance: Instance) -> tuple[list[list], bool]:
-    """Resolve the plan into per-epoch package lists; True if stationary."""
+    """Resolve the plan into per-epoch package lists; True if stationary.
+    Every epoch's ids are checked against the id rule before any is
+    resolved."""
     if plan.is_stationary:
+        check_int64_ids(plan.stationary, "stationary plan")
         if len(set(map(int, plan.stationary))) != len(plan.stationary):
             raise InvalidPlanError("stationary plan repeats a package id")
         epoch = [package_of(instance, i) for i in plan.stationary]
@@ -712,6 +722,8 @@ def reference_plan_epochs_for_sim(plan: MissionPlan, instance: Instance) -> tupl
     if len(plan.plans) != horizon.epochs:
         raise HorizonMismatchError(
             f"plan has {len(plan.plans)} epochs but horizon is {horizon.epochs}")
+    for h, epoch_plan in enumerate(plan.plans, start=1):
+        check_int64_ids(epoch_plan, f"epoch {h} plan")
     pep = instance.per_epoch_packages
     epochs = []
     for h, epoch_plan in enumerate(plan.plans, start=1):
@@ -751,8 +763,9 @@ def raised(call, *args):
 
 
 def random_plan_ids(rng, inst, h):
-    """An epoch plan of catalog ids with, some of the time, an unknown id,
-    an id outside the epoch's catalog, a repeat, or nothing at all."""
+    """An epoch plan of catalog ids with, some of the time, an unknown id
+    (or one int64 cannot hold, an invalid id), an id outside the epoch's
+    catalog, a repeat, or nothing at all."""
     known = inst.packages.ids.tolist()
     allowed = sorted(inst.allowed_ids(h))
     ids = rng.sample(allowed, rng.randint(0, min(len(allowed), 6)))
