@@ -14,19 +14,22 @@ products are computed by plain sequential multiplication in plan order (the
 psi values are needed individually anyway); underflow to exact 0 is
 acceptable semantics - an astronomically risky tail is worthless.
 
-Plan ids become package values in one place, :func:`_resolve_plan` (one
-binary search of the id index), which the simulator, brute force and the
-team module share with the evaluator, so each plan fault raises the same
-error everywhere.  Every id, in a plan, an ``evaluate_epoch`` plan or a tour,
-must be an integer that int64 holds (no bools, floats or strings), else
-:class:`InvalidPlanError` as in :func:`riskplan.model.plan_from_dict`.
+Plan ids become package values in one place, :func:`_resolve` (one binary
+search of the id index per call): :func:`_resolve_plan` for a mission plan,
+:func:`_resolve_epoch` for one epoch's plans (an ``evaluate_epoch`` plan, a
+brute-force catalog, or a team plan's tours, all in one call).  The
+simulator, brute force and the team module share it with the evaluator, so
+each plan fault raises the same error everywhere.  Every id, in a plan, an
+``evaluate_epoch`` plan or a tour, must be an integer that int64 holds (no
+bools, floats or strings), else :class:`InvalidPlanError` as in
+:func:`riskplan.model.plan_from_dict`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -82,13 +85,16 @@ class MissionEvaluation:
 
 def _resolve(epochs: list[tuple[Optional[int], str, np.ndarray]],
              instance: Instance) -> list[tuple[list[float], list[float]]]:
-    """Each (epoch, where, ids) entry's (rewards, rhos), in plan order.
+    """Each (epoch, where, ids) entry's (rewards, rhos), in plan order; no
+    entries give ``[]``.
 
     The ids (int64 arrays) of every entry are found by one binary search of
     the id index, and an entry whose epoch is not None in that epoch's
     catalog.  The first entry at fault raises, naming ``where``: for repeated
     ids, else for its first id, in plan order, unknown or outside the catalog.
     """
+    if not epochs:
+        return []
     table = instance.packages
     rows = table.rows(epochs[0][2] if len(epochs) == 1 else np.concatenate([ids for _, _, ids in epochs]))
     out = []
@@ -111,12 +117,14 @@ def _resolve(epochs: list[tuple[Optional[int], str, np.ndarray]],
     return out
 
 
-def _resolve_epoch(plan: EpochPlan, instance: Instance,
-                   epoch: Optional[int] = None) -> tuple[list[float], list[float]]:
-    """One epoch plan's (rewards, rhos), checked against the catalog of
-    1-based ``epoch``, or of the whole instance when it is None."""
+def _resolve_epoch(plans: Sequence[EpochPlan], instance: Instance,
+                   epoch: Optional[int] = None) -> list[tuple[list[float], list[float]]]:
+    """Each of one epoch's plans' (rewards, rhos), in order, by one
+    :func:`_resolve` call: ``[plan]``, or a team plan's tours.  Ids are
+    checked against the catalog of 1-based ``epoch``, or of the whole
+    instance when it is None."""
     where = "epoch plan" if epoch is None else f"epoch {epoch} plan"
-    return _resolve([(epoch, where, _plan_ids(plan, where))], instance)[0]
+    return _resolve([(epoch, where, _plan_ids(plan, where)) for plan in plans], instance)
 
 
 def _resolve_plan(plan: MissionPlan, instance: Instance) -> tuple[list[tuple[list[float], list[float]]], bool]:
@@ -167,7 +175,7 @@ def evaluate_epoch(plan: EpochPlan, instance: Instance, *, epoch: int | None = N
     """
     if epoch is not None:
         instance.check_epoch(epoch)
-    return _fold_epoch(*_resolve_epoch(plan, instance, epoch), instance.theta)
+    return _fold_epoch(*_resolve_epoch([plan], instance, epoch)[0], instance.theta)
 
 
 def _finite_total(evals: list[EpochEvaluation]) -> tuple[float, tuple[float, ...]]:

@@ -788,7 +788,7 @@ def _document_plan_ids(raw, where: str) -> np.ndarray:
 def _plan_ids(raw: EpochPlan, where: str) -> np.ndarray:
     """A plan's ids in plan order as an int64 array (an int64 array as it is), else InvalidPlanError
     naming ``where``: for a plan not a list, tuple or 1-D array (a string, dict or set), or an id not int64."""
-    if isinstance(raw, np.ndarray) and raw.dtype.type is np.int64:  # the solver's plans
+    if isinstance(raw, np.ndarray) and raw.dtype.type is np.int64 and raw.ndim == 1:  # the solver's plans
         return raw
     if not (isinstance(raw, (list, tuple)) or isinstance(raw, np.ndarray) and raw.ndim == 1):
         raise InvalidPlanError(f"{where} must be a list of ids, got {type(raw).__name__}")

@@ -22,7 +22,7 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .errors import (
     DegenerateQuotientError,
     DomainError,
     InfiniteHorizonError,
+    InvalidPlanError,
     InvalidRangeError,
     OverlappingToursError,
     ScaleLimitExceededError,
@@ -156,16 +157,19 @@ class TeamEpochPlan:
     tours: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        # Each tour is read by the plan-id rule, then held as a tuple of ints.
+        tours = tuple(tuple(_plan_ids(t, f"agent {m} tour").tolist()) for m, t in enumerate(self.tours))
+        object.__setattr__(self, "tours", tours)
         seen: set[int] = set()
-        for tour in self.tours:
+        for tour in tours:
             for pkg_id in tour:
                 if pkg_id in seen:
                     raise OverlappingToursError(f"package {pkg_id} appears in more than one tour")
                 seen.add(pkg_id)
 
     @classmethod
-    def of(cls, tours: Sequence[EpochPlan]) -> "TeamEpochPlan":
-        return cls(tours=tuple(tuple(_plan_ids(t, f"agent {m} tour").tolist()) for m, t in enumerate(tours)))
+    def of(cls, tours: Iterable[EpochPlan]) -> "TeamEpochPlan":
+        return cls(tours=tuple(tours))
 
     def assigned_ids(self) -> frozenset[int]:
         return frozenset(i for tour in self.tours for i in tour)
@@ -237,7 +241,7 @@ def team_epoch_expectation(team_plan: TeamEpochPlan, instance: Instance) -> floa
     expected failed agent, ``sum_i (1 - s_i)`` by linearity.
     """
     theta = instance.theta
-    return _team_expectation([_tour_stats(*_resolve_epoch(t, instance)) for t in team_plan.tours], theta)
+    return _team_expectation([_tour_stats(*tour) for tour in _resolve_epoch(team_plan.tours, instance)], theta)
 
 
 def poisson_quotient_difference(
@@ -291,7 +295,7 @@ def marginal_gain(
             raise ValidationError(
                 f"continuation_values needs {alpha + 1} entries (counts 0..{alpha}), got {len(values)}")
 
-    survivals = [_tour_stats(*_resolve_epoch(t, instance))[1] for t in team_plan.tours]
+    survivals = [_tour_stats(*tour)[1] for tour in _resolve_epoch(team_plan.tours, instance)]
     loss = _survivor_loss(survivals, agent_index, values, instance.theta)
     return _gain(package.reward, package.leg_success, loss)
 
@@ -329,7 +333,7 @@ def _greedy_epoch_plan(
     """
     theta = instance.theta
     ids = instance.catalog(epoch)
-    rewards, rhos = (np.array(c) for c in _resolve_epoch(ids, instance, epoch))
+    rewards, rhos = (np.array(c) for c in _resolve_epoch([ids], instance, epoch)[0])
     order = canonical_order(ids, rewards, gamma_values(rewards, rhos))
     rank = np.argsort(order)  # each catalog position's place in canonical order
     ranked_rewards, ranked_rhos = rewards[order].tolist(), rhos[order].tolist()
@@ -422,17 +426,32 @@ def simulate_team_mission(
     of the seed, so results are shard-invariant.  Each agent slot's tour
     takes its legs' draws from its own stretch of the stream.  Dead
     agents' packages are not reassigned.
+
+    Only the simulated scenarios are read: ``plans[(h, beta)]`` for each
+    epoch ``h`` in 1..K and alive count ``beta`` in 1..agents, each of at
+    most ``beta`` tours, else :class:`InvalidPlanError` naming the
+    scenario.  A scenario's tours are resolved together against epoch
+    ``h``'s catalog, so an id outside it raises ``simulate_mission``'s
+    :class:`UnknownPackageIdError`.
     """
     ensure_valid(instance)
     if not instance.horizon.is_finite:
         raise InfiniteHorizonError("team simulation requires a finite horizon")
     k = instance.horizon.epochs
     theta = instance.theta
-    max_len = max((len(t) for p in plans.values() for t in p.tours), default=0)
+    # Each simulated scenario's tours' (rewards, leg thresholds), resolved once.
+    resolved = {}
+    for h in range(1, k + 1):
+        for beta in range(1, agents + 1):
+            plan = plans.get((h, beta))
+            if plan is None:
+                raise InvalidPlanError(f"no team plan for scenario (epoch {h}, {beta} alive)")
+            if len(plan.tours) > beta:
+                raise InvalidPlanError(
+                    f"team plan for scenario (epoch {h}, {beta} alive) has {len(plan.tours)} tours, more than {beta}")
+            resolved[(h, beta)] = [(r, _leg_thresholds(rhos)) for r, rhos in _resolve_epoch(plan.tours, instance, h)]
+    max_len = max((len(r) for tours in resolved.values() for r, _ in tours), default=0)
     stride_agent = 2 * max(max_len, 1)
-    # Each tour's (rewards, leg thresholds), resolved once.
-    resolved = {key: [(r, _leg_thresholds(rhos)) for r, rhos in (_resolve_epoch(t, instance) for t in plan.tours)]
-                for key, plan in plans.items()}
 
     totals_parts = []
     deaths = np.zeros(k + 1, dtype=np.int64)  # agents lost in each epoch

@@ -220,7 +220,7 @@ def brute_force_finite(instance: Instance) -> tuple[float, MissionPlan]:
     for h, ids in enumerate(epoch_ids, start=1):
         table = by_catalog.get(tuple(ids))
         if table is None:
-            rewards, rhos = _resolve_epoch(ids, instance, epoch=h)
+            [(rewards, rhos)] = _resolve_epoch([ids], instance, epoch=h)
             reward_of, rho_of = dict(zip(ids, rewards)), dict(zip(ids, rhos))
             seqs = _epoch_sequences(ids)
             evals = [_fold_epoch([reward_of[i] for i in seq], [rho_of[i] for i in seq], instance.theta)

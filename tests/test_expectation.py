@@ -264,8 +264,8 @@ ID_RULE_ENTRY_POINTS = {
     "plan_to_dict(stationary)": ("stationary plan", lambda p: plan_to_dict(MissionPlan.from_stationary(p))),
     "as_tuples": ("epoch plan", lambda p: MissionPlan.finite([(), p]).as_tuples()),
     "TeamEpochPlan.of": ("agent 1 tour", lambda p: TeamEpochPlan.of([(0,), p])),
-    "team_epoch_expectation": ("epoch plan", lambda p: team_epoch_expectation(TeamEpochPlan(tours=(p, ())), ID_RULE_FINITE)),
-    "marginal_gain": ("epoch plan", lambda p: marginal_gain(
+    "team_epoch_expectation": ("agent 0 tour", lambda p: team_epoch_expectation(TeamEpochPlan(tours=(p, ())), ID_RULE_FINITE)),
+    "marginal_gain": ("agent 0 tour", lambda p: marginal_gain(
         TeamEpochPlan(tours=(p, ())), 1, ID_RULE_PACKAGES[0], [0.0, 0.5, 1.0], ID_RULE_FINITE)),
     # A document's plans are lists.
     "plan_from_dict": ("epoch 1 plan", lambda p: plan_from_dict(
@@ -301,3 +301,12 @@ class TestOnePlanIdRule:
         for plan in ([3, 1], np.array([3, 1], dtype=np.int64), (np.int64(3), np.int32(1)),
                      np.array([3, 1], dtype=np.uint8), [np.uint64(3), 1]):
             assert repr(call(plan)) == expected
+
+    @pytest.mark.parametrize("entry", [e for e in ID_RULE_ENTRY_POINTS if e != "plan_from_dict"])
+    def test_a_2d_int64_plan_is_not_a_list_of_ids(self, entry):
+        """Only a 1-D int64 array is taken as it is: ``[[0, 1]]`` was once
+        written out as a plan of one id ``[0, 1]`` and raised numpy's
+        IndexError when evaluated."""
+        where, call = ID_RULE_ENTRY_POINTS[entry]
+        with pytest.raises(InvalidPlanError, match=re.escape(f"{where} must be a list of ids, got ndarray")):
+            call(np.array([[3, 1]], dtype=np.int64))

@@ -2,6 +2,8 @@ import itertools
 import json
 import math
 import random
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,27 +15,32 @@ from riskplan import (
     Horizon,
     InfiniteHorizonError,
     Instance,
+    InvalidPlanError,
+    MissionPlan,
     OverlappingToursError,
     PackageSpec,
     ScaleLimitExceededError,
     SimConfig,
     TeamEpochPlan,
     TooManyTrialsError,
+    UnknownPackageIdError,
     ValidationError,
     evaluate_epoch,
     greedy_rtpd,
+    instance_from_dict,
     marginal_gain,
     poisson_binomial_dft,
     poisson_binomial_enum,
     poisson_quotient_difference,
     reward_to_risk,
+    simulate_mission,
     simulate_team_mission,
     solve_finite,
     team_epoch_expectation,
 )
 from riskplan import multiagent
 from riskplan.cli import run_cli
-from riskplan.model import canonical_sort_key
+from riskplan.model import PackageTable, canonical_sort_key
 from riskplan.multiagent import _survivor_pmf
 from riskplan.oracle_sim import MAX_TRIALS, SimResult, trial_keys
 
@@ -186,6 +193,52 @@ class TestTeamEpochExpectation:
     def test_overlap_rejected(self):
         with pytest.raises(OverlappingToursError):
             TeamEpochPlan.of([(0,), (0,)])
+
+    @pytest.mark.parametrize("tours, message", [
+        (((1, True),), f"agent 0 tour id must be an integer in 0..{2**63 - 1}, got True"),
+        ((None,), "agent 0 tour must be a list of ids, got NoneType"),
+    ], ids=["bool-id", "none-tour"])
+    def test_a_directly_built_plan_reads_its_tours_by_the_id_rule(self, tours, message):
+        """``True`` was once refused as an overlap with package 1, and a
+        ``None`` tour raised TypeError."""
+        with pytest.raises(InvalidPlanError, match=re.escape(message)):
+            TeamEpochPlan(tours=tours)
+
+    def test_a_directly_built_plan_holds_tuples_of_ints(self):
+        team = TeamEpochPlan(tours=([2, 0], np.array([1], dtype=np.int64), ()))
+        assert team == TeamEpochPlan.of([(2, 0), (1,), ()])
+        assert all(type(i) is int for tour in team.tours for i in tour)
+
+
+def count_rows(monkeypatch):
+    """The list that each ``PackageTable.rows`` call appends its id count to."""
+    calls = []
+    rows = PackageTable.rows
+
+    def counted(table, ids):
+        calls.append(len(ids))
+        return rows(table, ids)
+
+    monkeypatch.setattr(PackageTable, "rows", counted)
+    return calls
+
+
+class TestOneResolverCallPerTeamPlan:
+    """A team plan's tours are resolved together: one id-index search."""
+
+    TEAM = TeamEpochPlan.of([(3, 0), (), (1,), (4, 5)])
+    INST = inst_of(0.5, 1, *(PackageSpec(i, 1.0 + i, 0.9 - 0.1 * i) for i in range(7)))
+
+    def test_team_epoch_expectation(self, monkeypatch):
+        calls = count_rows(monkeypatch)
+        value = team_epoch_expectation(self.TEAM, self.INST)
+        assert calls == [5]
+        assert value == sum(evaluate_epoch(t, self.INST).expected_reward for t in self.TEAM.tours)
+
+    def test_marginal_gain(self, monkeypatch):
+        calls = count_rows(monkeypatch)
+        marginal_gain(self.TEAM, 1, self.INST.packages[6], [0.0, 0.5, 1.0, 1.5, 2.0], self.INST)
+        assert calls == [5]
 
 
 class TestQuotientDifference:
@@ -803,3 +856,46 @@ class TestTeamSimulationMatchesPerLegLoop:
             config = SimConfig(trials=500, seed=rng.randrange(2**64), parallel_shards=rng.randint(1, 3))
             assert (simulate_team_mission(plans, inst, agents, config)
                     == per_leg_simulate_team(plans, inst, agents, config))
+
+
+PER_EPOCH_INSTANCE = Path(__file__).parent / "golden" / "per_epoch_instance.json"
+
+
+class TestTeamSimulationChecksScenarios:
+    INST = inst_of(1.0, 2, PackageSpec(0, 4, 0.5), PackageSpec(1, 2, 0.5), PackageSpec(2, 1, 0.5))
+    CONFIG = SimConfig(trials=1000, seed=1)
+
+    def test_a_tour_outside_its_epochs_catalog_is_refused_as_simulate_mission_refuses_it(self):
+        """Package 2 is in the catalog, but not in epoch 1's: the tour once
+        simulated to a mean of 1.0."""
+        inst = instance_from_dict(json.loads(PER_EPOCH_INSTANCE.read_text()))
+        config = SimConfig(trials=100, seed=1)
+        message = "package 2 is not available in epoch 1"
+        with pytest.raises(UnknownPackageIdError, match=re.escape(message)):
+            simulate_mission(MissionPlan.finite([(2,), (), ()]), inst, config)
+        plans = {(h, 1): TeamEpochPlan.of([(2,)] if h == 1 else [()]) for h in (1, 2, 3)}
+        with pytest.raises(UnknownPackageIdError, match=re.escape(message)):
+            simulate_team_mission(plans, inst, 1, config)
+
+    def test_a_missing_scenario_is_named(self):
+        """It was once a bare ``KeyError: (2, 1)``."""
+        plans = {(1, 1): TeamEpochPlan.of([(0,)]), (1, 2): TeamEpochPlan.of([(0,), (1,)]),
+                 (2, 2): TeamEpochPlan.of([(0,), (1,)])}
+        with pytest.raises(InvalidPlanError, match=re.escape("no team plan for scenario (epoch 2, 1 alive)")):
+            simulate_team_mission(plans, self.INST, 2, self.CONFIG)
+
+    def test_more_tours_than_agents_alive_are_refused(self):
+        """Three tours for one agent once lost 2231 agents in 1000 one-agent
+        trials, a survival frequency of -1.231."""
+        plans = {(1, 1): TeamEpochPlan.of([(0,), (1,), (2,)]), (2, 1): TeamEpochPlan.of([])}
+        message = "team plan for scenario (epoch 1, 1 alive) has 3 tours, more than 1"
+        with pytest.raises(InvalidPlanError, match=re.escape(message)):
+            simulate_team_mission(plans, self.INST, 1, self.CONFIG)
+
+    def test_only_the_simulated_scenarios_are_read(self):
+        """A scenario past the horizon or past the team's size is never
+        resolved, and its tours do not set the stride of the draws."""
+        plans = greedy_rtpd(self.INST, 2, sim_config=SimConfig(trials=2, seed=1)).plans
+        extra = {**plans, (3, 1): TeamEpochPlan.of([(99,)]), (1, 3): TeamEpochPlan.of([(2, 1, 0), (), ()])}
+        assert simulate_team_mission(extra, self.INST, 2, self.CONFIG) == simulate_team_mission(
+            plans, self.INST, 2, self.CONFIG)
