@@ -4,9 +4,11 @@
 document, and :func:`~riskplan.model.instance_from_dict` then gathers them
 into columns; on ``riskplan gen``'s output that took most of a ``solve``
 command's time.  :func:`read_instance` reads the two arrays that grow with
-an instance into numpy columns: ``packages`` with a fixed number of numpy
-passes, and each list of ids of ``per_epoch_packages`` decoded by ``json``
-on its own (:func:`_catalogs`).  ``json`` decodes the rest of the document
+an instance into numpy columns: ``packages`` a block of rows at a time,
+with a fixed number of numpy passes per block (:func:`_packages`), and each
+list of ids of ``per_epoch_packages`` decoded by ``json`` on its own
+(:func:`_catalogs`).  So the memory that reading takes beyond the file's
+bytes is its columns and the temporaries of one block or one list.  ``json`` decodes the rest of the document
 in one call, with ``[]`` in place of each array taken.
 
 It takes a document only where it can prove that the result is what
@@ -166,28 +168,33 @@ def _catalogs(data: bytes, pos: int, decoder: json.JSONDecoder):
         pos = skip(data, pos + 1).end()
 
 
-#: Bytes of a span classified per pass of :func:`_numbers`, which bounds
-#: the memory of its masks.
-_BLOCK = 1 << 18
+#: Bytes of the packages array read per block (about 5,200 of ``gen``'s
+#: rows): a block ends just after the first ``}`` this many bytes past its
+#: start, so that the scan's temporaries follow this constant, not the array.
+_PACKAGE_BLOCK = 1 << 19
+
+
+#: Bytes of a block classified per pass of :func:`_numbers`: few enough
+#: that the masks of each pass reuse freed heap memory, not fresh pages.
+_MASK_BYTES = 1 << 16
 
 
 def _numbers(span: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The start and the end of each run of number bytes in ``span``, which
-    opens and closes with a bracket: the digits, ``+ - . /``, ``e`` and
+    ends with a bracket or a brace: the digits, ``+ - . /``, ``e`` and
     ``E``, in a run that does not start with ``e`` or ``E`` (those are in
     keys such as ``"reward"``).  Every JSON number is one run; any other
     run is in no layout that :func:`_parses_as` accepts or in no number
     that :func:`_floats` reads."""
     edges, last = [], False
-    index = np.int32 if span.size < 2**31 else np.int64
-    for at in range(0, span.size, _BLOCK):
-        part = span[at:at + _BLOCK]
+    for at in range(0, span.size, _MASK_BYTES):
+        part = span[at:at + _MASK_BYTES]
         number = part - np.uint8(_PLUS) < 15
         number &= part != _COMMA
         number |= (part | 0x20) == ord("e")
         if number[0] != last:
-            edges.append(np.array([at], index))
-        change = np.flatnonzero(number[1:] != number[:-1]).astype(index)
+            edges.append([at])
+        change = np.flatnonzero(number[1:] != number[:-1])
         change += at + 1
         edges.append(change)
         last = number[-1]
@@ -199,19 +206,27 @@ def _numbers(span: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts[keep], ends[keep]
 
 
-def _layout(span: np.ndarray, gaps: list):
-    """The bytes of each kind of gap, if every gap of a kind holds the same
-    bytes; else None.  ``gaps`` holds, for each kind, where its gaps start
-    and where they end."""
-    pieces = []
-    for after, before in gaps:
-        piece = span[after[0]:before[0]].tobytes()
+def _layout(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, last: int, pieces: list) -> bool:
+    """Whether every gap before a number of a block, the first from
+    ``last`` (the end of the number before the block), holds its kind's
+    bytes.  The numbers' tokens are ``buf[starts[i]:ends[i]]``, three per
+    package.  ``pieces`` holds the bytes of each kind of gap, None until
+    the first gap of the kind sets them; the head is the array's first."""
+    opens = np.concatenate(([last], ends[:-1]))
+    head = 1 if pieces[0] is None else 0
+    gaps = [(opens[:head], starts[:head]), (opens[1::3], starts[1::3]),
+            (opens[2::3], starts[2::3]), (opens[3 * head::3], starts[3 * head::3])]
+    for kind, (after, before) in enumerate(gaps):
+        if not after.size:
+            continue
+        if pieces[kind] is None:
+            pieces[kind] = buf[after[0]:before[0]].tobytes()
+        piece = pieces[kind]
         if not (before - after == len(piece)).all():
-            return None
-        if piece and not (sliding_window_view(span, len(piece))[after] == np.frombuffer(piece, np.uint8)).all():
-            return None
-        pieces.append(piece)
-    return pieces
+            return False
+        if piece and not (sliding_window_view(buf, len(piece))[after] == np.frombuffer(piece, np.uint8)).all():
+            return False
+    return True
 
 
 def _parses_as(pieces: list, expected) -> bool:
@@ -232,41 +247,52 @@ def _packages(data: bytes, buf: np.ndarray, pos: int):
     "reward": NUM, "rho": NUM}`` and all are laid out alike.
 
     The array ends at its first ``]``, since no byte of such an array is
-    one.  Its layout is the bytes before the first id, after the last rho,
-    and between an id and its reward, a reward and its rho, and a rho and
-    the next id; two packages of zeros in that layout must parse as such."""
+    one.  It is read a block of :data:`_PACKAGE_BLOCK` bytes at a time, cut
+    just after a ``}`` so that no number is cut, into columns of one row
+    per ``}``.  Its layout is the bytes before the first id, after the last
+    rho, and between an id and its reward, a reward and its rho, and a rho
+    and the next id, each the same throughout the array; two packages of
+    zeros in that layout must parse as such."""
     end = data.find(b"]", pos) + 1
     if not end:
         return None
-    span = buf[pos:end]
-    starts, ends = _numbers(span)
-    n, extra = divmod(starts.size, 3)
-    if not n:
-        if extra or not _parses_as([span.tobytes()], []):
-            return None
-        empty = np.empty(0)
-        return PackageRecords(PackageTable(empty, empty, empty)), end
-    if extra:
-        return None
+    span = buf[pos:end]  # counted in blocks: numpy counts faster than bytes.count
+    rows = sum(int(np.count_nonzero(span[at:at + _PACKAGE_BLOCK] == ord("}")))
+               for at in range(0, span.size, _PACKAGE_BLOCK))
+    columns = np.empty(rows, np.int64), np.empty(rows), np.empty(rows)
     # Before the first id; from an id to its reward, from a reward to its
-    # rho, from a rho to the next id; after the last rho.
-    gaps = [(np.zeros(1, np.intp), starts[:1])]
-    gaps += [(ends[k:-1:3], starts[k + 1::3]) for k in range(3 if n > 1 else 2)]
-    gaps.append((ends[-1:], np.full(1, span.size)))
-    pieces = _layout(span, gaps)
-    if pieces is None:
+    # rho, from a rho to the next id.
+    pieces = [None] * 4
+    row, last, at = 0, pos, pos
+    while at < end:
+        cut = data.find(b"}", at + _PACKAGE_BLOCK, end) + 1 or end
+        starts, ends = _numbers(buf[at:cut])
+        count, extra = divmod(starts.size, 3)
+        if extra or row + count > rows:
+            return None
+        if count:
+            starts += at
+            ends += at
+            if not _layout(buf, starts, ends, last, pieces):
+                return None
+            for k, read in enumerate((_integers, _floats, _floats)):
+                values = read(buf, starts[k::3], ends[k::3])
+                if values is None:
+                    return None
+                columns[k][row:row + count] = values
+            row += count
+            last = int(ends[-1])
+        del starts, ends  # before the next block's masks
+        at = cut
+    if row != rows:
         return None
-    head, *between, tail = pieces
-    if n > 1:  # two packages, to put the gap from a rho to the next id between numbers
-        between += between[:2]
-    if not _parses_as([head, *between, tail], [_PACKAGE] * min(n, 2)):
+    head, id_reward, reward_rho, rho_id = pieces
+    layout = [head, id_reward, reward_rho] if row else []
+    if row > 1:  # two packages, to put the gap from a rho to the next id between numbers
+        layout += [rho_id, id_reward, reward_rho]
+    if not _parses_as(layout + [data[last:end]], [_PACKAGE] * min(row, 2)):
         return None
-    ids = _integers(span, starts[0::3], ends[0::3])
-    rewards = _floats(span, starts[1::3], ends[1::3])
-    rhos = None if rewards is None else _floats(span, starts[2::3], ends[2::3])
-    if ids is None or rhos is None:
-        return None
-    return PackageRecords(PackageTable(ids, rewards, rhos)), end
+    return PackageRecords(PackageTable(*columns)), end
 
 
 #: 10**k for k = 0..18, each an exact double, and its halves by Veltkamp's
@@ -277,37 +303,9 @@ _POW10_HI = _POW10 * _SPLITTER - (_POW10 * _SPLITTER - _POW10)
 _POW10_LO = _POW10 - _POW10_HI
 
 
-#: Tokens read per pass of :func:`_integers` and :func:`_floats`, which
-#: bounds the memory of their temporaries.
-_ROWS = 1 << 14
-
-
-def _blockwise(reader, span: np.ndarray, starts: np.ndarray, ends: np.ndarray, dtype):
-    """``reader(span, starts, ends)`` on :data:`_ROWS` tokens at a time,
-    joined; None if any block is."""
-    out = np.empty(starts.size, dtype)
-    for at in range(0, starts.size, _ROWS):
-        block = reader(span, starts[at:at + _ROWS], ends[at:at + _ROWS])
-        if block is None:
-            return None
-        out[at:at + _ROWS] = block
-    return out
-
-
 def _integers(span: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> Optional[np.ndarray]:
     """The integers whose tokens are ``span[starts[i]:ends[i]]``, as int64;
     None unless each is a JSON integer of at most 18 digits."""
-    return _blockwise(_integer_block, span, starts, ends, np.int64)
-
-
-def _floats(span: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> Optional[np.ndarray]:
-    """The numbers whose tokens are ``span[starts[i]:ends[i]]``, as float64
-    as ``json`` and numpy convert them; None if any token is not a JSON
-    number."""
-    return _blockwise(_float_block, span, starts, ends, np.float64)
-
-
-def _integer_block(span, starts, ends):
     decimals = _decimals(span, starts, ends)
     if decimals is None:
         return None
@@ -322,9 +320,12 @@ def _integer_block(span, starts, ends):
 _NUMBER = re.compile(rb"-?(?:0|[1-9][0-9]*)(\.[0-9]+)?([eE][-+]?[0-9]+)?")
 
 
-def _float_block(span, starts, ends):
-    """Integer tokens and decimals without an exponent in bulk; the rest,
-    and any whose double the bulk path cannot prove, one at a time."""
+def _floats(span: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> Optional[np.ndarray]:
+    """The numbers whose tokens are ``span[starts[i]:ends[i]]``, as float64
+    as ``json`` and numpy convert them; None if any token is not a JSON
+    number.  Integer tokens and decimals without an exponent are read in
+    bulk; the rest, and any whose double the bulk path cannot prove, one at
+    a time."""
     decimals = _decimals(span, starts, ends)
     if decimals is None:
         return None

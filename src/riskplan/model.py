@@ -281,8 +281,13 @@ class PackageTable(SequenceABC):
         return cls(id_col, reward_col, rho_col)
 
     @cached_property
-    def _id_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """Rows in ascending id order (equal ids in row order) and the ids in that order, read-only."""
+    def _id_index(self) -> tuple[Optional[np.ndarray], np.ndarray]:
+        """Rows in ascending id order (equal ids in row order) and the ids in
+        that order, read-only.  Strictly increasing ids, as ``gen`` writes
+        them, are their own index: no row order (None) and the id column,
+        so that a position in the index is a row."""
+        if (self.ids[1:] > self.ids[:-1]).all():
+            return None, self.ids
         order = np.argsort(self.ids, kind="stable")
         ids = self.ids[order]
         order.flags.writeable = ids.flags.writeable = False
@@ -302,7 +307,7 @@ class PackageTable(SequenceABC):
         if held is not None:
             found &= held
         out = np.full(wanted.size, -1, dtype=np.intp)
-        out[found] = order[at[found]]
+        out[found] = at[found] if order is None else order[at[found]]
         return out
 
     @cached_property
@@ -387,7 +392,8 @@ class Instance:
 
     def catalog(self, epoch: int) -> np.ndarray:
         """Ids deliverable in 1-based ``epoch``, as a sorted, read-only int64
-        array: without per-epoch catalogs, the id index's, shared by every epoch."""
+        array: without per-epoch catalogs, the id index's, shared by every
+        epoch, which is the id column itself where the ids strictly increase."""
         self.check_epoch(epoch)
         if self.per_epoch_packages is None:
             return self.packages._id_index[1]
@@ -488,7 +494,9 @@ def _package_violations(table: PackageTable) -> list[Violation]:
     # Later occurrences of a valid id: the id index keeps catalog order
     # within each run of equal ids, so all but a run's first are repeats.
     order, sorted_ids = table._id_index
-    repeats = order[1:][(sorted_ids[1:] == sorted_ids[:-1]) & (sorted_ids[1:] >= 0)]
+    repeats = np.flatnonzero((sorted_ids[1:] == sorted_ids[:-1]) & (sorted_ids[1:] >= 0)) + 1
+    if order is not None:
+        repeats = order[repeats]
 
     # (position, rank of the check, violation), sorted into catalog order
     found = [(i, 0, Violation(ViolationCode.INVALID_ID, f"package id must be a non-negative integer, got {int(ids[i])!r}"))
@@ -636,10 +644,25 @@ def canonical_sort_key(package: PackageSpec) -> tuple:
 
 def canonical_order(ids: np.ndarray, rewards: np.ndarray, gammas: np.ndarray) -> np.ndarray:
     """The permutation that puts parallel columns in canonical order: the
-    order of :func:`canonical_sort_key`, by one ``lexsort``."""
-    riskless = np.isinf(gammas)
-    # lexsort uses the last key as primary.
-    return np.lexsort((ids, np.where(riskless, -rewards, -gammas), np.where(riskless, 0, 1)))
+    order of :func:`canonical_sort_key`, for ``gammas`` as
+    :func:`gamma_values` gives them (non-negative or inf).
+
+    One sort by ``-gammas`` puts the riskless (inf) first; only the rows in
+    runs of equal keys are then sorted again, by run and then by the rest
+    of the key: ``-reward`` for the riskless, ``-gamma`` for the others
+    (a nan last), the id and the row, as a stable sort keeps equal keys."""
+    keys = -gammas
+    order = np.argsort(keys)
+    keys = keys[order]
+    tied = ~(keys[1:] > keys[:-1])  # nan, which sorts last, is tied with what is before it
+    if not tied.any():
+        return order
+    at = np.flatnonzero(np.concatenate(([False], tied)) | np.concatenate((tied, [False])))
+    run = np.cumsum(np.concatenate(([0], ~tied)))[at]
+    rows = order[at]
+    g = gammas[rows]
+    order[at] = rows[np.lexsort((rows, ids[rows], np.where(np.isinf(g), -rewards[rows], -g), run))]
+    return order
 
 
 def probability_to_distance(rho: float, phi: float) -> float:

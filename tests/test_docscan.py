@@ -44,6 +44,16 @@ def scan_limit(size: int):
 
 
 @contextmanager
+def package_block(size: int):
+    saved = docscan._PACKAGE_BLOCK
+    docscan._PACKAGE_BLOCK = size
+    try:
+        yield
+    finally:
+        docscan._PACKAGE_BLOCK = saved
+
+
+@contextmanager
 def scan_spy():
     """Record, for each document offered to the scanner, whether it took it."""
     taken = []
@@ -218,17 +228,43 @@ def instance_text(draw):
 @settings(deadline=None, max_examples=400)
 @given(text=instance_text())
 def test_scanned_documents_read_as_json_reads_them(text, tmp_path_factory):
+    check_document(text, tmp_path_factory)
+
+
+@settings(deadline=None, max_examples=200)
+@given(text=instance_text(), block=st.integers(1, 120))
+def test_scanned_documents_read_as_json_reads_them_in_small_blocks(text, block, tmp_path_factory):
+    """The same, with the packages array cut into blocks of a package or a few."""
+    with package_block(block):
+        check_document(text, tmp_path_factory)
+
+
+def check_document(text: str, tmp_path_factory):
     path = tmp_path_factory.mktemp("doc") / "instance.json"
     path.write_bytes(text.encode("utf-8"))
     event("scanned" if same_either_way(path) else "declined")
 
 
+NUMBER_TOKENS = st.lists(st.one_of(NUMBER_TEXT, ODD_TEXT.filter(lambda t: t[0] in "-0123456789")),
+                         min_size=1, max_size=40)
+
+
 @settings(deadline=None, max_examples=200)
-@given(tokens=st.lists(st.one_of(NUMBER_TEXT, ODD_TEXT.filter(lambda t: t[0] in "-0123456789")),
-                       min_size=1, max_size=40))
+@given(tokens=NUMBER_TOKENS)
 def test_numbers_of_a_compact_layout(tokens, tmp_path_factory):
     """Every reward and rho of a layout that the scanner takes, whatever
     the numbers are; it declines only where a token is not a number."""
+    check_compact_layout(tokens, tmp_path_factory)
+
+
+@settings(deadline=None, max_examples=100)
+@given(tokens=NUMBER_TOKENS, block=st.integers(1, 200))
+def test_numbers_of_a_compact_layout_in_small_blocks(tokens, block, tmp_path_factory):
+    with package_block(block):
+        check_compact_layout(tokens, tmp_path_factory)
+
+
+def check_compact_layout(tokens: list, tmp_path_factory):
     rows = ",".join(f'{{"id":{i},"reward":{t},"rho":{tokens[-1 - i]}}}' for i, t in enumerate(tokens))
     path = tmp_path_factory.mktemp("doc") / "instance.json"
     path.write_text(f'{{"theta":1,"horizon":{{"finite":2}},"packages":[{rows}]}}')
@@ -356,6 +392,63 @@ def test_compact_layout_takes_the_scan(tmp_path):
         assert same_either_way(path)
         path.write_text(json.dumps(doc, indent=1))
         assert same_either_way(path)
+
+
+@contextmanager
+def block_spy():
+    """Record the bytes of each block of the packages array that is scanned."""
+    blocks = []
+    numbers = docscan._numbers
+
+    def spy(span):
+        blocks.append(span.tobytes())
+        return numbers(span)
+
+    docscan._numbers = spy
+    try:
+        yield blocks
+    finally:
+        docscan._numbers = numbers
+
+
+def gen_document(tmp_path, n: int) -> Path:
+    path = tmp_path / "instance.json"
+    assert run_cli(["gen", "-n", str(n), "-K", "2", "--seed", "4", "-o", str(path)]) == 0
+    return path
+
+
+def test_a_layout_change_in_a_later_block_declines(tmp_path):
+    """One extra space in the last package, a block away from the layout
+    that the first block sets, sends the document to ``json``."""
+    path = gen_document(tmp_path, 40)
+    with package_block(200):
+        assert same_either_way(path)
+    text = path.read_text()
+    at = text.rindex('"reward":')
+    path.write_text(text[:at] + '"reward": ' + text[at + len('"reward":'):])
+    with package_block(200), block_spy() as blocks:
+        assert not same_either_way(path)
+    assert len(blocks) > 1
+    assert not same_either_way(path)  # as one block
+
+
+def test_a_block_that_holds_only_the_last_package(tmp_path):
+    path = gen_document(tmp_path, 30)
+    data = path.read_bytes()
+    start = data.index(b"[", data.index(b'"packages"'))
+    before_last = data.rindex(b"}", 0, data.rindex(b"}", 0, data.index(b"]", start)))
+    with package_block(before_last - start), block_spy() as blocks:
+        assert same_either_way(path)
+    assert len(blocks) == 2 and blocks[0].endswith(b"}") and blocks[1].count(b"}") == 1
+    assert blocks[1].lstrip(b", \n").startswith(b"{")
+
+
+@pytest.mark.parametrize("block", [1, 1 << 20])
+def test_a_single_package(block, tmp_path):
+    path = gen_document(tmp_path, 1)
+    with package_block(block):
+        assert same_either_way(path)
+    assert len(instance_from_dict(cli._load_json(str(path))).packages) == 1
 
 
 def test_golden_instances_take_the_scan():
@@ -653,3 +746,26 @@ def test_catalogs_load_in_bounded_memory(tmp_path):
         tracemalloc.stop()
     assert loaded == inst
     assert peak < size + 8 * ids + SLACK, (peak, size, ids)
+
+
+#: Bytes that loading a ``gen`` instance may trace beyond the file and its
+#: columns, whatever the number of packages: the scanner's temporaries for
+#: one block of rows.  1.07 MB were measured at both sizes below (2 vCPU,
+#: numpy 2.4.6), where reading every package token at once traced 2.6 MB
+#: at n=2*10**4 and 5.2 MB at n=10**5, the id index included.
+LOAD_SLACK = 2_000_000
+
+
+@pytest.mark.parametrize("n", [20_000, 100_000])
+def test_packages_load_in_bounded_memory(n, tmp_path):
+    path = tmp_path / "instance.json"
+    assert run_cli(["gen", "-n", str(n), "-K", "1000", "--seed", "1", "-o", str(path)]) == 0
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        loaded = cli._load_instance(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(loaded.packages) == n
+    assert peak < size + 24 * n + LOAD_SLACK, (peak, size, n)

@@ -419,6 +419,38 @@ class TestCatalogs:
         with pytest.raises(ValueError, match="read-only"):
             shared[0] = 9
 
+    @pytest.mark.parametrize("ids", [[0, 1, 2, 5, 9], [-7, -2, 0, 4, 11], [0, 1, 1, 3, 8], [-1, -1, 2, 2, 6]],
+                             ids=["increasing", "negative", "duplicate", "negative-duplicate"])
+    def test_increasing_ids_are_their_own_index(self, ids):
+        """Strictly increasing ids are the id index themselves, with no row
+        order, so a position in the index is a row; any other id column
+        keeps its stable argsort.  Either way every lookup and every
+        violation is what the same rows give in another order."""
+        rng = np.random.default_rng(7)
+        rewards, rhos = rng.uniform(0, 5, len(ids)), rng.choice([0.25, 0.5, 1.5], len(ids))
+        shuffle = rng.permutation(len(ids))
+        table = PackageTable(ids, rewards, rhos)
+        shuffled = PackageTable(table.ids[shuffle], rewards[shuffle], rhos[shuffle])
+        order, index = table._id_index
+        assert (order is None and index is table.ids) == all(a < b for a, b in zip(ids, ids[1:]))
+        assert shuffled._id_index[0] is not None
+
+        queries = [*ids, 3, 99, -100, 2**64]
+        found = [[t.ids[r] if r >= 0 else None for r in t.rows(queries).tolist()] for t in (table, shuffled)]
+        assert found[0] == found[1] == [q if q in ids else None for q in queries]
+        for catalogs in (None, [[ids[0], 99], ids[2:], []]):  # 99 is no package's id
+            inst, other = (Instance(theta=1.0, horizon=Horizon.finite(3), packages=t, per_epoch_packages=catalogs)
+                           for t in (table, shuffled))
+            for h in (1, 2, 3):
+                assert inst.catalog(h).tolist() == other.catalog(h).tolist()
+                wanted = np.array(queries[:-1], dtype=np.int64)
+                assert inst.in_catalog(h, wanted).tolist() == other.in_catalog(h, wanted).tolist()
+            assert sorted(map(str, validate_instance(inst))) == sorted(map(str, validate_instance(other)))
+            codes = {v.code for v in validate_instance(inst)}
+            assert (ViolationCode.UNKNOWN_PACKAGE_ID in codes) == (catalogs is not None)
+            assert (ViolationCode.DUPLICATE_ID in codes) == (len(set(ids)) < len(ids))
+            assert (ViolationCode.INVALID_ID in codes) == (ids[0] < 0)
+
     @pytest.mark.parametrize("epoch", [0, -1, 3])
     def test_an_epoch_outside_the_horizon_is_a_domain_error(self, epoch):
         """Epoch 0 once read epoch K's catalog, by Python's negative
@@ -559,6 +591,25 @@ class TestRewardToRisk:
 
 
 class TestCanonicalOrder:
+    def test_ties_are_ordered_as_one_lexsort_orders_them(self):
+        """The sort by gamma and the repair of its runs of equal keys give
+        the order of one lexsort over (class, secondary key, id), rows kept
+        in order where all three tie: on columns full of riskless packages,
+        zero rewards, rho 0, gammas that overflow to inf, repeated ids and
+        nan."""
+        rng = np.random.default_rng(557)
+        for _ in range(3000):
+            n = int(rng.integers(0, 40))
+            rewards = rng.choice([0.0, 1.0, 2.0, 3.5, 7.0, 1e308], n) if rng.random() < 0.7 else rng.uniform(0, 10, n)
+            rhos = rng.choice([0.0, 0.25, 0.5, 0.9, 1.0], n) if rng.random() < 0.7 else rng.random(n)
+            ids = rng.permutation(1000)[:n] if rng.random() < 0.8 else rng.integers(-3, 5, n)
+            gammas = gamma_values(rewards, rhos)
+            if n and rng.random() < 0.1:
+                gammas[rng.integers(0, n, 2)] = np.nan
+            riskless = np.isinf(gammas)
+            expected = np.lexsort((ids, np.where(riskless, -rewards, -gammas), np.where(riskless, 0, 1)))
+            assert canonical_order(ids, rewards, gammas).tolist() == expected.tolist()
+
     def test_riskless_first_then_gamma_desc_ties_by_id(self):
         pkgs = [
             PackageSpec(0, 1, 0.6),    # gamma = 0.9375
