@@ -5,11 +5,11 @@ document, and :func:`~riskplan.model.instance_from_dict` then gathers them
 into columns; on ``riskplan gen``'s output that took most of a ``solve``
 command's time.  :func:`read_instance` reads the two arrays that grow with
 an instance into numpy columns: ``packages`` a block of rows at a time,
-with a fixed number of numpy passes per block (:func:`_packages`), and each
-list of ids of ``per_epoch_packages`` decoded by ``json`` on its own
-(:func:`_catalogs`).  So the memory that reading takes beyond the file's
-bytes is its columns and the temporaries of one block or one list.  ``json`` decodes the rest of the document
-in one call, with ``[]`` in place of each array taken.
+with a fixed number of numpy passes per block (:func:`_packages`), and
+``per_epoch_packages`` a list of ids at a time (:func:`_catalogs`).  So
+the memory that reading takes beyond the file's bytes is its columns and
+the temporaries of one block or one list.  ``json`` decodes the rest of
+the document in one call, with ``[]`` in place of each array taken.
 
 It takes a document only where it can prove that the result is what
 ``json.loads`` followed by ``instance_from_dict`` gives, bit for bit: where
@@ -31,10 +31,9 @@ It takes a document only where it can prove that the result is what
 On any other document it returns None, and the caller parses it with
 ``json``.  The structure of ``packages`` is proved with ``json`` itself:
 those bytes, with zeros for the numbers of two packages, must parse as
-such.  That a list of ids holds only integers is proved from its bytes:
-digits, ``-``, commas, brackets and whitespace, of which no float, bool,
-null or string can be made, so ``json``'s ints go straight into an int64
-column.
+such.  That a list of ids is a JSON list of integers is proved from its
+bytes with numpy (:func:`_ids`), and ``np.fromstring`` reads them into an
+int64 column.
 
 Numbers convert as ``json`` and numpy convert them: an integer token is a
 Python int (so ``-0`` is +0.0) made a double by rounding, and a token with
@@ -59,7 +58,7 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .model import PackageRecords, PackageTable
+from .model import PackageRecords, PackageTable, _is_int64
 
 __all__ = ["read_instance"]
 
@@ -121,11 +120,14 @@ def _array_after(data: bytes, name: bytes, at: int) -> Optional[int]:
     return match and match.end() - 1
 
 
+#: JSON's whitespace.
+_JSON_WHITESPACE = b" \t\n\r"
+
 #: The bytes of a JSON list of integers.  A list holding no other byte can
 #: decode only to integers: a float needs ``.``, ``e`` or ``E``, and
 #: ``true``, ``false``, ``null``, ``NaN``, ``Infinity`` and strings need
 #: letters or ``"``.  Nor can it nest, as its one ``]`` is its last byte.
-_INT_LIST_BYTES = b"0123456789-,[] \t\n\r"
+_INT_LIST_BYTES = b"0123456789-,[]" + _JSON_WHITESPACE
 
 
 def _catalogs(data: bytes, pos: int, decoder: json.JSONDecoder):
@@ -134,10 +136,9 @@ def _catalogs(data: bytes, pos: int, decoder: json.JSONDecoder):
     it is a list of lists of integers that int64 holds.
 
     A list of ids holds no ``]``, so each list is the bytes from its ``[``
-    to the first ``]``, and ``json`` decodes it alone: the memory that grows
-    with the ids is their arrays and one list's Python ints.  A list must
-    hold only the bytes of :data:`_INT_LIST_BYTES` and decode to its last
-    byte, and only whitespace and commas may lie between lists."""
+    to the first ``]``, read alone by :func:`_ids`: the memory that grows
+    with the ids is their arrays.  Only whitespace and commas may lie
+    between lists."""
     skip = _WHITESPACE.match
     catalogs = []
     pos = skip(data, pos + 1).end()
@@ -147,16 +148,8 @@ def _catalogs(data: bytes, pos: int, decoder: json.JSONDecoder):
         close = data.find(b"]", pos) + 1
         if data[pos:pos + 1] != b"[" or not close:
             return None
-        chunk = data[pos:close]
-        if chunk.translate(None, _INT_LIST_BYTES):
-            return None
-        text = chunk.decode("ascii")
-        try:
-            ids, end = decoder.raw_decode(text)
-            if end < len(text):
-                return None
-            column = np.fromiter(ids, np.int64, count=len(ids))
-        except (ValueError, RecursionError, OverflowError):
+        column = _ids(data[pos:close], decoder)
+        if column is None:
             return None
         column.flags.writeable = False  # so that Instance keeps it without a copy
         catalogs.append(column)
@@ -166,6 +159,58 @@ def _catalogs(data: bytes, pos: int, decoder: json.JSONDecoder):
         if data[pos:pos + 1] != b",":
             return None
         pos = skip(data, pos + 1).end()
+
+
+#: The least magnitude of an id of 19 digits.  ``np.fromstring`` reads
+#: every id of fewer digits exactly, and saturates one beyond int64.
+_LONG_ID = 10**18
+
+
+def _ids(chunk: bytes, decoder: json.JSONDecoder) -> Optional[np.ndarray]:
+    """The ids of the list ``chunk``, from its ``[`` to its one ``]``, as
+    int64; None unless it is a JSON list of integers that int64 holds.
+
+    Its bytes must be those of :data:`_INT_LIST_BYTES`.  Without its
+    whitespace, a few numpy passes prove it ``[``, then numbers ``-?[0-9]+``
+    with one comma between each two, then ``]``: each byte next to a comma
+    or a bracket is a digit or a ``-``, each ``-`` starts a number and comes
+    before a digit, and no number has a leading zero.  No whitespace may lie
+    inside a number, so the list's runs of number bytes, whitespace kept,
+    are one per id.  ``np.fromstring`` then reads the ids; one of 19 digits
+    or more, which it saturates, is read again by ``decoder`` alone."""
+    if chunk.translate(None, _INT_LIST_BYTES):
+        return None
+    text = chunk.translate(None, _JSON_WHITESPACE)
+    if text == b"[]":
+        return np.empty(0, np.int64)
+    if text.find(b"[", 1) >= 0:
+        return None
+    buf = np.frombuffer(text, np.uint8)
+    digit = buf - np.uint8(_ZERO) < 10
+    minus = buf == _MINUS
+    number = digit | minus
+    # No comma or bracket is next to another; a - follows one and comes
+    # before a digit; a 0 that follows no digit comes before none.
+    if not (number[1:] | number[:-1]).all():
+        return None
+    if (minus[1:-1] & (number[:-2] | ~digit[2:])).any():
+        return None
+    if ((buf[1:-1] == _ZERO) & ~digit[:-2] & digit[2:]).any():
+        return None
+    count = buf.size - int(np.count_nonzero(number)) - 1  # the commas, plus one
+    if len(text) < len(chunk):
+        spaced = np.frombuffer(chunk, np.uint8) - np.uint8(_MINUS) < 13  # a - or a digit
+        if np.count_nonzero(spaced[1:] > spaced[:-1]) != count:
+            return None
+    ids = np.fromstring(text[1:-1], np.int64, sep=",", count=count)
+    if ids.max() >= _LONG_ID or ids.min() <= -_LONG_ID:
+        edges = np.flatnonzero(~number)  # the brackets and the commas
+        for i in np.flatnonzero((ids >= _LONG_ID) | (ids <= -_LONG_ID)).tolist():
+            value = decoder.decode(text[edges[i] + 1:edges[i + 1]].decode("ascii"))
+            if not _is_int64(value):
+                return None
+            ids[i] = value
+    return ids
 
 
 #: Bytes of the packages array read per block (about 5,200 of ``gen``'s

@@ -570,11 +570,17 @@ def _reward_overflow(rewards: np.ndarray, epochs: int) -> list[Violation]:
 
 def _unknown_catalog_ids(catalogs: tuple[np.ndarray, ...], table: PackageTable) -> list[Violation]:
     """Catalog ids that name no valid (non-negative) package id, by epoch
-    and then ascending id: one binary search of the id index per catalog."""
+    and then ascending id: one binary search of the id index per catalog.
+    Where the valid ids are consecutive, as ``gen`` writes them, a sorted
+    catalog whose ends lie among them needs none."""
     sorted_ids = table._id_index[1]
     known = sorted_ids[np.searchsorted(sorted_ids, 0):]  # negative ids sort first
+    low, high = (int(known[0]), int(known[-1])) if known.size else (0, -1)
+    consecutive = high - low == known.size - 1  # in a sorted array, so no id repeats
     out = []
     for h, catalog in enumerate(catalogs, start=1):
+        if not catalog.size or consecutive and low <= catalog[0] and catalog[-1] <= high:
+            continue
         listed = _search(known, catalog)[1]
         if not listed.all():
             out += [Violation(ViolationCode.UNKNOWN_PACKAGE_ID, f"epoch {h} references unknown package id {pkg_id}")

@@ -695,14 +695,72 @@ def load_outcome(path: Path, scan: bool):
             return ("error", type(exc).__name__, str(exc))
 
 
+#: Ids of 1 to 19 digits, of either sign, with int64's bounds, the ids just
+#: beyond them, and the two package ids of :func:`id_lists_document`.
+LIST_ID = st.one_of(
+    st.integers(1, 19).flatmap(lambda digits: st.integers(10**digits // 10, 10**digits - 1)),
+    st.sampled_from([2**63 - 1, 2**63, 10**18, 10**18 - 1]),
+).flatmap(lambda i: st.sampled_from([i, -i])) | st.sampled_from([0, 4, -2**63, -2**63 - 1])
+
+#: What may stand in a list where an id should: none is JSON.  An empty
+#: token makes ``[,1]``, ``[1,,2]`` or ``[1,]``.
+ID_FAULTS = ["007", "-07", "-", "--1", "1-2", "1 2", "- 1", ""]
+
+
+@st.composite
+def id_lists_document(draw):
+    """An instance whose ``per_epoch_packages`` are drawn lists of ids,
+    with JSON whitespace drawn at every place between tokens, and at most
+    one fault; and whether the catalog reader can take it."""
+    lists = draw(st.lists(st.lists(LIST_ID, max_size=6), min_size=1, max_size=4))
+    tokens = [[str(i) for i in ids] for ids in lists]
+    fault = draw(st.none() | st.sampled_from(ID_FAULTS))
+    if fault is not None:
+        ids = draw(st.sampled_from(tokens))
+        if fault == "" and not ids:
+            ids.append("1")
+        at = draw(st.integers(0, len(ids)))
+        ids[at:at + (fault != "")] = [fault]
+
+    def array(items):
+        if not items:
+            return "[" + draw(SPACE) + "]"
+        return "[" + "".join(draw(SPACE) + item + draw(SPACE) + "," for item in items)[:-1] + "]"
+
+    catalogs = array([array(ids) for ids in tokens])
+    text = ('{"theta": 1, "horizon": {"finite": %d}, "packages": [{"id": 0, "reward": 1, "rho": 0.5}, '
+            '{"id": 4, "reward": 2, "rho": 0.5}], "per_epoch_packages": %s}' % (len(lists), catalogs))
+    fits = fault is None and all(-2**63 <= i < 2**63 for ids in lists for i in ids)
+    return text, fits
+
+
+@settings(deadline=None, max_examples=500)
+@given(document=id_lists_document())
+def test_lists_of_ids_load_as_json_loads_them(document, tmp_path_factory):
+    """The catalog reader takes every list of ids that int64 holds, and
+    reads it as ``json`` does; a fault, or an id beyond int64, sends the
+    document to ``json``, so that it ends in ``json``'s error."""
+    text, fits = document
+    path = tmp_path_factory.mktemp("doc") / "instance.json"
+    path.write_text(text)
+    with scan_spy() as taken:
+        scanned = load_outcome(path, scan=True)
+    assert scanned == load_outcome(path, scan=False)
+    assert taken == [fits]
+    if fits:
+        read = docscan.read_instance(text.encode(), cli._unique_keys)["per_epoch_packages"]
+        assert [c.tolist() for c in read] == json.loads(text)["per_epoch_packages"]
+
+
 @pytest.mark.parametrize("catalogs", [
     "[null]", "[[0], 3]", '[{"a": 1}]', "[[[0]]]", '[[0, "1]"]]', "[[true]]", "[[0, 1.0]]", f"[[{2**63}]]",
     "[[0],]", "[[0] [1]]", "[[0]: [1]]", "[[0], [1]", '[[0], {"b": [1]}]', '[[{"a": 1, "a": 2}]]',
     "[[0, 1e2, 1]]", "[[0, -1.5, 1]]", "[[0, NaN, 1]]", "[[0, Infinity, 1]]", '[[0, "7", 1]]', "[[0, true, 1]]",
+    "[[0[1]]",
 ], ids=["null", "number", "object", "nested", "string-with-close", "true", "float", "2^63",
         "trailing-comma", "no-comma", "colon", "unclosed", "object-after-a-list", "repeated-key",
         "exponent-among-ints", "fraction-among-ints", "nan-among-ints", "infinity-among-ints",
-        "string-among-ints", "true-among-ints"])
+        "string-among-ints", "true-among-ints", "open-between-ids"])
 def test_what_the_catalog_reader_declines_loads_as_json_loads_it(catalogs, tmp_path):
     """Each of these goes to ``json``, and ``_load_instance`` ends alike
     with the reader offered the document or not."""

@@ -248,6 +248,30 @@ class TestUnknownCatalogIds:
         assert got == unknown_ids_reference(inst.per_epoch_packages, ids)
         assert len(got) >= 3
 
+    @pytest.mark.parametrize("ids", [
+        np.arange(20), np.arange(7, 27), np.delete(np.arange(21), 10), np.arange(-1, 20),
+        np.insert(np.arange(20), 10, 9), np.random.default_rng(5).permutation(20),
+    ], ids=["from-0", "from-7", "one-gap", "one-negative", "one-repeated", "shuffled"])
+    def test_the_check_of_consecutive_ids_finds_what_the_search_finds(self, ids):
+        """A catalog whose ends lie among consecutive known ids is not
+        searched; every table and catalog gives the violations that one
+        binary search per catalog gives."""
+        ids = ids.astype(np.int64)
+        known = np.sort(ids[ids >= 0])
+        low, high = int(known[0]), int(known[-1])
+        pep = [[low + 2, low + 5, high - 3], [low, high], [low], [high], [low + 10], [],
+               [low - 1, low + 3], [high - 2, high + 1], [-1, low]]
+        table = PackageTable(ids, np.ones(ids.size), np.full(ids.size, 0.5))
+        inst = Instance(theta=0.0, horizon=Horizon.finite(len(pep)), packages=table, per_epoch_packages=pep)
+        searched = []
+        for h, catalog in enumerate(inst.per_epoch_packages, start=1):
+            listed = model._search(known, catalog)[1]
+            searched += [model.Violation(ViolationCode.UNKNOWN_PACKAGE_ID, f"epoch {h} references unknown package id {i}")
+                         for i in catalog[~listed].tolist()]
+        others = validate_instance(Instance(theta=0.0, horizon=inst.horizon, packages=table))
+        assert validate_instance(inst) == others + searched
+        assert len(searched) >= 3
+
 
 class TestRewardOverflow:
     """``sum(rewards) * K`` must be a finite double (K = 1 on an infinite
