@@ -25,7 +25,7 @@ import sys
 from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -39,8 +39,10 @@ from .model import (
     UNBOUNDED,
     Horizon,
     Instance,
+    MissionPlan,
     PackageRecords,
     PackageTable,
+    _plan_ids,
     distance_to_probability,
     ensure_valid,
     instance_from_dict,
@@ -134,12 +136,15 @@ def dump_json(obj, indent: int = 0) -> str:
 
 def _json_pieces(obj, indent: int = 0):
     """:func:`dump_json`'s text in pieces: dicts and non-flat lists item by
-    item, an instance's packages in chunks of :data:`PACKAGE_CHUNK_ROWS`."""
+    item, an instance's packages in chunks of :data:`PACKAGE_CHUNK_ROWS`,
+    and a :class:`_Pieces` as its own writer gives it."""
     leaf = _leaf(obj)
     if leaf is not None:
         yield leaf
     elif isinstance(obj, PackageRecords):
         yield from _package_pieces(obj.table, indent)
+    elif isinstance(obj, _Pieces):
+        yield from obj.write(indent)
     elif isinstance(obj, dict):
         yield from _item_pieces("{", "}", ((json.dumps(str(k)) + ": ", v) for k, v in obj.items()), indent)
     else:
@@ -164,8 +169,8 @@ def _item_pieces(first: str, last: str, items, indent: int):
 
 def _leaf(obj) -> Optional[str]:
     """The whole text of a scalar, an empty container or a flat list; None
-    for a dict, an instance's packages or a list of containers, which
-    :func:`_json_pieces` writes item by item."""
+    for a dict, an instance's packages, a :class:`_Pieces` or a list of
+    containers, which :func:`_json_pieces` writes piece by piece."""
     if obj is None:
         return "null"
     if obj is UNBOUNDED:
@@ -180,6 +185,8 @@ def _leaf(obj) -> Optional[str]:
         return json.dumps(obj)
     if isinstance(obj, PackageRecords):
         return None if len(obj) else "[]"
+    if isinstance(obj, _Pieces):
+        return None
     if isinstance(obj, dict):
         return None if obj else "{}"
     if isinstance(obj, (list, tuple, np.ndarray)):
@@ -207,23 +214,133 @@ def _package_pieces(table: PackageTable, indent: int):
     A chunk is one byte matrix with a row per package: the template's bytes
     around each value's text, which :func:`coltext.int_slots` and
     :func:`coltext.float_slots` pad with NULs to the chunk's widest.  The
-    chunk's text is the matrix with its NULs deleted."""
+    chunk's text is the matrix with its NULs deleted (:func:`_rows_text`)."""
     from . import coltext
 
     pad = " " * (indent + 2)
-    head, mid, tail, end = (np.frombuffer(s.encode(), np.uint8) for s in (
+    head, mid, tail, end = map(_ascii, (
         f',\n{pad}{{\n{pad}  "id": ', f',\n{pad}  "reward": ', f',\n{pad}  "rho": ', f"\n{pad}}}"))
     for start in range(0, len(table), PACKAGE_CHUNK_ROWS):
         rows = slice(start, start + PACKAGE_CHUNK_ROWS)
         ids = coltext.int_slots(table.ids[rows])
         values = coltext.float_slots(np.concatenate((table.rewards[rows], table.rhos[rows])), _fmt_float)
         n = len(ids)
-        text = np.concatenate([np.broadcast_to(part, (n, part.shape[-1])) for part in (
-            head, ids, mid, values[:n], tail, values[n:], end)], axis=1)
-        if start == 0:
-            text[0, 0] = ord("[")  # the list opens where later rows have a comma
-        yield text.tobytes().translate(None, b"\0").decode("ascii")
+        text = _rows_text((head, ids, mid, values[:n], tail, values[n:], end))
+        # The list opens where later rows have a comma.
+        yield "[" + text[1:] if start == 0 else text
     yield "\n" + " " * indent + "]"
+
+
+def _ascii(text: str) -> np.ndarray:
+    return np.frombuffer(text.encode("ascii"), np.uint8)
+
+
+def _rows_text(parts) -> str:
+    """The text of rows laid out side by side from ``parts``: byte matrices
+    with a row per row, NUL-padded, and byte strings (1-D) that every row
+    repeats; the NULs are deleted."""
+    n = max(len(part) for part in parts if part.ndim == 2)
+    return np.concatenate([np.broadcast_to(part, (n, part.shape[-1])) for part in parts], axis=1) \
+        .tobytes().translate(None, b"\0").decode("ascii")
+
+
+class _Pieces:
+    """A JSON value whose text :func:`_json_pieces` takes from
+    ``write(indent)``, piece by piece."""
+
+    __slots__ = ("write",)
+
+    def __init__(self, write):
+        self.write = write
+
+
+#: Epochs of a finite report formatted per piece of output: a piece holds
+#: the text of at most this many values of a column, or of a run of equal
+#: epoch plans at most this many ids long (one plan, if that is longer).
+REPORT_CHUNK_EPOCHS = 1 << 14
+
+
+def _csv_float(x: float) -> str:
+    return format(x, ".17g")
+
+
+def _float_list_pieces(values: Sequence[float]):
+    """A non-empty flat list of floats, as :func:`dump_json` writes it, from
+    one :func:`coltext.float_slots` call per :data:`REPORT_CHUNK_EPOCHS`
+    values."""
+    from . import coltext
+
+    comma = _ascii(", ")
+    opening = "["
+    for start in range(0, len(values), REPORT_CHUNK_EPOCHS):
+        chunk = np.array(values[start:start + REPORT_CHUNK_EPOCHS], np.float64)
+        yield opening + _rows_text((coltext.float_slots(chunk, _fmt_float), comma))[:-2]
+        opening = ", "
+    yield "]"
+
+
+def _plan_list_pieces(plan: MissionPlan, indent: int):
+    """A finite plan's list of epoch plans, as :func:`dump_json` lays out a
+    list of flat lists of ids, each run of equal epoch plans written as one
+    item's text repeated.
+
+    One :func:`coltext.int_slots` call formats the ids of every array that
+    the epoch plans are prefixes of (:meth:`MissionPlan.prefix_columns`),
+    each id followed by ", "; an epoch's text is its array's text cut at
+    the comma after the epoch's last id."""
+    from . import coltext
+
+    arrays, sources, sizes = plan.prefix_columns()
+    arrays = [_plan_ids(ids, "epoch plan") for ids in arrays]
+    firsts = np.cumsum([0] + [ids.size for ids in arrays]).tolist()  # each array's first id
+    ids = np.concatenate(arrays)
+    if ids.size:
+        text = _rows_text((coltext.int_slots(ids), _ascii(", ")))
+        ends = np.flatnonzero(np.frombuffer(text.encode("ascii"), np.uint8) == ord(","))  # each id's comma
+    pad = ",\n" + " " * (indent + 2)
+    change = np.flatnonzero((sources[1:] != sources[:-1]) | (sizes[1:] != sizes[:-1])) + 1
+    bounds = [0, *change.tolist(), len(sizes)]
+    opened = False
+    for lo, hi in zip(bounds, bounds[1:]):
+        first, q = firsts[sources[lo]], int(sizes[lo])
+        item = pad + "[" + (text[ends[first - 1] + 2 if first else 0:ends[first + q - 1]] if q else "") + "]"
+        per_piece = max(1, REPORT_CHUNK_EPOCHS // max(q, 1))
+        for at in range(lo, hi, per_piece):
+            piece = item * min(per_piece, hi - at)
+            yield piece if opened else "[" + piece[1:]  # the list opens where later items have a comma
+            opened = True
+    yield "\n" + " " * indent + "]"
+
+
+def _finite_report_doc(report) -> dict:
+    """The JSON report of a finite solve, its columns written by
+    :func:`_float_list_pieces` and :func:`_plan_list_pieces`."""
+    return {
+        "values": _Pieces(lambda indent: _float_list_pieces(report.values)),
+        "thresholds": _Pieces(lambda indent: _float_list_pieces(report.thresholds)),
+        "total": report.total,
+        "plans": _Pieces(lambda indent: _plan_list_pieces(report.plan, indent)),
+    }
+
+
+def _csv_pieces(report) -> Iterator[str]:
+    """The per-epoch CSV report, as ``csv.writer`` writes its rows, from one
+    :func:`coltext.float_slots` call per :data:`REPORT_CHUNK_EPOCHS` rows."""
+    from . import coltext
+
+    yield "epoch,V_h,threshold,plan_size,epoch_survival\r\n"
+    sizes = report.plan.prefix_columns()[2]
+    comma, end = _ascii(","), _ascii("\r\n")
+    k = len(sizes)
+    for start in range(0, k, REPORT_CHUNK_EPOCHS):
+        stop = min(start + REPORT_CHUNK_EPOCHS, k)
+        n = stop - start
+        floats = coltext.float_slots(np.array(
+            report.values[start:stop] + report.thresholds[start:stop] + report.epoch_survivals[start:stop],
+            np.float64), _csv_float)
+        yield _rows_text((
+            coltext.int_slots(np.arange(start + 1, stop + 1, dtype=np.int64)), comma, floats[:n], comma,
+            floats[n:2 * n], comma, coltext.int_slots(sizes[start:stop]), comma, floats[2 * n:], end))
 
 
 # --- plumbing ------------------------------------------------------------------
@@ -390,34 +507,27 @@ def _checked_sim(result):
     return result
 
 
+def _same_file(a: str, b: str) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one of them names nothing yet
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
 def _cmd_solve_finite(args) -> int:
     from . import finite_solver
 
+    if args.output and args.csv and _same_file(args.output, args.csv):
+        print(f"riskplan: error: -o/--output and --csv name the same file: {args.csv}", file=sys.stderr)
+        return 64
     instance = _load_instance(args.input)
     report = finite_solver.solve_finite(instance)
     _info("solved finite horizon K=%d, n=%d, total=%g",
           instance.horizon.epochs, len(instance.packages), report.total)
-    doc = {
-        "values": list(report.values),
-        "thresholds": list(report.thresholds),
-        "total": report.total,
-        "plans": plan_to_dict(report.plan)["plans"],
-    }
-    _emit(doc, args.output)
+    _emit(_finite_report_doc(report), args.output)
     if args.csv:
-        import csv
-
         with _output_file(args.csv, open, newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "V_h", "threshold", "plan_size", "epoch_survival"])
-            for h in range(instance.horizon.epochs):
-                writer.writerow([
-                    h + 1,
-                    format(report.values[h], ".17g"),
-                    format(report.thresholds[h], ".17g"),
-                    len(report.plan.plans[h]),
-                    format(report.epoch_survivals[h], ".17g"),
-                ])
+            fh.writelines(_csv_pieces(report))
     return 0
 
 

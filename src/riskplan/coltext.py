@@ -1,11 +1,13 @@
-"""Exact text of whole columns, for writing an instance's package rows.
+"""Exact text of whole columns, for writing an instance's package rows and
+a finite solve's report.
 
 :func:`int_slots` and :func:`float_slots` write what ``str`` and
-``cli._fmt_float`` write for each value of a column, as the rows of a
-uint8 matrix padded with NULs.  Only ``riskplan gen`` writes package rows,
-so only it imports this module, on first use.  The module does not import
-``cli``: under ``python -m riskplan.cli`` that would load ``cli`` a second
-time.
+``cli._fmt_float`` (or another ``'%.17g'`` formatter) write for each value
+of a column, as the rows of a uint8 matrix padded with NULs.  ``riskplan
+gen`` (package rows) and ``riskplan solve finite`` (the report's values,
+thresholds and plans, and the CSV's columns) import this module, on first
+use; no other command loads it.  The module does not import ``cli``: under
+``python -m riskplan.cli`` that would load ``cli`` a second time.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 def _digits4() -> tuple[np.ndarray, np.ndarray]:
     """The ASCII digits of 0..9999, four to a uint32 in text order, and
     each one's trailing zeros (4 for 0000); made on first use, so that
-    commands that write no package rows do not pay for them."""
+    commands that write no columns do not pay for them."""
     k = np.arange(10_000)
     text = (k[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
     return _read_only(text.view(np.uint32).ravel(), sum(k % 10**j == 0 for j in range(1, 5)).astype(np.intp))

@@ -141,9 +141,9 @@ def _resolve_plan(plan: MissionPlan, instance: Instance) -> tuple[list[tuple[lis
         return _resolve([(h, "stationary plan", ids) for h in epochs], instance), not horizon.is_finite
     if not horizon.is_finite:
         raise HorizonMismatchError("finite plan cannot be evaluated on an infinite horizon")
-    if len(plan.plans) != horizon.epochs:
+    if plan.epochs != horizon.epochs:
         raise HorizonMismatchError(
-            f"plan has {len(plan.plans)} epochs but horizon is {horizon.epochs}")
+            f"plan has {plan.epochs} epochs but horizon is {horizon.epochs}")
     wheres = [(h, f"epoch {h} plan") for h in range(1, horizon.epochs + 1)]
     return _resolve([(h, w, _plan_ids(p, w)) for (h, w), p in zip(wheres, plan.plans)], instance), False
 

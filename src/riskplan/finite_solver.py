@@ -16,23 +16,35 @@ are non-decreasing going backwards in time, so within a run of epochs that
 share one catalog each plan is a prefix of the run's first (latest) plan.
 That plan is the catalog's members among the ``top`` packages of the whole
 order above the run's first threshold.  The run's prefix tables of survival
-and reward cover just those members, and each later plan is a shorter
-prefix, found by binary search.  ``cumprod`` and ``cumsum`` build each
+and reward cover just those members.  ``cumprod`` and ``cumsum`` build each
 prefix in order from its own entries, so these tables hold the values that
 tables over the whole catalog would.
 
-A homogeneous instance has one catalog, the whole sorted array, and each
-epoch plan is a numpy view into it: O(n log n + K log n) time and O(n + K)
-memory, even for million-package, thousand-epoch problems.  Per-epoch
-catalogs arrive as the instance's sorted int64 id arrays.  A new table is
-built only where an epoch's catalog differs from the next epoch's
-(compared as arrays), from whichever side is smaller: the ``top``
-packages are looked up in the catalog, or, once a catalog holds no more
-ids than ``top``, its rows in the package table's id index are mapped to
-canonical positions by the canonical order's inverse, made once in O(n).
-That is O(n log n + K log n) time plus ``m log n`` per distinct
-consecutive catalog, where ``m`` is the smaller of ``top`` and the
-catalog's size.  Such plans are copies of just the chosen ids.
+Consecutive epochs then share a prefix length q in runs: a length changes
+at most once per package.  Within a run of equal q the solver steps
+``V_h = c + b * V_{h+1}`` in Python floats, with the prefix's survival
+``b`` and ``c = R - theta * (1 - b)`` (``R`` its reward sum) taken once per
+run: the per-epoch expression with its association, so every value is
+what one expression per epoch gave.  The run ends at the first threshold
+that is not strictly below the gamma of the prefix's last package; one
+``searchsorted`` over the shorter prefixes then finds the next q, so ties
+at a threshold, infinite and nan thresholds resolve as the per-epoch
+binary search resolved them.  The plan records, per epoch, its run's array
+and its q (:meth:`MissionPlan.prefixes`); epoch plans are views made only
+when a caller reads :attr:`MissionPlan.plans`.
+
+A homogeneous instance has one catalog, the whole sorted array, and one
+array of plan ids: O(n log n) time plus O(K) Python float steps and
+O(log n) per change of q, and O(n + K) memory.  Per-epoch catalogs arrive
+as the instance's sorted int64 id arrays.  A new table is built only where
+an epoch's catalog differs from the next epoch's (compared as arrays), from
+whichever side is smaller: the ``top`` packages are looked up in the
+catalog, or, once a catalog holds no more ids than ``top``, its rows in the
+package table's id index are mapped to canonical positions by the
+canonical order's inverse, made once in O(n).  That adds ``m log n`` per
+distinct consecutive catalog, where ``m`` is the smaller of ``top`` and the
+catalog's size; each such table's ids, the chosen ids of the run's first
+plan, are the array its epochs' plans are prefixes of.
 """
 
 from __future__ import annotations
@@ -105,50 +117,79 @@ def solve_finite(instance: Instance) -> SolveReport:
     theta = instance.theta
     order, ids, rewards, rhos, gammas = _sorted_package_arrays(instance)
     neg_gammas = -gammas  # ascending; -inf entries (riskless packages) sort first
-    catalogs = instance.per_epoch_packages or (instance.catalog(1),) * k
+    catalogs = instance.per_epoch_packages
+    # The first epoch (0-based) of each run of equal consecutive catalogs;
+    # ``is`` settles a repeated array without a call.
+    starts = [0] if catalogs is None else [0] + [
+        h for h in range(1, k)
+        if catalogs[h] is not catalogs[h - 1] and not np.array_equal(catalogs[h], catalogs[h - 1])]
     rank = None  # each row's canonical position, for the first catalog no larger than its ``top``
 
     values = [0.0] * (k + 1)
     thresholds = [0.0] * k
     survivals = [0.0] * k
-    plans = [None] * k
-    v_next = 0.0
-    for h in range(k - 1, -1, -1):
-        catalog = catalogs[h]
-        threshold = theta + v_next
-        thresholds[h] = threshold
-        # ``is`` settles the homogeneous case (one shared array) without a call.
-        if h == k - 1 or (catalog is not catalogs[h + 1] and not np.array_equal(catalog, catalogs[h + 1])):
-            # Thresholds only grow going backwards, so every plan of this
-            # run is among the ``top`` packages above its first threshold.
-            top = int(np.searchsorted(neg_gammas, -threshold, side="left"))
-            # Ids are unique and every catalog id is known, so a catalog as
-            # large as the instance is the whole sorted array.
-            whole = catalog.size == ids.size
-            if whole:
-                at = slice(top)
-            elif catalog.size <= top:  # the catalog's ids at their canonical positions
-                if rank is None:
-                    rank = np.empty_like(order)
-                    rank[order] = np.arange(order.size)
-                at = rank[instance.packages.rows(catalog)]
-                at = np.sort(at[at < top])
-            else:  # the top packages that the catalog holds
-                at = np.flatnonzero(instance.in_catalog(h + 1, ids[:top]))
-            table_ids, table_neg_gammas = ids[at], neg_gammas[at]
-            survival, reward_sum = _prefix_tables(rewards[at], rhos[at])
-            q = table_ids.size  # the plan is the whole table
-        else:
+    arrays = [None] * len(starts)
+    sources = np.empty(k, np.intp)
+    sizes = np.empty(k, np.int64)
+    v = 0.0
+    end = k
+    for run in range(len(starts) - 1, -1, -1):  # epochs start..end-1, latest first
+        start = starts[run]
+        h = end - 1
+        threshold = theta + v
+        # Thresholds only grow going backwards, so every plan of this run
+        # is among the ``top`` packages above its first threshold.
+        top = int(np.searchsorted(neg_gammas, -threshold, side="left"))
+        catalog = None if catalogs is None else catalogs[h]
+        # Ids are unique and every catalog id is known, so a catalog as
+        # large as the instance is the whole sorted array.
+        if catalog is None or catalog.size == ids.size:
+            at = slice(top)
+        elif catalog.size <= top:  # the catalog's ids at their canonical positions
+            if rank is None:
+                rank = np.empty_like(order)
+                rank[order] = np.arange(order.size)
+            at = rank[instance.packages.rows(catalog)]
+            at = np.sort(at[at < top])
+        else:  # the top packages that the catalog holds
+            at = np.flatnonzero(instance.in_catalog(h + 1, ids[:top]))
+        table_ids, table_neg_gammas = ids[at], neg_gammas[at]
+        table_ids.flags.writeable = False  # every epoch of the run shares it
+        survival, reward_sum = _prefix_tables(rewards[at], rhos[at])
+        arrays[run] = table_ids
+        sources[start:end] = run
+        q = table_ids.size  # the run's first plan is the whole table
+        while True:
+            # Epochs h, h-1, ... keep the prefix q while the gamma of its
+            # last package stays strictly above the threshold; where that
+            # compare fails (a tie, an inf or a nan), searchsorted finds the
+            # next prefix as it did for every epoch.  b and c are this
+            # prefix's survival and constant term, so each value is the
+            # per-epoch ``R - theta*(1 - b) + b*V`` with its association.
+            b = float(survival[q])
+            c = float(reward_sum[q]) - theta * (1.0 - b)
+            gate = -float(table_neg_gammas[q - 1]) if q else 0.0
+            last = h
+            while True:
+                thresholds[h] = threshold
+                v = values[h] = c + b * v
+                h -= 1
+                if h < start:
+                    break
+                threshold = theta + v
+                if q and not gate > threshold:
+                    break
+            sizes[h + 1:last + 1] = q
+            survivals[h + 1:last + 1] = [b] * (last - h)
+            if h < start:
+                break
             q = int(np.searchsorted(table_neg_gammas[:q], -threshold, side="left"))
-        plans[h] = table_ids[:q] if whole else table_ids[:q].copy()
-        rho_bar = survivals[h] = float(survival[q])
-        values[h] = float(reward_sum[q] - theta * (1.0 - rho_bar) + rho_bar * v_next)
-        v_next = values[h]
+        end = start
 
     return SolveReport(
         values=tuple(values),
         thresholds=tuple(thresholds),
-        plan=MissionPlan.finite(plans),
+        plan=MissionPlan.prefixes(arrays, sources, sizes),
         total=values[0],
         epoch_survivals=tuple(survivals),
     )

@@ -74,8 +74,8 @@ __all__ = [
 
 #: An epoch plan is an ordered sequence of package ids, each an integer int64
 #: holds (no bools, floats or strings; :func:`_plan_ids` raises InvalidPlanError
-#: else): a tuple when hand-built, an int64 array from the finite solver (prefix
-#: views into one shared sorted-id array when every epoch has the whole catalog).
+#: else): a tuple when hand-built, an int64 array from the finite solver (a
+#: prefix view of one read-only array that a run of epochs shares).
 EpochPlan = Sequence[int]
 
 
@@ -414,38 +414,82 @@ class Instance:
         return tuple(_find_violations(self))
 
 
-@dataclass(frozen=True, eq=False)
 class MissionPlan:
     """Delivery plan for a whole mission.
 
     Exactly one of ``plans`` (one epoch plan per finite epoch) or
-    ``stationary`` (one epoch plan repeated forever) is set.  Equality is
-    intentionally disabled; compare via :meth:`as_tuples`.
+    ``stationary`` (one epoch plan repeated forever) is set.  A finite plan
+    holds each epoch's plan as a prefix of one of a few id arrays: epoch
+    ``h``'s plan (0-based) is the first ``sizes[h]`` ids of
+    ``arrays[sources[h]]`` (:meth:`prefix_columns`).  The finite solver's
+    epochs share one array per run of equal catalogs (:meth:`prefixes`); a
+    plan of one sequence per epoch (:meth:`finite`, :func:`plan_from_dict`,
+    brute force) keeps each sequence whole.  :attr:`plans` makes the epoch
+    plans each time it is read.  Equality is identity; compare via
+    :meth:`as_tuples`.
     """
 
-    plans: Optional[tuple[EpochPlan, ...]] = None
-    stationary: Optional[EpochPlan] = None
+    __slots__ = ("_arrays", "_sources", "_sizes", "_stationary")
 
-    def __post_init__(self):
-        if (self.plans is None) == (self.stationary is None):
+    def __init__(self, plans: Optional[Iterable[EpochPlan]] = None, stationary: Optional[EpochPlan] = None):
+        if (plans is None) == (stationary is None):
             raise ValueError("MissionPlan needs exactly one of plans/stationary")
+        self._arrays = None if plans is None else tuple(plans)
+        self._sources = self._sizes = None  # None: epoch h's plan is the whole of arrays[h]
+        self._stationary = stationary
 
     @classmethod
     def finite(cls, plans: Iterable[EpochPlan]) -> "MissionPlan":
-        return cls(plans=tuple(plans), stationary=None)
+        return cls(plans=plans)
+
+    @classmethod
+    def prefixes(cls, arrays: Iterable[np.ndarray], sources: np.ndarray, sizes: np.ndarray) -> "MissionPlan":
+        """The finite plan whose epoch ``h`` runs the first ``sizes[h]`` ids
+        of ``arrays[sources[h]]``."""
+        plan = cls(plans=arrays)
+        plan._sources, plan._sizes = sources, sizes
+        return plan
 
     @classmethod
     def from_stationary(cls, plan: EpochPlan) -> "MissionPlan":
-        return cls(plans=None, stationary=plan)
+        return cls(stationary=plan)
+
+    @property
+    def stationary(self) -> Optional[EpochPlan]:
+        return self._stationary
 
     @property
     def is_stationary(self) -> bool:
-        return self.stationary is not None
+        return self._stationary is not None
+
+    @property
+    def epochs(self) -> int:
+        """A finite plan's epoch count, without making its plans."""
+        return len(self._arrays if self._sources is None else self._sources)
+
+    @property
+    def plans(self) -> Optional[tuple[EpochPlan, ...]]:
+        """One plan per epoch, or None for a stationary plan: each given
+        sequence as it is, or a view of each epoch's prefix."""
+        if self._sources is None:
+            return self._arrays
+        arrays = self._arrays
+        return tuple(arrays[s][:q] for s, q in zip(self._sources.tolist(), self._sizes.tolist()))
+
+    def prefix_columns(self) -> tuple[tuple[EpochPlan, ...], np.ndarray, np.ndarray]:
+        """A finite plan's ``(arrays, sources, sizes)``: epoch ``h``'s plan
+        is ``arrays[sources[h]][:sizes[h]]``."""
+        if self._sources is None:
+            return self._arrays, np.arange(len(self._arrays)), np.array([len(p) for p in self._arrays], np.int64)
+        return self._arrays, self._sources, self._sizes
+
+    def __repr__(self):
+        return f"MissionPlan(plans={self.plans!r}, stationary={self._stationary!r})"
 
     def as_tuples(self):
         """Canonical pure-tuple form, suitable for comparison."""
-        if self.stationary is not None:
-            return ("stationary", tuple(_plan_ids(self.stationary, "stationary plan").tolist()))
+        if self._stationary is not None:
+            return ("stationary", tuple(_plan_ids(self._stationary, "stationary plan").tolist()))
         return ("plans", tuple(tuple(_plan_ids(p, "epoch plan").tolist()) for p in self.plans))
 
 

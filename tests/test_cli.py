@@ -1,4 +1,6 @@
+import csv
 import errno
+import io
 import json
 import math
 import os
@@ -20,6 +22,7 @@ from riskplan import (
     MAX_EPOCHS,
     Horizon,
     Instance,
+    MissionPlan,
     evaluate_mission,
     finite_solver,
     instance_from_dict,
@@ -1137,3 +1140,116 @@ class TestOutputFiles:
         proc = subprocess.run([sys.executable, "-m", "riskplan.cli", "gen", "-n", "6", "-K", "3", "--seed", "42",
                                "-o", "/dev/stdout"], env=env, capture_output=True)
         assert (proc.returncode, proc.stdout) == (0, expected)
+
+
+def generic_report_text(report) -> str:
+    """The finite JSON report as ``dump_json`` writes its document of
+    Python lists, as the report was written before its column writer."""
+    return dump_json({
+        "values": list(report.values),
+        "thresholds": list(report.thresholds),
+        "total": report.total,
+        "plans": [[int(i) for i in plan] for plan in report.plan.plans],
+    })
+
+
+def generic_csv_text(report) -> str:
+    """The CSV report as ``csv.writer`` writes its rows."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(["epoch", "V_h", "threshold", "plan_size", "epoch_survival"])
+    for h, plan in enumerate(report.plan.plans):
+        writer.writerow([h + 1, format(report.values[h], ".17g"), format(report.thresholds[h], ".17g"),
+                         len(plan), format(report.epoch_survivals[h], ".17g")])
+    return out.getvalue()
+
+
+def edge_report(k: int, seed: int) -> finite_solver.SolveReport:
+    """A hand-built report with the values and ids a solve seldom gives:
+    an overflowed inf, nan, -0.0, subnormals, negative and 19-digit ids
+    (``int_slots``' fallback and widest rows), and empty plans and arrays."""
+    rng = np.random.default_rng(seed)
+    floats = np.array([math.inf, math.nan, -0.0, 0.0, 5e-324, 1e-5, 0.25, 3.0, 1e16, 2.5e300, -7.5])
+    column = lambda n: tuple(rng.choice(floats, n).tolist() if rng.random() < 0.5  # noqa: E731
+                             else rng.uniform(0, 100, n).tolist())
+    edge_ids = np.array([0, 7, -1, -(2**63), 2**63 - 1, 10**18, 99], np.int64)
+    arrays = [np.empty(0, np.int64), rng.choice(edge_ids, 5), rng.integers(0, 10**6, 30),
+              rng.integers(-(2**63), 2**63 - 1, 4)]
+    sources = rng.integers(0, len(arrays), k)
+    sizes = np.array([rng.integers(0, arrays[s].size + 1) for s in sources], np.int64)
+    values = column(k + 1)
+    return finite_solver.SolveReport(values=values, thresholds=column(k),
+                                     plan=MissionPlan.prefixes(arrays, sources, sizes),
+                                     total=values[0], epoch_survivals=column(k))
+
+
+class TestFiniteReportWriter:
+    """The report and CSV columns, written by ``coltext`` a chunk of epochs
+    at a time, equal the generic writers' bytes at every chunk size."""
+
+    @staticmethod
+    def reports():
+        yield finite_solver.solve_finite(instance_from_dict(json.loads((GOLDEN / "gen_finite.json").read_text())))
+        yield finite_solver.solve_finite(
+            instance_from_dict(json.loads((GOLDEN / "per_epoch_instance.json").read_text())))
+        for k, seed in [(1, 1), (2, 2), (7, 3), (40, 4)]:
+            yield finite_solver.solve_finite(generate_instance(GeneratorSpec(n=60, epochs=k, seed=seed)))
+            yield edge_report(k, seed)
+        one = finite_solver.solve_finite(generate_instance(GeneratorSpec(n=1, epochs=1, seed=5)))
+        yield one
+        yield finite_solver.SolveReport(values=(math.inf, 0.0), thresholds=(-0.0,), total=math.inf,
+                                        plan=MissionPlan.finite([()]), epoch_survivals=(1e-300,))
+        yield finite_solver.SolveReport(values=(1.5, 1.5, 0.0), thresholds=(2.0, 2.0), total=1.5,
+                                        plan=MissionPlan.finite([(2**63 - 1, -5), ()]), epoch_survivals=(0.5, 1.0))
+
+    @pytest.mark.parametrize("chunk", [1, 3, cli.REPORT_CHUNK_EPOCHS])
+    def test_bytes_equal_the_generic_writers(self, chunk, monkeypatch):
+        monkeypatch.setattr(cli, "REPORT_CHUNK_EPOCHS", chunk)
+        for report in self.reports():
+            assert "".join(cli._json_pieces(cli._finite_report_doc(report))) == generic_report_text(report)
+            assert "".join(cli._csv_pieces(report)) == generic_csv_text(report)
+
+    def test_a_long_run_of_equal_plans_is_written_in_bounded_pieces(self, monkeypatch):
+        monkeypatch.setattr(cli, "REPORT_CHUNK_EPOCHS", 8)
+        plan = MissionPlan.prefixes([np.arange(3, dtype=np.int64)], np.zeros(20, np.intp),
+                                    np.array([3] * 12 + [0] * 8, np.int64))
+        pieces = list(cli._plan_list_pieces(plan, 2))
+        assert [piece.count("\n") for piece in pieces] == [2, 2, 2, 2, 2, 2, 8, 1]  # 2 plans of 3 ids, or 8 of 0
+        doc = {"plans": cli._Pieces(lambda indent: cli._plan_list_pieces(plan, indent))}
+        assert "".join(cli._json_pieces(doc)) == dump_json({"plans": [[0, 1, 2]] * 12 + [[]] * 8})
+
+    def test_the_command_writes_them(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "REPORT_CHUNK_EPOCHS", 3)
+        instance = generate_instance(GeneratorSpec(n=300, epochs=20, seed=8))
+        path = write_instance(tmp_path, instance_to_dict(instance))
+        code, _, _ = run(capsys, "solve", "finite", "-i", path, "-o", str(tmp_path / "r.json"),
+                         "--csv", str(tmp_path / "r.csv"))
+        assert code == 0
+        report = finite_solver.solve_finite(instance)
+        assert (tmp_path / "r.json").read_text() == generic_report_text(report) + "\n"
+        assert (tmp_path / "r.csv").read_bytes() == generic_csv_text(report).encode()
+
+
+class TestReportPaths:
+    @pytest.mark.parametrize("csv_name", ["r.json", "./sub/../r.json"])
+    def test_one_file_for_both_reports_is_refused_before_solving(self, csv_name, tmp_path, capsys, monkeypatch):
+        def never(instance):
+            raise AssertionError("solved")
+
+        monkeypatch.setattr(finite_solver, "solve_finite", never)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        path = write_instance(tmp_path, FINITE2)
+        code, out, err = run(capsys, "solve", "finite", "-i", path, "-o", "r.json", "--csv", csv_name)
+        assert (code, out) == (64, "")
+        assert err == f"riskplan: error: -o/--output and --csv name the same file: {csv_name}\n"
+        assert not (tmp_path / "r.json").exists()
+
+    def test_a_hard_link_is_the_same_file(self, tmp_path, capsys):
+        path = write_instance(tmp_path, FINITE2)
+        (tmp_path / "r.json").write_text("kept")
+        os.link(tmp_path / "r.json", tmp_path / "r.csv")
+        code, _, _ = run(capsys, "solve", "finite", "-i", path, "-o", str(tmp_path / "r.json"),
+                         "--csv", str(tmp_path / "r.csv"))
+        assert code == 64
+        assert (tmp_path / "r.json").read_text() == "kept"

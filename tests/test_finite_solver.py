@@ -244,9 +244,15 @@ class TestAgainstPerEpochLoop:
     def test_per_epoch_plans_hold_only_the_chosen_ids(self):
         inst = inst_of(0.0, 2, PackageSpec(0, 1, 0.5), PackageSpec(1, 1, 0.6), PackageSpec(2, 1, 0.7),
                        per_epoch=(frozenset({0, 2}), frozenset({1})))
-        plans = solve_finite(inst).plan.plans
-        assert [p.tolist() for p in plans] == [[2, 0], [1]]
-        assert all(isinstance(p, np.ndarray) and p.base is None for p in plans)
+        plan = solve_finite(inst).plan
+        assert [p.tolist() for p in plan.plans] == [[2, 0], [1]]
+        # Each epoch's plan is a view of its run's array, which holds the
+        # run's first plan and nothing more.
+        arrays, sources, sizes = plan.prefix_columns()
+        assert [a.tolist() for a in arrays] == [[2, 0], [1]]
+        assert sources.tolist() == [0, 1] and sizes.tolist() == [2, 1]
+        assert all(p.base is a for p, a in zip(plan.plans, arrays))
+        assert not any(a.flags.writeable for a in arrays)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32))
@@ -493,3 +499,165 @@ class TestInvariants:
                         from riskplan import MissionPlan
                         worse = evaluate_mission(MissionPlan.finite(mutated), inst).total
                         assert worse < report.total
+
+
+def searchsorted_solve(instance):
+    """(values, thresholds, epoch_survivals, plans) by the per-epoch loop that
+    run stepping replaced, kept as a reference: one ``np.searchsorted`` per
+    epoch into its run's prefix tables, and each value from numpy scalars."""
+    k = instance.horizon.epochs
+    theta = instance.theta
+    order, ids, rewards, rhos, gammas = finite_solver._sorted_package_arrays(instance)
+    neg_gammas = -gammas
+    catalogs = instance.per_epoch_packages or (instance.catalog(1),) * k
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    values, thresholds, survivals, plans = [0.0] * (k + 1), [0.0] * k, [0.0] * k, [()] * k
+    v_next = 0.0
+    for h in range(k - 1, -1, -1):
+        catalog = catalogs[h]
+        threshold = thresholds[h] = theta + v_next
+        if h == k - 1 or not np.array_equal(catalog, catalogs[h + 1]):
+            top = int(np.searchsorted(neg_gammas, -threshold, side="left"))
+            at = rank[instance.packages.rows(catalog)]
+            at = np.sort(at[at < top])
+            table_ids, table_neg_gammas = ids[at], neg_gammas[at]
+            survival, reward_sum = finite_solver._prefix_tables(rewards[at], rhos[at])
+            q = table_ids.size
+        else:
+            q = int(np.searchsorted(table_neg_gammas[:q], -threshold, side="left"))
+        plans[h] = tuple(table_ids[:q].tolist())
+        rho_bar = survivals[h] = float(survival[q])
+        values[h] = v_next = float(reward_sum[q] - theta * (1.0 - rho_bar) + rho_bar * v_next)
+    return values, thresholds, survivals, plans
+
+
+def stepped_catalogs(rng: np.random.Generator, ids: np.ndarray, k: int) -> list:
+    """Per-epoch catalogs whose neighbours are equal, differ, are empty or
+    hold one id, each about as often."""
+    catalogs = []
+    for _ in range(k):
+        kind = rng.integers(4)
+        if kind == 0 and catalogs:
+            catalogs.append(catalogs[-1])
+        elif kind == 1 or not ids.size:
+            catalogs.append(np.empty(0, np.int64))
+        elif kind == 2:
+            catalogs.append(rng.choice(ids, 1))
+        else:
+            catalogs.append(ids[rng.random(ids.size) < 0.6])
+    return catalogs
+
+
+def run_instance(rng: np.random.Generator, k: int, per_epoch: bool, ties: bool) -> Instance:
+    """Up to 40 packages over K epochs.  With ``ties``, rewards and rhos
+    come from small sets, so that gammas tie, and theta is 0 or a package's
+    gamma; either way about one package in ten is riskless and one in ten
+    has zero reward."""
+    n = int(rng.integers(0, 41))
+    ids = rng.choice(10**6, n, replace=False).astype(np.int64)
+    if ties:
+        rewards, rhos = rng.choice([0.0, 1.0, 2.5, 6.0], n), rng.choice([0.0, 0.5, 0.9, 1.0], n)
+    else:
+        rewards, rhos = rng.uniform(0.0, 10.0, n), rng.uniform(0.0, 1.0, n)
+        rhos[rng.random(n) < 0.1] = 1.0
+        rewards[rng.random(n) < 0.1] = 0.0
+    gammas = model.gamma_values(rewards, rhos)
+    finite_gammas = gammas[np.isfinite(gammas)]
+    theta = float(rng.choice(np.concatenate(([0.0], finite_gammas)))) if ties else float(rng.uniform(0.0, 5.0))
+    packages = model.PackageTable(ids, rewards, rhos)
+    return Instance(theta=theta, horizon=Horizon.finite(k), packages=packages,
+                    per_epoch_packages=stepped_catalogs(rng, ids, k) if per_epoch else None)
+
+
+def gate_tie_instance(rng: random.Random):
+    """A homogeneous instance, and an epoch h (0-based) whose threshold
+    equals, bit for bit, the gamma of the last package of epoch h + 1's
+    plan, so that run stepping's compare sees the tie; None if the search
+    over theta's bit patterns finds no exact tie.  A threshold rises with
+    theta, so a binary search over the bits finds the least theta whose
+    threshold reaches that gamma."""
+    base = make_instance(rng.randrange(2**31), n=rng.randint(2, 6), k=rng.randint(2, 4))
+    _, _, _, plans = searchsorted_solve(base)
+    h = rng.randrange(base.horizon.epochs - 1)
+    if not plans[h + 1]:
+        return None
+    gamma = reward_to_risk(package_of(base, plans[h + 1][-1]))
+    if not math.isfinite(gamma):
+        return None
+
+    def threshold(bits):
+        inst = Instance(theta=float(np.int64(bits).view(np.float64)), horizon=base.horizon, packages=base.packages)
+        return searchsorted_solve(inst)[1][h], inst
+
+    low, high = 0, int(np.float64(gamma).view(np.int64))  # theta = gamma puts the threshold above it
+    while low < high:
+        mid = (low + high) // 2
+        if threshold(mid)[0] < gamma:
+            low = mid + 1
+        else:
+            high = mid
+    reached, inst = threshold(low)
+    if reached != gamma or plans[h + 1][-1] not in searchsorted_solve(inst)[3][h + 1]:
+        return None
+    return inst, h
+
+
+class TestRunStepping:
+    """``solve_finite`` steps each run of equal plans in Python floats; every
+    number and plan equals :func:`searchsorted_solve`'s, with ``==``."""
+
+    @staticmethod
+    def check(inst):
+        values, thresholds, survivals, plans = searchsorted_solve(inst)
+        report = solve_finite(inst)
+        assert report.values == tuple(values)
+        assert report.thresholds == tuple(thresholds)
+        assert report.epoch_survivals == tuple(survivals)
+        assert report.plan.as_tuples() == ("plans", tuple(plans))
+        assert report.total == values[0]
+
+    @pytest.mark.parametrize("ties", [False, True], ids=["random", "ties"])
+    @pytest.mark.parametrize("per_epoch", [False, True], ids=["homogeneous", "per-epoch"])
+    def test_equal_to_the_per_epoch_loop(self, per_epoch, ties):
+        rng = np.random.default_rng(20261022 + 2 * per_epoch + ties)
+        for k in [1, 2, 3, 5, 10, 40, 100, 1000, 10**4]:
+            for _ in range(30 if k <= 100 else 2):
+                self.check(run_instance(rng, k, per_epoch, ties))
+
+    def test_thresholds_exactly_on_a_gamma(self):
+        rng = random.Random(20261023)
+        found = 0
+        for _ in range(400):
+            tie = gate_tie_instance(rng)
+            if tie is not None:
+                inst, h = tie
+                found += 1
+                self.check(inst)
+                report = solve_finite(inst)
+                assert len(report.plan.plans[h]) < len(report.plan.plans[h + 1])
+        assert found >= 10
+
+    def test_runs_share_their_arrays(self):
+        inst = Instance(theta=0.5, horizon=Horizon.finite(1000), packages=tuple(
+            PackageSpec(i, 1.0 + i, 0.5 + 0.04 * i) for i in range(10)))
+        arrays, sources, sizes = solve_finite(inst).plan.prefix_columns()
+        assert len(arrays) == 1 and set(sources.tolist()) == {0}
+        assert sizes.tolist() == [len(p) for p in solve_finite(inst).plan.plans]
+        assert 1 < len(set(sizes.tolist())) <= 10
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_thresholds_searchsorted_orders_last(self, theta, monkeypatch):
+        """With validation bypassed, a nan threshold keeps every package, as
+        ``searchsorted`` orders nan last, and an infinite one none, riskless
+        packages included; so do the overflowing values of huge rewards."""
+        monkeypatch.setattr(finite_solver, "ensure_valid", lambda instance: instance)
+        packages = (PackageSpec(0, 1e308, 1.0), PackageSpec(1, 1e308, 0.9), PackageSpec(2, 3.0, 0.5))
+        for inst in (inst_of(theta, 4, *packages), inst_of(0.0, 4, *packages)):
+            with np.errstate(over="ignore"):  # the prefix sums of rewards overflow
+                values, thresholds, survivals, plans = searchsorted_solve(inst)
+                report = solve_finite(inst)
+            assert bits(report.values) == bits(values)
+            assert bits(report.thresholds) == bits(thresholds)
+            assert bits(report.epoch_survivals) == bits(survivals)
+            assert report.plan.as_tuples() == ("plans", tuple(plans))

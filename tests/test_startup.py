@@ -54,7 +54,7 @@ print(json.dumps([code, gc.get_freeze_count()]))
 LOADS = {
     "gen": {"coltext"},
     "convert": set(),
-    "solve finite": {"finite_solver"},
+    "solve finite": {"finite_solver", "coltext"},
     "solve infinite": {"infinite_solver"},
     "simulate": {"oracle_sim", "expectation"},
     "oracle": {"oracle_sim", "expectation"},
