@@ -42,7 +42,6 @@ from .model import (
     MissionPlan,
     PackageRecords,
     PackageTable,
-    _plan_ids,
     distance_to_probability,
     ensure_valid,
     instance_from_dict,
@@ -281,8 +280,8 @@ def _float_list_pieces(values: Sequence[float]):
 
 def _plan_list_pieces(plan: MissionPlan, indent: int):
     """A finite plan's list of epoch plans, as :func:`dump_json` lays out a
-    list of flat lists of ids, each run of equal epoch plans written as one
-    item's text repeated.
+    list of flat lists of ids, each run of epochs with one plan
+    (:meth:`MissionPlan.runs`) written as one item's text repeated.
 
     One :func:`coltext.int_slots` call formats the ids of every array that
     the epoch plans are prefixes of (:meth:`MissionPlan.prefix_columns`),
@@ -291,17 +290,14 @@ def _plan_list_pieces(plan: MissionPlan, indent: int):
     from . import coltext
 
     arrays, sources, sizes = plan.prefix_columns()
-    arrays = [_plan_ids(ids, "epoch plan") for ids in arrays]
     firsts = np.cumsum([0] + [ids.size for ids in arrays]).tolist()  # each array's first id
     ids = np.concatenate(arrays)
     if ids.size:
         text = _rows_text((coltext.int_slots(ids), _ascii(", ")))
         ends = np.flatnonzero(np.frombuffer(text.encode("ascii"), np.uint8) == ord(","))  # each id's comma
     pad = ",\n" + " " * (indent + 2)
-    change = np.flatnonzero((sources[1:] != sources[:-1]) | (sizes[1:] != sizes[:-1])) + 1
-    bounds = [0, *change.tolist(), len(sizes)]
     opened = False
-    for lo, hi in zip(bounds, bounds[1:]):
+    for lo, hi in plan.runs():
         first, q = firsts[sources[lo]], int(sizes[lo])
         item = pad + "[" + (text[ends[first - 1] + 2 if first else 0:ends[first + q - 1]] if q else "") + "]"
         per_piece = max(1, REPORT_CHUNK_EPOCHS // max(q, 1))

@@ -16,13 +16,13 @@ acceptable semantics - an astronomically risky tail is worthless.
 
 Plan ids become package values in one place, :func:`_resolve` (one binary
 search of the id index per call): :func:`_resolve_plan` for a mission plan,
-:func:`_resolve_epoch` for one epoch's plans (an ``evaluate_epoch`` plan, a
-brute-force catalog, or a team plan's tours, all in one call).  The
-simulator, brute force and the team module share it with the evaluator, so
-each plan fault raises the same error everywhere.  Every id, in a plan, an
-``evaluate_epoch`` plan or a tour, must be an integer that int64 holds (no
-bools, floats or strings), else :class:`InvalidPlanError` as in
-:func:`riskplan.model.plan_from_dict`.
+one entry per run of epochs with one plan, and :func:`_resolve_epoch` for
+one epoch's plans (an ``evaluate_epoch`` plan, a brute-force catalog, or a
+team plan's tours, all in one call).  The simulator, brute force and the
+team module share it with the evaluator, so each plan fault raises the same
+error everywhere.  Every id must be an integer that int64 holds (no bools,
+floats or strings), else :class:`InvalidPlanError` as in
+:func:`riskplan.model.plan_from_dict`; a mission plan's are read when it is made.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from .model import (
     MissionPlan,
     _plan_ids,
     _UnboundedType,
+    check_epoch_limit,
 )
 
 __all__ = [
@@ -127,25 +128,26 @@ def _resolve_epoch(plans: Sequence[EpochPlan], instance: Instance,
     return _resolve([(epoch, where, _plan_ids(plan, where)) for plan in plans], instance)
 
 
-def _resolve_plan(plan: MissionPlan, instance: Instance) -> tuple[list[tuple[list[float], list[float]]], bool]:
-    """Each epoch's (rewards, rhos) in plan order; True if stationary.
-
-    A stationary plan on a finite horizon is expanded to one copy per
-    epoch.  A finite plan must match a finite horizon epoch for epoch, and
-    each epoch's ids must lie in that epoch's catalog.
-    """
-    horizon = instance.horizon
-    if plan.is_stationary:
-        ids = _plan_ids(plan.stationary, "stationary plan")
-        epochs = range(1, horizon.epochs + 1) if horizon.is_finite else [None]
-        return _resolve([(h, "stationary plan", ids) for h in epochs], instance), not horizon.is_finite
+def _resolve_plan(plan: MissionPlan, instance: Instance) -> tuple[list[tuple[list[float], list[float]]], list[int], bool]:
+    """Each run's (rewards, rhos) in plan order, each run's epoch count, and
+    True if stationary.  A run (:meth:`MissionPlan.runs`) is resolved
+    as its first epoch's plan; a stationary plan on a finite horizon is one
+    run, and with per-epoch catalogs each epoch is one.  A finite plan must
+    match a finite horizon epoch for epoch."""
+    horizon, stationary = instance.horizon, plan.is_stationary
     if not horizon.is_finite:
-        raise HorizonMismatchError("finite plan cannot be evaluated on an infinite horizon")
-    if plan.epochs != horizon.epochs:
-        raise HorizonMismatchError(
-            f"plan has {plan.epochs} epochs but horizon is {horizon.epochs}")
-    wheres = [(h, f"epoch {h} plan") for h in range(1, horizon.epochs + 1)]
-    return _resolve([(h, w, _plan_ids(p, w)) for (h, w), p in zip(wheres, plan.plans)], instance), False
+        if not stationary:
+            raise HorizonMismatchError("finite plan cannot be evaluated on an infinite horizon")
+        return _resolve([(None, "stationary plan", plan.stationary)], instance), [1], True
+    k = horizon.epochs
+    arrays, sources, sizes = plan.prefix_columns()
+    if not stationary and len(sizes) != k:
+        raise HorizonMismatchError(f"plan has {len(sizes)} epochs but horizon is {k}")
+    every_epoch = instance.per_epoch_packages is not None  # each epoch checked against its own catalog
+    runs = [(h, h + 1) for h in range(k)] if every_epoch else [(0, k)] if stationary else plan.runs()
+    entries = [(h + 1, "stationary plan", plan.stationary) if stationary else
+               (h + 1, f"epoch {h + 1} plan", arrays[sources[h]][:sizes[h]]) for h, _ in runs]
+    return _resolve(entries, instance), [end - h for h, end in runs], False
 
 
 def _fold_epoch(rewards: list[float], rhos: list[float], theta: float) -> EpochEvaluation:
@@ -202,13 +204,14 @@ def _finite_total(evals: list[EpochEvaluation]) -> tuple[float, tuple[float, ...
 def evaluate_mission(plan: MissionPlan, instance: Instance) -> MissionEvaluation:
     """Evaluate a mission plan against an instance.
 
-    Finite plans must match a finite horizon epoch-for-epoch.  Stationary
-    plans on an infinite horizon use the geometric closed form
-    ``E / (1 - rho_bar)``; on a finite horizon they are expanded to one
-    identical plan per epoch.
+    Finite plans must match a finite horizon of at most ``MAX_EPOCHS``
+    epochs epoch-for-epoch; each run of epochs with one plan is folded once.
+    Stationary plans on an infinite horizon use the geometric closed form
+    ``E / (1 - rho_bar)``; on a finite horizon they run in every epoch.
     """
-    epochs, stationary = _resolve_plan(plan, instance)
-    evals = [_fold_epoch(rewards, rhos, instance.theta) for rewards, rhos in epochs]
+    check_epoch_limit(instance)
+    runs, counts, stationary = _resolve_plan(plan, instance)
+    evals = [_fold_epoch(rewards, rhos, instance.theta) for rewards, rhos in runs]
     if stationary:
         ev = evals[0]
         if ev.epoch_survival == 1.0:
@@ -217,6 +220,7 @@ def evaluate_mission(plan: MissionPlan, instance: Instance) -> MissionEvaluation
         else:
             total = ev.expected_reward / (1.0 - ev.epoch_survival)
         return MissionEvaluation(epoch_evals=(ev,), survival_to_epoch=(1.0,), total=total)
+    evals = [ev for ev, count in zip(evals, counts) for _ in range(count)]  # one per epoch
     total, survivals = _finite_total(evals)
     return MissionEvaluation(epoch_evals=tuple(evals), survival_to_epoch=survivals, total=total)
 

@@ -30,8 +30,8 @@ that is not strictly below the gamma of the prefix's last package; one
 ``searchsorted`` over the shorter prefixes then finds the next q, so ties
 at a threshold, infinite and nan thresholds resolve as the per-epoch
 binary search resolved them.  The plan records, per epoch, its run's array
-and its q (:meth:`MissionPlan.prefixes`); epoch plans are views made only
-when a caller reads :attr:`MissionPlan.plans`.
+and its q (:meth:`MissionPlan.prefixes`), which every reader takes run by
+run; :attr:`MissionPlan.plans` makes epoch plans as views when it is read.
 
 A homogeneous instance has one catalog, the whole sorted array, and one
 array of plan ids: O(n log n) time plus O(K) Python float steps and

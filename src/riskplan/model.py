@@ -74,8 +74,7 @@ __all__ = [
 
 #: An epoch plan is an ordered sequence of package ids, each an integer int64
 #: holds (no bools, floats or strings; :func:`_plan_ids` raises InvalidPlanError
-#: else): a tuple when hand-built, an int64 array from the finite solver (a
-#: prefix view of one read-only array that a run of epochs shares).
+#: else).  A :class:`MissionPlan` holds its plans as int64 arrays.
 EpochPlan = Sequence[int]
 
 
@@ -213,12 +212,13 @@ def _column(raw: Sequence, dtype, fast_types: set, accepts) -> tuple[Optional[np
     return np.array(raw, dtype=dtype), []
 
 
-def _check_id_list(raw, where: str) -> None:
-    """TypeError unless ``raw`` is a list of ids (or an int64 array, as
-    docscan reads them), not a string or an object that would iterate as
+def _check_id_list(raw, where: str):
+    """``raw``, if it is a list of ids (or an int64 array, as docscan reads
+    them), else TypeError: not a string or an object that would iterate as
     characters or keys."""
     if not (isinstance(raw, list) or isinstance(raw, np.ndarray) and raw.dtype == np.int64):
         raise TypeError(f"{where} must be a list of ids, got {type(raw).__name__}")
+    return raw
 
 
 def _search(sorted_ids: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -418,25 +418,31 @@ class MissionPlan:
     """Delivery plan for a whole mission.
 
     Exactly one of ``plans`` (one epoch plan per finite epoch) or
-    ``stationary`` (one epoch plan repeated forever) is set.  A finite plan
-    holds each epoch's plan as a prefix of one of a few id arrays: epoch
-    ``h``'s plan (0-based) is the first ``sizes[h]`` ids of
-    ``arrays[sources[h]]`` (:meth:`prefix_columns`).  The finite solver's
-    epochs share one array per run of equal catalogs (:meth:`prefixes`); a
-    plan of one sequence per epoch (:meth:`finite`, :func:`plan_from_dict`,
-    brute force) keeps each sequence whole.  :attr:`plans` makes the epoch
-    plans each time it is read.  Equality is identity; compare via
-    :meth:`as_tuples`.
+    ``stationary`` (one epoch plan repeated forever) is set, and its ids
+    are read (:func:`_plan_ids`) when the plan is made.  Epoch ``h``'s plan
+    (0-based) is the first ``sizes[h]`` ids of ``arrays[sources[h]]``
+    (:meth:`prefix_columns`): the solver's epochs share one array per run
+    of equal catalogs (:meth:`prefixes`), given plans one per run of equal
+    neighbours.  :attr:`plans` makes the epoch plans each time it is read.
+    Equality is identity; compare via :meth:`as_tuples`.
     """
 
-    __slots__ = ("_arrays", "_sources", "_sizes", "_stationary")
+    __slots__ = ("_arrays", "_sources", "_sizes")
 
     def __init__(self, plans: Optional[Iterable[EpochPlan]] = None, stationary: Optional[EpochPlan] = None):
         if (plans is None) == (stationary is None):
             raise ValueError("MissionPlan needs exactly one of plans/stationary")
-        self._arrays = None if plans is None else tuple(plans)
-        self._sources = self._sizes = None  # None: epoch h's plan is the whole of arrays[h]
-        self._stationary = stationary
+        if stationary is not None:  # the one form without sources
+            self._arrays, self._sources, self._sizes = (_plan_ids(stationary, "stationary plan"),), None, None
+            return
+        arrays, sources, sizes = [], [], []
+        for h, raw in enumerate(plans, start=1):
+            ids = _plan_ids(raw, f"epoch {h} plan")
+            if not (sizes and ids.size == sizes[-1] and ids.tobytes() == arrays[-1].tobytes()):
+                arrays.append(ids)  # else the epoch shares the array of the epoch before
+            sources.append(len(arrays) - 1)
+            sizes.append(ids.size)
+        self._arrays, self._sources, self._sizes = tuple(arrays), np.array(sources, np.intp), np.array(sizes, np.int64)
 
     @classmethod
     def finite(cls, plans: Iterable[EpochPlan]) -> "MissionPlan":
@@ -445,9 +451,9 @@ class MissionPlan:
     @classmethod
     def prefixes(cls, arrays: Iterable[np.ndarray], sources: np.ndarray, sizes: np.ndarray) -> "MissionPlan":
         """The finite plan whose epoch ``h`` runs the first ``sizes[h]`` ids
-        of ``arrays[sources[h]]``."""
-        plan = cls(plans=arrays)
-        plan._sources, plan._sizes = sources, sizes
+        of ``arrays[sources[h]]``, int64 arrays as the solver makes them."""
+        plan = cls.__new__(cls)
+        plan._arrays, plan._sources, plan._sizes = tuple(arrays), sources, sizes
         return plan
 
     @classmethod
@@ -455,42 +461,39 @@ class MissionPlan:
         return cls(stationary=plan)
 
     @property
-    def stationary(self) -> Optional[EpochPlan]:
-        return self._stationary
+    def stationary(self) -> Optional[np.ndarray]:
+        return self._arrays[0] if self.is_stationary else None
 
     @property
     def is_stationary(self) -> bool:
-        return self._stationary is not None
+        return self._sources is None
 
     @property
-    def epochs(self) -> int:
-        """A finite plan's epoch count, without making its plans."""
-        return len(self._arrays if self._sources is None else self._sources)
+    def plans(self) -> Optional[tuple[np.ndarray, ...]]:
+        """A view of each epoch's plan, or None for a stationary plan."""
+        if self.is_stationary:
+            return None
+        return tuple(self._arrays[s][:q] for s, q in zip(self._sources.tolist(), self._sizes.tolist()))
 
-    @property
-    def plans(self) -> Optional[tuple[EpochPlan, ...]]:
-        """One plan per epoch, or None for a stationary plan: each given
-        sequence as it is, or a view of each epoch's prefix."""
-        if self._sources is None:
-            return self._arrays
-        arrays = self._arrays
-        return tuple(arrays[s][:q] for s, q in zip(self._sources.tolist(), self._sizes.tolist()))
-
-    def prefix_columns(self) -> tuple[tuple[EpochPlan, ...], np.ndarray, np.ndarray]:
-        """A finite plan's ``(arrays, sources, sizes)``: epoch ``h``'s plan
-        is ``arrays[sources[h]][:sizes[h]]``."""
-        if self._sources is None:
-            return self._arrays, np.arange(len(self._arrays)), np.array([len(p) for p in self._arrays], np.int64)
+    def prefix_columns(self) -> tuple[tuple[np.ndarray, ...], Optional[np.ndarray], Optional[np.ndarray]]:
+        """``(arrays, sources, sizes)``: epoch ``h``'s plan is
+        ``arrays[sources[h]][:sizes[h]]``; a stationary plan's is ``((ids,), None, None)``."""
         return self._arrays, self._sources, self._sizes
 
+    def runs(self) -> list[tuple[int, int]]:
+        """A finite plan's runs of epochs with one (source, size), each as
+        its first epoch and the epoch after its last (0-based)."""
+        starts = np.flatnonzero(np.diff(self._sources, prepend=-1) | np.diff(self._sizes, prepend=-1)).tolist()
+        return list(zip(starts, [*starts[1:], len(self._sizes)]))
+
     def __repr__(self):
-        return f"MissionPlan(plans={self.plans!r}, stationary={self._stationary!r})"
+        return f"MissionPlan(plans={self.plans!r}, stationary={self.stationary!r})"
 
     def as_tuples(self):
         """Canonical pure-tuple form, suitable for comparison."""
-        if self._stationary is not None:
-            return ("stationary", tuple(_plan_ids(self._stationary, "stationary plan").tolist()))
-        return ("plans", tuple(tuple(_plan_ids(p, "epoch plan").tolist()) for p in self.plans))
+        if self.is_stationary:
+            return ("stationary", tuple(self.stationary.tolist()))
+        return ("plans", tuple(tuple(p.tolist()) for p in self.plans))
 
 
 class ViolationCode(str, enum.Enum):
@@ -829,33 +832,28 @@ def instance_from_dict(doc: dict) -> Instance:
 
 def plan_to_dict(plan: MissionPlan) -> dict:
     if plan.is_stationary:
-        return {"stationary": _plan_ids(plan.stationary, "stationary plan").tolist()}
-    return {"plans": [_plan_ids(epoch, "epoch plan").tolist() for epoch in plan.plans]}
+        return {"stationary": plan.stationary.tolist()}
+    return {"plans": [epoch.tolist() for epoch in plan.plans]}
 
 
 def plan_from_dict(doc: dict) -> MissionPlan:
     """A plan from its document, which holds exactly one of ``plans`` and
-    ``stationary``; each is a list of ids, held as :func:`_plan_ids` arrays."""
+    ``stationary``; each is a list of ids, read as :class:`MissionPlan` reads them."""
     try:
         if not isinstance(doc, dict):  # a string holds "plans" as a substring
             raise TypeError(f"plan document must be an object, got {type(doc).__name__}")
         if "plans" in doc and "stationary" in doc:
             raise InvalidPlanError("plan document holds both 'plans' and 'stationary'; a plan is one or the other")
         if "stationary" in doc:
-            return MissionPlan.from_stationary(_document_plan_ids(doc["stationary"], "stationary plan"))
+            return MissionPlan.from_stationary(_check_id_list(doc["stationary"], "stationary plan"))
         if "plans" in doc:
             plans = doc["plans"]
             if not isinstance(plans, list):
                 raise TypeError(f"plans must be a list of epoch plans, got {type(plans).__name__}")
-            return MissionPlan.finite(_document_plan_ids(epoch, f"epoch {h} plan") for h, epoch in enumerate(plans, start=1))
+            return MissionPlan.finite(_check_id_list(epoch, f"epoch {h} plan") for h, epoch in enumerate(plans, start=1))
     except TypeError as exc:
         raise InvalidPlanError(f"malformed plan document: {exc}") from exc
     raise HorizonMismatchError("plan document needs a 'plans' or 'stationary' key")
-
-
-def _document_plan_ids(raw, where: str) -> np.ndarray:
-    _check_id_list(raw, where)  # a document's plans are lists
-    return _plan_ids(raw, where)
 
 
 def _plan_ids(raw: EpochPlan, where: str) -> np.ndarray:

@@ -394,23 +394,22 @@ def simulate_mission(plan: MissionPlan, instance: Instance, config: SimConfig) -
     """
     ensure_valid(instance)
     check_epoch_limit(instance)
-    epochs, stationary = _resolve_plan(plan, instance)
-    rewards = [r for epoch_rewards, _ in epochs for r in epoch_rewards]
-    thresholds = _leg_thresholds([rho for _, rhos in epochs for rho in rhos])
+    runs, counts, stationary = _resolve_plan(plan, instance)
+    rewards = np.concatenate([np.tile(run_rewards, count) for (run_rewards, _), count in zip(runs, counts)])
+    thresholds = _leg_thresholds(np.concatenate([np.tile(rhos, count) for (_, rhos), count in zip(runs, counts)]))
 
     truncation_bias = 0.0
     if stationary:
-        if not rewards:
+        if not rewards.size:
             return SimResult(mean=0.0, std_error=0.0, per_epoch_survival_freq=(1.0,))
-        truncation_bias = _truncation_bias(*epochs[0], instance.theta)
-        ends = thresholds.size * np.arange(1, STATIONARY_EPOCH_CAP + 1)
-    else:
-        ends = np.cumsum([2 * len(epoch_rewards) for epoch_rewards, _ in epochs])
+        truncation_bias = _truncation_bias(*runs[0], instance.theta)
+        counts = [STATIONARY_EPOCH_CAP]  # the plan's legs, once per epoch up to the cap
+    ends = np.cumsum(np.repeat([2 * len(run_rewards) for run_rewards, _ in runs], counts))
     legs = int(ends[-1])
 
     first = np.concatenate([_failed_legs(keys, 0, thresholds, legs) for keys in _pass_keys(config)])
     delivered = (first + 1) // 2
-    won = np.array(rewards)[np.arange(delivered.max()) % len(rewards)]  # cycled on a stationary plan
+    won = rewards[np.arange(delivered.max()) % rewards.size]  # cycled on a stationary plan
     with np.errstate(over="ignore"):  # as silent as float arithmetic
         prefix = np.cumsum(np.concatenate(([0.0], won)))
     totals = prefix[delivered]

@@ -63,6 +63,19 @@ def random_mission_plan(rng: random.Random, instance: Instance) -> MissionPlan:
     return MissionPlan.finite(plans)
 
 
+def random_run_plan(rng: random.Random, instance: Instance) -> MissionPlan:
+    """A finite plan whose epochs fall into runs of random length, each
+    run repeating one epoch plan of the ids that all its epochs' catalogs
+    hold."""
+    k = instance.horizon.epochs
+    plans = []
+    while len(plans) < k:
+        run = range(len(plans) + 1, min(k, len(plans) + rng.randint(1, k)) + 1)
+        common = set.intersection(*(set(instance.allowed_ids(h)) for h in run))
+        plans += [random_epoch_plan(rng, sorted(common))] * len(run)
+    return MissionPlan.finite(plans)
+
+
 def with_horizon(instance: Instance, horizon: Horizon) -> Instance:
     return Instance(
         theta=instance.theta,

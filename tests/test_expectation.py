@@ -260,9 +260,10 @@ ID_RULE_ENTRY_POINTS = {
         "stationary plan", lambda p: evaluate_mission(MissionPlan.from_stationary(p), ID_RULE_FINITE)),
     "simulate_mission": ("epoch 1 plan", lambda p: simulate_mission(
         MissionPlan.finite([p, ()]), ID_RULE_FINITE, SimConfig(trials=16, seed=5))),
-    "plan_to_dict": ("epoch plan", lambda p: plan_to_dict(MissionPlan.finite([p, ()]))),
+    # A MissionPlan reads its ids when it is made, naming the epoch.
+    "plan_to_dict": ("epoch 1 plan", lambda p: plan_to_dict(MissionPlan.finite([p, ()]))),
     "plan_to_dict(stationary)": ("stationary plan", lambda p: plan_to_dict(MissionPlan.from_stationary(p))),
-    "as_tuples": ("epoch plan", lambda p: MissionPlan.finite([(), p]).as_tuples()),
+    "as_tuples": ("epoch 2 plan", lambda p: MissionPlan.finite([(), p]).as_tuples()),
     "TeamEpochPlan.of": ("agent 1 tour", lambda p: TeamEpochPlan.of([(0,), p])),
     "team_epoch_expectation": ("agent 0 tour", lambda p: team_epoch_expectation(TeamEpochPlan(tours=(p, ())), ID_RULE_FINITE)),
     "marginal_gain": ("agent 0 tour", lambda p: marginal_gain(

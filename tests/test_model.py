@@ -31,7 +31,7 @@ from riskplan import (
     solve_finite,
     validate_instance,
 )
-from riskplan import model, multiagent, oracle_sim
+from riskplan import expectation, model, multiagent, oracle_sim
 from riskplan.errors import TooManyEpochsError
 from riskplan.cli import dump_json
 from riskplan.model import PackageTable, canonical_order, canonical_sort_key, gamma_values
@@ -743,7 +743,7 @@ class TestMissionPlanType:
             MissionPlan(plans=((0,),), stationary=(0,))
 
 
-# The oracles that keep per-epoch state and the simulator, with the first
+# The oracles that keep per-epoch state, the simulator and the evaluator, with the first
 # step each takes after the epoch check.  A stand-in for that step makes a
 # missing check fail the test instead of looping over 10^9 epochs.  tests/test_finite_solver.py
 # checks the solver's call of the same cap.
@@ -757,6 +757,9 @@ EPOCH_LIMITED = {
                              MissionPlan.finite([()] * min(inst.horizon.epochs, 3)), inst,
                              SimConfig(trials=10, seed=1)),
                          oracle_sim, "_resolve_plan"),
+    "evaluate_mission": (lambda inst: expectation.evaluate_mission(
+                             MissionPlan.finite([()] * min(inst.horizon.epochs, 3)), inst),
+                         expectation, "_resolve_plan"),
 }
 
 

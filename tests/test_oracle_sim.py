@@ -2,6 +2,7 @@ import ast
 import itertools
 import math
 import random
+import re
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -13,6 +14,7 @@ from riskplan import (
     InfiniteHorizonError,
     Instance,
     InvalidInstanceError,
+    MissionEvaluation,
     MissionPlan,
     PackageSpec,
     SearchSpaceTooLargeError,
@@ -24,13 +26,14 @@ from riskplan import (
     evaluate_mission,
     reward_to_risk,
     simulate_mission,
+    solve_finite,
 )
 from riskplan import expectation, oracle_sim
 from riskplan.cli import GeneratorSpec, generate_instance
 from riskplan.errors import HorizonMismatchError, InvalidPlanError, UnknownPackageIdError
 from riskplan.oracle_sim import STATIONARY_EPOCH_CAP, SimResult, _epoch_sequences, trial_keys
 
-from conftest import make_instance, package_of, random_mission_plan, with_horizon
+from conftest import make_instance, package_of, random_mission_plan, random_run_plan, with_horizon
 
 import numpy as np
 
@@ -278,15 +281,15 @@ class TestSimulateMission:
                 continue
             ids = rng.sample(inst.packages.ids.tolist(), rng.randint(1, min(len(inst.packages), 8)))
             ev = evaluate_epoch(ids, inst)
-            epochs, stationary = expectation._resolve_plan(MissionPlan.from_stationary(ids), inst)
-            assert stationary
+            runs, counts, stationary = expectation._resolve_plan(MissionPlan.from_stationary(ids), inst)
+            assert stationary and counts == [1]
             if ev.epoch_survival == 1.0:
                 with pytest.raises(UnboundedSimulationError):
-                    oracle_sim._truncation_bias(*epochs[0], inst.theta)
+                    oracle_sim._truncation_bias(*runs[0], inst.theta)
                 continue
             eps = ev.expected_reward / (1.0 - ev.epoch_survival)
             expected = ev.epoch_survival ** STATIONARY_EPOCH_CAP * abs(eps)
-            assert oracle_sim._truncation_bias(*epochs[0], inst.theta) == expected
+            assert oracle_sim._truncation_bias(*runs[0], inst.theta) == expected
 
 
 # --- array fold vs the per-combination loop ----------------------------------
@@ -616,6 +619,43 @@ class TestFirstFailures:
         assert res.mean == -1.0
 
 
+def run_form_cases(rng, cases):
+    """(instance, plan) pairs of finite plans in runs: each instance's
+    ``random_run_plan`` and its solver's plan, on horizons of up to 40
+    epochs some of the time."""
+    for _ in range(cases):
+        inst = random_sim_instance(rng)
+        if inst.per_epoch_packages is None and rng.random() < 0.5:
+            inst = with_horizon(inst, Horizon.finite(rng.randint(1, 40)))
+        yield inst, random_run_plan(rng, inst)
+        yield inst, solve_finite(inst).plan
+
+
+def evaluate_epoch_chain(plan, inst):
+    """``evaluate_mission`` of a finite plan as one ``evaluate_epoch`` per
+    epoch, chained by the direct sum."""
+    evals = tuple(evaluate_epoch(p, inst, epoch=h) for h, p in enumerate(plan.plans, start=1))
+    survival, total, survivals = 1.0, 0.0, []
+    for ev in evals:
+        survivals.append(survival)
+        total += ev.expected_reward * survival
+        survival *= ev.epoch_survival
+    return MissionEvaluation(epoch_evals=evals, survival_to_epoch=tuple(survivals), total=total)
+
+
+class TestEvaluateMissionRunByRun:
+    def test_matches_the_per_epoch_chain(self):
+        rng = random.Random(20261023)
+        for inst, plan in run_form_cases(rng, 300):
+            assert evaluate_mission(plan, inst) == evaluate_epoch_chain(plan, inst)
+
+    def test_a_run_shares_one_epoch_evaluation(self):
+        inst = Instance(theta=0.5, horizon=Horizon.finite(6),
+                        packages=(PackageSpec(0, 1.0, 0.9), PackageSpec(1, 2.0, 0.8)))
+        evals = evaluate_mission(MissionPlan.finite([(1, 0)] * 4 + [(0,)] * 2), inst).epoch_evals
+        assert len(set(map(id, evals))) == 2
+
+
 class TestBlockKernelMatchesPerLegLoop:
     # (2^16, 64) is the kernel's own blocking; 1 leg per block and blocks
     # of up to 3 legs cut epochs and packages at every boundary.
@@ -628,6 +668,16 @@ class TestBlockKernelMatchesPerLegLoop:
         for _ in range(cases):
             inst = random_sim_instance(rng)
             plan = random_mission_plan(rng, inst)
+            config = random_sim_config(rng)
+            assert simulate_mission(plan, inst, config) == per_leg_simulate(plan, inst, config)
+
+    @pytest.mark.parametrize("draws, legs, cases", [
+        (oracle_sim._DRAW_BLOCK, oracle_sim._BLOCK_LEGS, 120), (50, 3, 40)])
+    def test_run_form_plans(self, draws, legs, cases, monkeypatch):
+        monkeypatch.setattr(oracle_sim, "_DRAW_BLOCK", draws)
+        monkeypatch.setattr(oracle_sim, "_BLOCK_LEGS", legs)
+        rng = random.Random(20261022 + legs)
+        for inst, plan in run_form_cases(rng, cases):
             config = random_sim_config(rng)
             assert simulate_mission(plan, inst, config) == per_leg_simulate(plan, inst, config)
 
@@ -704,29 +754,30 @@ def check_int64_ids(epoch_plan, where):
             raise InvalidPlanError(f"{where} id must be an integer in 0..{2**63 - 1}, got {pkg_id!r}")
 
 
-def reference_plan_epochs_for_sim(plan: MissionPlan, instance: Instance) -> tuple[list[list], bool]:
-    """Resolve the plan into per-epoch package lists; True if stationary.
-    Every epoch's ids are checked against the id rule before any is
-    resolved."""
-    if plan.is_stationary:
-        check_int64_ids(plan.stationary, "stationary plan")
-        if len(set(map(int, plan.stationary))) != len(plan.stationary):
+def reference_plan_epochs_for_sim(raw, stationary: bool, instance: Instance) -> tuple[list[list], bool]:
+    """Resolve the raw plan (a stationary plan's ids, or the epoch plans)
+    into per-epoch package lists; True if stationary.  Every epoch's ids
+    are checked against the id rule first, as a MissionPlan reads them
+    when it is made."""
+    if stationary:
+        check_int64_ids(raw, "stationary plan")
+        if len(set(map(int, raw))) != len(raw):
             raise InvalidPlanError("stationary plan repeats a package id")
-        epoch = [package_of(instance, i) for i in plan.stationary]
+        epoch = [package_of(instance, i) for i in raw]
         return [epoch], True
+    for h, epoch_plan in enumerate(raw, start=1):
+        check_int64_ids(epoch_plan, f"epoch {h} plan")
     # The checks and messages of ``evaluate_mission``; a valid instance
     # has one catalog per epoch, so they cover per-epoch catalogs too.
     horizon = instance.horizon
     if not horizon.is_finite:
         raise HorizonMismatchError("finite plan cannot be evaluated on an infinite horizon")
-    if len(plan.plans) != horizon.epochs:
+    if len(raw) != horizon.epochs:
         raise HorizonMismatchError(
-            f"plan has {len(plan.plans)} epochs but horizon is {horizon.epochs}")
-    for h, epoch_plan in enumerate(plan.plans, start=1):
-        check_int64_ids(epoch_plan, f"epoch {h} plan")
+            f"plan has {len(raw)} epochs but horizon is {horizon.epochs}")
     pep = instance.per_epoch_packages
     epochs = []
-    for h, epoch_plan in enumerate(plan.plans, start=1):
+    for h, epoch_plan in enumerate(raw, start=1):
         if len(set(map(int, epoch_plan))) != len(epoch_plan):
             raise InvalidPlanError(f"epoch {h} plan repeats a package id")
         allowed = instance.allowed_ids(h) if pep is not None else None
@@ -741,11 +792,22 @@ def reference_plan_epochs_for_sim(plan: MissionPlan, instance: Instance) -> tupl
     return epochs, False
 
 
-def resolved(resolve, plan, inst):
+def made(raw, stationary):
+    return MissionPlan.from_stationary(raw) if stationary else MissionPlan.finite(raw)
+
+
+def resolve_per_epoch(raw, stationary, inst):
+    """``_resolve_plan`` of the plan made from ``raw``, its runs laid out
+    one per epoch."""
+    runs, counts, stationary = expectation._resolve_plan(made(raw, stationary), inst)
+    return [run for run, count in zip(runs, counts) for _ in range(count)], stationary
+
+
+def resolved(resolve, raw, stationary, inst):
     """(rewards, rhos) per epoch and the stationary flag, or the
     exception's (type, message)."""
     try:
-        epochs, stationary = resolve(plan, inst)
+        epochs, stationary = resolve(raw, stationary, inst)
     except Exception as exc:  # the comparison is of what each raises
         return type(exc), str(exc)
     if resolve is reference_plan_epochs_for_sim:
@@ -786,6 +848,20 @@ def random_plan_ids(rng, inst, h):
     return tuple(ids)
 
 
+def random_raw_plans(rng, inst, epochs):
+    """``epochs`` epoch plans of ``random_plan_ids``, where some epochs
+    repeat their neighbour's plan (the same object or an equal copy), so
+    that they make one run."""
+    k = inst.horizon.epochs or 1
+    plans = []
+    for h in range(1, epochs + 1):
+        if plans and rng.random() < 0.4:
+            plans.append(rng.choice([plans[-1], tuple(plans[-1])]))
+        else:
+            plans.append(random_plan_ids(rng, inst, min(h, k)))
+    return plans
+
+
 class TestPlanResolution:
     def test_matches_the_per_package_resolver(self):
         rng = random.Random(20261018)
@@ -794,18 +870,39 @@ class TestPlanResolution:
             inst = random_sim_instance(rng, infinite=rng.random() < 0.2)
             k = inst.horizon.epochs or 1
             # simulate_mission expands a stationary plan on a finite horizon
-            if not inst.horizon.is_finite and rng.random() < 0.8:
-                plan = MissionPlan.from_stationary(random_plan_ids(rng, inst, 1))
+            stationary = not inst.horizon.is_finite and rng.random() < 0.8
+            if stationary:
+                raw = random_plan_ids(rng, inst, 1)
             else:
                 epochs = k + rng.choice([0, 0, 0, 0, 0, 0, -1, 1]) if inst.horizon.is_finite else k
-                plan = MissionPlan.finite(random_plan_ids(rng, inst, min(h, k)) for h in range(1, max(epochs, 0) + 1))
-            expected = resolved(reference_plan_epochs_for_sim, plan, inst)
-            assert resolved(expectation._resolve_plan, plan, inst) == expected
+                raw = random_raw_plans(rng, inst, max(epochs, 0))
+            expected = resolved(reference_plan_epochs_for_sim, raw, stationary, inst)
+            assert resolved(resolve_per_epoch, raw, stationary, inst) == expected
+            evaluate = lambda: evaluate_mission(made(raw, stationary), inst)
             if isinstance(expected[0], type):
-                # The evaluator and the simulator raise what the reference does.
-                assert raised(evaluate_mission, plan, inst) == expected
-                assert raised(simulate_mission, plan, inst, SimConfig(trials=2, seed=1)) == expected
+                # The plan, the evaluator and the simulator raise what the reference does.
+                assert raised(evaluate) == expected
+                assert raised(lambda: simulate_mission(made(raw, stationary), inst, SimConfig(trials=2, seed=1))) == expected
             else:
-                assert raised(evaluate_mission, plan, inst) is None
+                assert raised(evaluate) is None
             seen.add(expected[0] if isinstance(expected[0], type) else "ok")
         assert seen == {"ok", InvalidPlanError, UnknownPackageIdError, HorizonMismatchError}
+
+    def test_an_id_fault_is_found_when_the_plan_is_made(self):
+        with pytest.raises(InvalidPlanError, match=re.escape("epoch 3 plan id must be an integer")):
+            MissionPlan.finite([(0,), (0,), (2.5,)])
+        with pytest.raises(InvalidPlanError, match=re.escape("stationary plan id must be an integer")):
+            MissionPlan.from_stationary((0, 2**64))
+
+    def test_an_off_catalog_id_names_its_epoch_within_a_run(self):
+        """Epochs 2 and 3 run one plan, and package 1 is in epoch 2's
+        catalog only: the fault is epoch 3's."""
+        inst = Instance(theta=0.5, horizon=Horizon.finite(3),
+                        packages=(PackageSpec(0, 1.0, 0.9), PackageSpec(1, 2.0, 0.8)),
+                        per_epoch_packages=[{0}, {0, 1}, {0}])
+        plan = MissionPlan.finite([(0,), (1, 0), (1, 0)])
+        assert plan.runs() == [(0, 1), (1, 3)]
+        message = "package 1 is not available in epoch 3"
+        for call in (evaluate_mission, lambda p, i: simulate_mission(p, i, SimConfig(trials=2, seed=1))):
+            with pytest.raises(UnknownPackageIdError, match=re.escape(message)):
+                call(plan, inst)
